@@ -57,6 +57,26 @@ echo "==> routing-equivalence suite (counting-sort fabric vs sort oracle)"
 # random machine counts and message multisets.
 cargo test -q -p csmpc-mpc --test routing_equivalence
 
+echo "==> scale-equivalence suite (frontier kernels vs full-sweep oracles)"
+# Property proof that the active-list MIS and coloring kernels produce the
+# same output vectors, return values and Stats ledgers as the full-sweep
+# kernels they replaced, over every StreamFamily member and random seeds,
+# sequential and parallel. Threads are forced so the parallel column runs
+# on real worker threads even on single-core runners.
+RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence
+
+echo "==> steady-state allocation suite (alloc-count build)"
+# The counting-allocator test behind the alloc-count feature: warm engine
+# rounds and warm scale repetitions (cycle and random tree) allocate
+# nothing. Compiled out of the plain workspace test run.
+cargo test -q -p csmpc-mpc --features alloc-count --test steady_state_alloc
+
+echo "==> perfbench self-tests (metric lists match BENCHMARK.json)"
+# perfbench is its own workspace, so the workspace test run above never
+# builds it; its unit tests pin the reported metric names to the
+# BENCHMARK.json declaration.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke + perf-regression gate (vs committed BENCH_mpc_smoke.json)"
 # Writes BENCH_mpc_smoke.json (the committed full-size BENCH_mpc.json is
 # left untouched) and fails on gross per-workload regressions against the

@@ -67,13 +67,9 @@ impl CsrAdjacency {
     /// intermediate [`Graph`] (no per-node `Vec`s, no builder validation).
     ///
     /// Two passes over the (cheaply cloneable) stream: pass 1 counts
-    /// degrees and prefix-sums them into `offsets`; pass 2 scatters both
-    /// endpoints of every edge through per-node cursors. Rows are then
-    /// sorted ascending in parallel over contiguous row blocks, making the
-    /// result bit-identical to [`CsrAdjacency::from_graph`] on the graph
-    /// with the same edge set ([`Graph::neighbors`] is ascending). The
-    /// sort output is a pure per-row function, so the worker count cannot
-    /// affect the bytes produced.
+    /// degrees, pass 2 scatters and sorts exactly as
+    /// [`CsrAdjacency::from_degrees`] does. The result is bit-identical to
+    /// [`CsrAdjacency::from_graph`] on the graph with the same edge set.
     ///
     /// The stream must describe a *simple* undirected graph on nodes
     /// `0..n`: every endpoint `< n`, no self-loops, each undirected edge
@@ -89,19 +85,61 @@ impl CsrAdjacency {
     where
         I: Iterator<Item = (u32, u32)> + Clone,
     {
+        let mut counts = vec![0u32; n + 1];
+        for (u, v) in edges.clone() {
+            counts[u as usize] += 1;
+            counts[v as usize] += 1;
+        }
+        Self::scatter_sorted(counts, edges)
+    }
+
+    /// Builds the CSR adjacency from known node degrees and one pass over
+    /// the undirected edge stream, for streams whose degrees are known up
+    /// front (a Prüfer sequence's occurrence counts give a random tree's).
+    ///
+    /// The degrees are prefix-summed into `offsets`, both endpoints of
+    /// every edge are scattered through per-node cursors, and rows are
+    /// then sorted ascending in parallel over contiguous row blocks,
+    /// making the result bit-identical to [`CsrAdjacency::from_graph`]
+    /// ([`Graph::neighbors`] is ascending). The sort output is a pure
+    /// per-row function, so the worker count cannot affect the bytes
+    /// produced.
+    ///
+    /// The stream must describe a simple undirected graph on nodes
+    /// `0..degrees.len()` whose degree sequence is exactly `degrees`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or the directed edge count
+    /// exceeds `u32::MAX`; debug builds also panic when a node receives
+    /// more edges than its degree.
+    #[must_use]
+    pub fn from_degrees<I>(degrees: &[u32], edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let mut counts = Vec::with_capacity(degrees.len() + 1);
+        counts.extend_from_slice(degrees);
+        counts.push(0);
+        Self::scatter_sorted(counts, edges)
+    }
+
+    /// The shared tail of [`CsrAdjacency::from_edges`] and
+    /// [`CsrAdjacency::from_degrees`]: `counts[v]` is node `v`'s degree
+    /// (`counts[n]` is 0). Prefix-scans the counts into offsets in place,
+    /// scatters the edges, and sorts every row.
+    fn scatter_sorted<I>(mut offsets: Vec<u32>, edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let n = offsets.len() - 1;
         if n == 0 {
             return CsrAdjacency {
-                offsets: vec![0],
+                offsets,
                 targets: Vec::new(),
             };
         }
-        // Pass 1: degree count (both endpoints), then an exclusive prefix
-        // scan in place — offsets[v] = directed edges of nodes < v.
-        let mut offsets = vec![0u32; n + 1];
-        for (u, v) in edges.clone() {
-            offsets[u as usize] += 1;
-            offsets[v as usize] += 1;
-        }
+        // Exclusive prefix scan: offsets[v] = directed edges of nodes < v.
         let mut acc: u64 = 0;
         for slot in &mut offsets {
             let d = u64::from(*slot);
@@ -109,11 +147,15 @@ impl CsrAdjacency {
             acc += d;
         }
         let total = offsets[n] as usize;
-        // Pass 2: scatter both endpoints through per-node write cursors.
+        // Scatter both endpoints through per-node write cursors.
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut targets = vec![0u32; total];
         for (u, v) in edges {
             let (ui, vi) = (u as usize, v as usize);
+            debug_assert!(
+                cursor[ui] < offsets[ui + 1] && cursor[vi] < offsets[vi + 1],
+                "edge ({u}, {v}) exceeds its endpoints' degrees"
+            );
             targets[cursor[ui] as usize] = v;
             cursor[ui] += 1;
             targets[cursor[vi] as usize] = u;

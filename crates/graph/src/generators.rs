@@ -8,6 +8,7 @@
 
 use crate::graph::{Graph, GraphBuilder, NodeId, NodeName};
 use crate::rng::{Seed, SplitMix64};
+use crate::stream::StreamFamily;
 
 /// Path on `n` nodes, `0 – 1 – … – n−1`, with consecutive IDs.
 #[must_use]
@@ -146,39 +147,14 @@ pub fn random_gnp(n: usize, p: f64, seed: Seed) -> Graph {
     b.build().expect("gnp is valid")
 }
 
-/// Uniformly random labeled tree on `n` nodes (Prüfer-sequence decoding).
+/// Uniformly random labeled tree on `n` nodes: the Prüfer-sequence
+/// decoding streamed by [`StreamFamily::RandomTree`].
 #[must_use]
 pub fn random_tree(n: usize, seed: Seed) -> Graph {
-    if n == 0 {
-        return Graph::empty();
-    }
-    if n == 1 {
-        return GraphBuilder::with_sequential_nodes(1).build().unwrap();
-    }
-    let mut rng = SplitMix64::new(seed);
-    let prufer: Vec<usize> = (0..n.saturating_sub(2)).map(|_| rng.index(n)).collect();
-    let mut degree = vec![1usize; n];
-    for &x in &prufer {
-        degree[x] += 1;
-    }
     let mut b = GraphBuilder::with_sequential_nodes(n);
-    // Min-heap over leaves.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-        .filter(|&v| degree[v] == 1)
-        .map(std::cmp::Reverse)
-        .collect();
-    let mut deg = degree;
-    for &x in &prufer {
-        let std::cmp::Reverse(leaf) = heap.pop().expect("tree always has a leaf");
-        b.add_edge(leaf, x);
-        deg[x] -= 1;
-        if deg[x] == 1 {
-            heap.push(std::cmp::Reverse(x));
-        }
+    for (u, v) in (StreamFamily::RandomTree { n, seed }).edges() {
+        b.add_edge(u as usize, v as usize);
     }
-    let std::cmp::Reverse(u) = heap.pop().expect("two nodes remain");
-    let std::cmp::Reverse(v) = heap.pop().expect("two nodes remain");
-    b.add_edge(u, v);
     b.build().expect("prufer decoding yields a tree")
 }
 

@@ -17,9 +17,6 @@ use crate::csr::CsrAdjacency;
 use crate::generators;
 use crate::graph::Graph;
 use crate::rng::{Seed, SplitMix64};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// A seeded graph-family spec that can stream its edges.
 ///
@@ -128,10 +125,14 @@ impl StreamFamily {
 
     /// Builds the CSR adjacency straight from the stream — bit-identical
     /// to `CsrAdjacency::from_graph(&self.materialize())`, without the
-    /// intermediate graph.
+    /// intermediate graph. A random tree is decoded once: its degrees are
+    /// the Prüfer occurrence counts, known before the decode starts.
     #[must_use]
     pub fn stream_csr(&self) -> CsrAdjacency {
-        CsrAdjacency::from_edges(self.n(), self.edges())
+        match self.edges() {
+            EdgeStream::Tree(tree) => CsrAdjacency::from_degrees(&tree.deg.clone(), tree),
+            edges => CsrAdjacency::from_edges(self.n(), edges),
+        }
     }
 
     /// The materialized [`Graph`] (the test oracle; O(n) `Vec`s + builder
@@ -190,7 +191,7 @@ pub enum EdgeStream {
         /// Next bit to inspect.
         bit: u32,
     },
-    /// Streaming Prüfer decode of a random tree.
+    /// Linear-time Prüfer decode of a random tree.
     Tree(TreeEdges),
 }
 
@@ -265,19 +266,23 @@ impl Iterator for EdgeStream {
     }
 }
 
-/// Streaming Prüfer-sequence tree decoder: mirrors
-/// [`generators::random_tree`] edge for edge (same seed → same min-heap
-/// leaf order → same `(leaf, prufer[i])` pairs and final heap edge) while
-/// holding only the sequence, the degree array, and the leaf heap — no
-/// adjacency.
+/// Streaming linear-time Prüfer decoder: a `ptr` sweeps upward to the
+/// smallest unused leaf, and a vertex `x < ptr` freed by the sequence is
+/// chained in directly as the next leaf. It always takes the minimum leaf,
+/// so it emits the classic decoding's `(leaf, prufer[i])` pairs and final
+/// `(leaf, n-1)` edge, holding only the sequence and the degree array.
 #[derive(Debug, Clone)]
 pub struct TreeEdges {
-    /// The Prüfer sequence (`n − 2` entries), shared between clones so the
-    /// two CSR passes don't duplicate it.
-    prufer: Arc<[u32]>,
+    /// The Prüfer sequence (`n − 2` entries).
+    prufer: Vec<u32>,
     pos: usize,
+    /// Remaining degrees: the tree degree (`1 +` Prüfer occurrences) until
+    /// the decode starts consuming them.
     deg: Vec<u32>,
-    heap: BinaryHeap<Reverse<u32>>,
+    /// Smallest vertex the leaf scan has not passed yet.
+    ptr: usize,
+    /// The current minimum leaf.
+    leaf: u32,
     tail_done: bool,
 }
 
@@ -285,10 +290,11 @@ impl TreeEdges {
     fn new(n: usize, seed: Seed) -> Self {
         if n < 2 {
             return TreeEdges {
-                prufer: Arc::from(Vec::new()),
+                prufer: Vec::new(),
                 pos: 0,
-                deg: Vec::new(),
-                heap: BinaryHeap::new(),
+                deg: vec![0; n],
+                ptr: 0,
+                leaf: 0,
                 tail_done: true,
             };
         }
@@ -298,15 +304,13 @@ impl TreeEdges {
         for &x in &prufer {
             deg[x as usize] += 1;
         }
-        let heap: BinaryHeap<Reverse<u32>> = (0..n as u32)
-            .filter(|&v| deg[v as usize] == 1)
-            .map(Reverse)
-            .collect();
+        let ptr = deg.iter().position(|&d| d == 1).expect("tree has a leaf");
         TreeEdges {
-            prufer: Arc::from(prufer),
+            prufer,
             pos: 0,
             deg,
-            heap,
+            ptr,
+            leaf: ptr as u32,
             tail_done: false,
         }
     }
@@ -319,18 +323,22 @@ impl Iterator for TreeEdges {
         if self.pos < self.prufer.len() {
             let x = self.prufer[self.pos];
             self.pos += 1;
-            let Reverse(leaf) = self.heap.pop().expect("tree always has a leaf");
+            let edge = (self.leaf, x);
             self.deg[x as usize] -= 1;
-            if self.deg[x as usize] == 1 {
-                self.heap.push(Reverse(x));
+            if self.deg[x as usize] == 1 && (x as usize) < self.ptr {
+                self.leaf = x;
+            } else {
+                self.ptr += 1;
+                while self.deg[self.ptr] != 1 {
+                    self.ptr += 1;
+                }
+                self.leaf = self.ptr as u32;
             }
-            return Some((leaf, x));
+            return Some(edge);
         }
         if !self.tail_done {
             self.tail_done = true;
-            let Reverse(u) = self.heap.pop().expect("two nodes remain");
-            let Reverse(v) = self.heap.pop().expect("two nodes remain");
-            return Some((u, v));
+            return Some((self.leaf, (self.deg.len() - 1) as u32));
         }
         None
     }

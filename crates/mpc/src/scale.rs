@@ -5,11 +5,13 @@
 //! [`csmpc_graph::Graph`] — fine at the conformance-suite sizes (n ≤ 4000),
 //! prohibitive at n = 10⁶. This module is the scale path: inputs arrive as
 //! a [`StreamFamily`] and are ingested straight into a
-//! [`CsrAdjacency`] (two passes over the edge stream, no intermediate
-//! `Graph`), node *names are node indices* (so the pointer-jumping lookup
-//! is an array index, not a `BTreeMap` probe), and every per-vertex sweep
-//! writes into a caller-held [`ScaleWorkspace`] buffer via
-//! [`csmpc_parallel::par_map_range_into`].
+//! [`CsrAdjacency`] (two passes over the edge stream, one for a random
+//! tree; no intermediate `Graph`), node *names are node indices* (so the
+//! pointer-jumping lookup is an array index, not a `BTreeMap` probe), and
+//! every per-vertex sweep writes into a caller-held [`ScaleWorkspace`]
+//! buffer via [`csmpc_parallel::par_map_range_into`]. [`luby_mis`] and
+//! [`ball_coloring`] sweep only a frontier, the ascending list of
+//! still-undecided vertices, so late rounds cost what is left, not `n`.
 //!
 //! Steady-state contract: after the first repetition at a fixed topology
 //! has warmed the workspace, further repetitions allocate **nothing** on
@@ -25,8 +27,9 @@
 //! as they do on the materialized path.
 //!
 //! Determinism: every sweep is a pure per-vertex map over the previous
-//! iteration's buffers, materialized in vertex order — bit-identical
-//! across [`crate::ParallelismMode`]s and worker counts. Randomness (Luby
+//! iteration's buffers, materialized in vertex (or frontier-list) order
+//! and written back sequentially — bit-identical across
+//! [`crate::ParallelismMode`]s and worker counts. Randomness (Luby
 //! priorities, coloring priorities) flows from an explicit
 //! [`Seed`] through a stateless splitmix-style mix, so a seed
 //! replays the same run.
@@ -35,7 +38,7 @@ use crate::cluster::{Cluster, MpcError};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{CsrAdjacency, StreamFamily};
-use csmpc_parallel::par_map_range_into;
+use csmpc_parallel::{par_map_range_into, ParallelismMode};
 
 /// Sentinel for a vertex not yet colored by [`ball_coloring`].
 const UNCOLORED: u32 = u32::MAX;
@@ -56,16 +59,16 @@ pub struct ScaleWorkspace {
     next: Vec<u64>,
     /// Double buffer: pointer-jump sweep output.
     jumped: Vec<u64>,
-    /// Per-vertex seeded priorities (Luby / Jones–Plassmann).
+    /// Per-vertex seeded Jones–Plassmann priorities.
     priority: Vec<u64>,
     /// MIS state ([`luby_mis`] output): 0 undecided, 1 in the MIS, 2 out.
     pub state: Vec<u8>,
-    /// Double buffer for the MIS state sweeps.
-    state_next: Vec<u8>,
     /// Vertex colors ([`ball_coloring`] output).
     pub color: Vec<u32>,
-    /// Double buffer for the coloring sweep.
-    color_next: Vec<u32>,
+    /// The frontier: still-undecided vertices, ascending.
+    active: Vec<u32>,
+    /// Per-round sweep results, one per `active` entry, in list order.
+    results: Vec<u32>,
 }
 
 impl ScaleWorkspace {
@@ -192,12 +195,41 @@ pub fn cc_labels(
     Ok(iterations)
 }
 
+/// Sweeps `f` over the frontier into `results`, in list order: a pure
+/// per-vertex map over the previous round's buffers.
+fn sweep_frontier<F>(mode: ParallelismMode, active: &[u32], results: &mut Vec<u32>, f: F)
+where
+    F: Fn(usize) -> u32 + Sync,
+{
+    par_map_range_into(mode, active.len(), results, |i| f(active[i] as usize));
+}
+
+/// Hands each sweep result to `commit` in list order and compacts the
+/// frontier to the vertices for which `commit` returns `true` (still
+/// undecided). Compaction keeps the frontier ascending.
+fn commit_frontier<C>(active: &mut Vec<u32>, results: &[u32], mut commit: C)
+where
+    C: FnMut(usize, u32) -> bool,
+{
+    let mut kept = 0usize;
+    for (i, &r) in results.iter().enumerate() {
+        let v = active[i];
+        if commit(v as usize, r) {
+            active[kept] = v;
+            kept += 1;
+        }
+    }
+    active.truncate(kept);
+}
+
 /// Luby's maximal independent set. Per round every undecided vertex draws
 /// a fresh seeded priority; strict local minima (ties broken by index)
 /// join the set and their neighbors drop out. On return `ws.state[v]` is
 /// 1 (in the MIS) or 2 (out). Charges `2d` rounds per measured round;
 /// returns `(mis_size, rounds)`.
 ///
+/// Each round sweeps only the frontier of undecided vertices, mixing
+/// priorities inline; the frontier's length is the convergence check.
 /// Terminates because the global minimum among undecided vertices is
 /// always a local minimum, so every round decides at least one vertex.
 ///
@@ -214,70 +246,63 @@ pub fn luby_mis(
     let mode = cluster.config().parallelism;
     let d = depth(cluster);
     let ScaleWorkspace {
-        priority,
         state,
-        state_next,
+        active,
+        results,
         ..
     } = ws;
     par_map_range_into(mode, n, state, |_| 0u8);
+    active.clear();
+    active.extend(0..n as u32);
     let mut rounds = 0usize;
+    let mut size = 0usize;
     let mut sweep_ns = 0u64;
-    let mut merge_ns = 0u64;
-    let mut undecided = n;
-    while undecided > 0 {
+    while !active.is_empty() {
         rounds += 1;
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
         let salt = rounds as u64;
-        par_map_range_into(mode, n, priority, |v| mix(seed.0, salt, v as u64));
         // Join: an undecided strict local minimum of (priority, index)
         // enters the MIS. Adjacent vertices are strictly ordered, so two
         // neighbors can never join in the same round.
         {
             let st: &[u8] = state;
-            let pr: &[u64] = priority;
-            par_map_range_into(mode, n, state_next, |v| {
-                if st[v] != 0 {
-                    return st[v];
-                }
-                let pv = (pr[v], v as u32);
+            sweep_frontier(mode, active, results, |v| {
+                let pv = (mix(seed.0, salt, v as u64), v as u32);
                 for &w in csr.neighbors(v) {
-                    let wi = w as usize;
-                    if st[wi] == 0 && (pr[wi], w) < pv {
+                    if st[w as usize] == 0 && (mix(seed.0, salt, u64::from(w)), w) < pv {
                         return 0;
                     }
                 }
                 1
             });
         }
-        std::mem::swap(state, state_next);
+        commit_frontier(active, results, |v, joined| {
+            if joined == 1 {
+                state[v] = 1;
+                size += 1;
+            }
+            joined == 0
+        });
         // Retire: an undecided vertex adjacent to any MIS member is out.
         {
             let st: &[u8] = state;
-            par_map_range_into(mode, n, state_next, |v| {
-                if st[v] != 0 {
-                    return st[v];
-                }
-                for &w in csr.neighbors(v) {
-                    if st[w as usize] == 1 {
-                        return 2;
-                    }
-                }
-                0
+            sweep_frontier(mode, active, results, |v| {
+                u32::from(csr.neighbors(v).iter().any(|&w| st[w as usize] == 1))
             });
         }
-        std::mem::swap(state, state_next);
+        commit_frontier(active, results, |v, retired| {
+            if retired == 1 {
+                state[v] = 2;
+            }
+            retired == 0
+        });
         sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-        let count_timer = PhaseTimer::start();
-        undecided = state.iter().filter(|&&s| s == 0).count();
-        merge_ns = merge_ns.saturating_add(count_timer.elapsed_ns());
     }
     cluster.record_phase(&PhaseTimes {
         step_ns: sweep_ns,
-        merge_ns,
         ..PhaseTimes::default()
     });
-    let size = state.iter().filter(|&&s| s == 1).count();
     Ok((size, rounds))
 }
 
@@ -313,9 +338,10 @@ fn smallest_free(nbrs: &[u32], colors: &[u32]) -> u32 {
 /// ball-coloring workload family. Priorities are fixed per vertex
 /// (seeded); each round, every uncolored vertex that is a strict local
 /// maximum of (priority, index) among its *uncolored* neighbors takes the
-/// smallest color unused by its colored neighbors. On return
-/// `ws.color[v]` is `v`'s color. Charges `2d` rounds per measured round;
-/// returns `(colors_used, rounds)`.
+/// smallest color unused by its colored neighbors. Each round sweeps only
+/// the frontier of uncolored vertices. On return `ws.color[v]` is `v`'s
+/// color. Charges `2d` rounds per measured round; returns
+/// `(colors_used, rounds)`.
 ///
 /// The coloring is proper: a local maximum's uncolored neighbors stay
 /// uncolored that round (they see the maximum above them), and its
@@ -336,28 +362,27 @@ pub fn ball_coloring(
     let ScaleWorkspace {
         priority,
         color,
-        color_next,
+        active,
+        results,
         ..
     } = ws;
     par_map_range_into(mode, n, priority, |v| {
         mix(seed.0, 0x636f_6c6f_7269_6e67, v as u64)
     });
     par_map_range_into(mode, n, color, |_| UNCOLORED);
+    active.clear();
+    active.extend(0..n as u32);
     let mut rounds = 0usize;
+    let mut used = 0u32;
     let mut sweep_ns = 0u64;
-    let mut merge_ns = 0u64;
-    let mut uncolored = n;
-    while uncolored > 0 {
+    while !active.is_empty() {
         rounds += 1;
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
         {
             let pr: &[u64] = priority;
             let col: &[u32] = color;
-            par_map_range_into(mode, n, color_next, |v| {
-                if col[v] != UNCOLORED {
-                    return col[v];
-                }
+            sweep_frontier(mode, active, results, |v| {
                 let pv = (pr[v], v as u32);
                 for &w in csr.neighbors(v) {
                     let wi = w as usize;
@@ -368,18 +393,20 @@ pub fn ball_coloring(
                 smallest_free(csr.neighbors(v), col)
             });
         }
-        std::mem::swap(color, color_next);
+        commit_frontier(active, results, |v, c| {
+            if c == UNCOLORED {
+                return true;
+            }
+            color[v] = c;
+            used = used.max(c + 1);
+            false
+        });
         sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-        let count_timer = PhaseTimer::start();
-        uncolored = color.iter().filter(|&&c| c == UNCOLORED).count();
-        merge_ns = merge_ns.saturating_add(count_timer.elapsed_ns());
     }
     cluster.record_phase(&PhaseTimes {
         step_ns: sweep_ns,
-        merge_ns,
         ..PhaseTimes::default()
     });
-    let used = color.iter().map(|&c| c + 1).max().unwrap_or(0);
     Ok((used, rounds))
 }
 
