@@ -21,6 +21,8 @@
 //!   non-uniform derandomization in [`enumerate`].
 //! * **Deterministic randomness** ([`rng`]): every random bit flows from an
 //!   explicit [`rng::Seed`], modeling the shared random string `S`.
+//! * **Fingerprints** ([`fnv`]): the one FNV-1a hash behind every
+//!   checksum and digest in the workspace.
 //!
 //! # Quick example
 //!
@@ -46,6 +48,7 @@ pub mod ball;
 pub mod csr;
 pub mod enumerate;
 pub mod family;
+pub mod fnv;
 pub mod generators;
 mod graph;
 pub mod ops;

@@ -25,6 +25,7 @@
 //! [`BallWorkspace`]: csmpc_graph::ball::BallWorkspace
 
 use csmpc_graph::ball::with_thread_workspace;
+use csmpc_graph::fnv::fnv1a_words;
 use csmpc_graph::{CsrAdjacency, Graph};
 use csmpc_parallel::{par_map_range, ParallelismMode};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -54,13 +55,7 @@ fn content_key(g: &Graph, r: usize) -> Vec<u64> {
 
 /// FNV-1a over the key words — the fast-reject fingerprint.
 fn fingerprint(key: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &word in key {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a_words(key.iter().copied())
 }
 
 struct Entry {

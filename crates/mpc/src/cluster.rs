@@ -19,6 +19,7 @@ use crate::phase::{PhaseTimer, PhaseTimes};
 use crate::provenance::{ComponentId, ProvenanceLog, TagTable};
 use crate::route::RouteArena;
 use crate::supervise::{SupervisionEvent, SupervisorConfig};
+use csmpc_graph::fnv::fnv1a_words;
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_parallel::par_map_mut_into;
 use std::collections::BTreeSet;
@@ -62,27 +63,68 @@ pub struct Stats {
     pub phase: PhaseTimes,
 }
 
-/// Equality covers every *model observable* — rounds, word volumes,
-/// space high-water marks, recovery/speculation/corruption counters —
+/// Equality covers every *model observable* ([`Stats::MODEL_FIELDS`])
 /// and deliberately ignores [`Stats::phase`]: two executions that moved
 /// the same words in the same rounds are equal no matter how long the
 /// host took to simulate them.
 impl PartialEq for Stats {
     fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds
-            && self.max_round_words == other.max_round_words
-            && self.max_storage_words == other.max_storage_words
-            && self.total_words == other.total_words
-            && self.recovery_rounds == other.recovery_rounds
-            && self.recovery_words == other.recovery_words
-            && self.speculative_rounds == other.speculative_rounds
-            && self.corrupted_detected == other.corrupted_detected
+        self.model_words() == other.model_words()
     }
 }
 
 impl Eq for Stats {}
 
 impl Stats {
+    /// The model observables, in canonical order: every field except
+    /// [`Stats::phase`]. Equality, `Display`, the service journal codec
+    /// and the service report fingerprint all walk this one list, so
+    /// their field sets cannot drift apart.
+    pub const MODEL_FIELDS: [&'static str; 8] = [
+        "rounds",
+        "max_round_words",
+        "max_storage_words",
+        "total_words",
+        "recovery_rounds",
+        "recovery_words",
+        "speculative_rounds",
+        "corrupted_detected",
+    ];
+
+    /// The model observables as words, in [`Stats::MODEL_FIELDS`] order.
+    #[must_use]
+    pub fn model_words(&self) -> [u64; 8] {
+        [
+            self.rounds as u64,
+            self.max_round_words as u64,
+            self.max_storage_words as u64,
+            self.total_words,
+            self.recovery_rounds as u64,
+            self.recovery_words,
+            self.speculative_rounds as u64,
+            self.corrupted_detected,
+        ]
+    }
+
+    /// The ledger whose model observables are `words` (in
+    /// [`Stats::MODEL_FIELDS`] order), with zero phase timings.
+    #[must_use]
+    pub fn from_model_words(words: [u64; 8]) -> Self {
+        let [rounds, max_round_words, max_storage_words, total_words, recovery_rounds, recovery_words, speculative_rounds, corrupted_detected] =
+            words;
+        Stats {
+            rounds: rounds as usize,
+            max_round_words: max_round_words as usize,
+            max_storage_words: max_storage_words as usize,
+            total_words,
+            recovery_rounds: recovery_rounds as usize,
+            recovery_words,
+            speculative_rounds: speculative_rounds as usize,
+            corrupted_detected,
+            phase: PhaseTimes::default(),
+        }
+    }
+
     /// Merges another ledger (e.g. a sub-computation, or one machine's
     /// per-round delta in the parallel engine) into this one, summing
     /// rounds and word totals (saturating at the type maxima) and taking
@@ -125,20 +167,15 @@ impl Stats {
 
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rounds={}, max round words={}, max storage words={}, total words={}, \
-             recovery rounds={}, recovery words={}, speculative rounds={}, \
-             corrupted detected={}",
-            self.rounds,
-            self.max_round_words,
-            self.max_storage_words,
-            self.total_words,
-            self.recovery_rounds,
-            self.recovery_words,
-            self.speculative_rounds,
-            self.corrupted_detected
-        )
+        for (i, (name, value)) in Self::MODEL_FIELDS
+            .iter()
+            .zip(self.model_words())
+            .enumerate()
+        {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{}={value}", name.replace('_', " "))?;
+        }
+        Ok(())
     }
 }
 
@@ -256,22 +293,7 @@ pub struct Message {
 /// Streaming lets callers checksum a *hypothetical* payload (e.g. one
 /// tampered word substituted in flight) without materializing it.
 fn transport_checksum_stream(to: usize, len: usize, words: impl Iterator<Item = u64>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mix = |h: u64, x: u64| -> u64 {
-        let mut h = h;
-        for b in x.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        h
-    };
-    h = mix(h, to as u64);
-    h = mix(h, len as u64);
-    for w in words {
-        h = mix(h, w);
-    }
-    h
+    fnv1a_words([to as u64, len as u64].into_iter().chain(words))
 }
 
 /// FNV-1a transport checksum of a concrete payload slice.

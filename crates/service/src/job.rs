@@ -9,6 +9,7 @@ use crate::backoff::BackoffPolicy;
 use csmpc_algorithms::amplify::StableOneShotIs;
 use csmpc_algorithms::mpc_edge::BallGreedyColoringMpc;
 use csmpc_algorithms::MpcVertexAlgorithm;
+use csmpc_graph::fnv::Fnv1a;
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{generators, Graph};
 use csmpc_mpc::{Cluster, DistributedGraph, FaultPlan, MpcError};
@@ -256,22 +257,14 @@ pub fn run_job(
 /// per-job output fingerprint: bit-identical outputs ⇒ equal digests.
 #[must_use]
 pub fn labels_digest(labels: &[Option<u64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for l in labels {
         match l {
-            Some(v) => {
-                mix(1);
-                mix(*v);
-            }
-            None => mix(0),
-        }
+            Some(v) => h.word(1).word(*v),
+            None => h.word(0),
+        };
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

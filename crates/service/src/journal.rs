@@ -54,6 +54,7 @@
 
 use crate::job::{GraphSpec, JobId, JobSpec, Priority, Workload};
 use crate::FaultSpec;
+use csmpc_graph::fnv::Fnv1a;
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_mpc::Stats;
 use std::fmt;
@@ -72,11 +73,10 @@ const MAX_PAYLOAD: usize = 1 << 24;
 /// FNV-1a over the length prefix and payload of one frame.
 #[must_use]
 fn frame_checksum(len: u32, payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in len.to_le_bytes().into_iter().chain(payload.iter().copied()) {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::new()
+        .bytes(&len.to_le_bytes())
+        .bytes(payload)
+        .finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -183,31 +183,20 @@ pub(crate) mod wire {
 use wire::{put_bool, put_str, put_u32, put_u64, put_u8, Reader};
 
 fn encode_stats(out: &mut Vec<u8>, s: &Stats) {
-    put_u64(out, s.rounds as u64);
-    put_u64(out, s.max_round_words as u64);
-    put_u64(out, s.max_storage_words as u64);
-    put_u64(out, s.total_words);
-    put_u64(out, s.recovery_rounds as u64);
-    put_u64(out, s.recovery_words);
-    put_u64(out, s.speculative_rounds as u64);
-    put_u64(out, s.corrupted_detected);
+    for w in s.model_words() {
+        put_u64(out, w);
+    }
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Result<Stats, String> {
-    Ok(Stats {
-        rounds: r.u64("stats.rounds")? as usize,
-        max_round_words: r.u64("stats.max_round_words")? as usize,
-        max_storage_words: r.u64("stats.max_storage_words")? as usize,
-        total_words: r.u64("stats.total_words")?,
-        recovery_rounds: r.u64("stats.recovery_rounds")? as usize,
-        recovery_words: r.u64("stats.recovery_words")?,
-        speculative_rounds: r.u64("stats.speculative_rounds")? as usize,
-        corrupted_detected: r.u64("stats.corrupted_detected")?,
-        // Phase timings are wall-clock observability, excluded from Stats
-        // equality and the report fingerprint; a recovered ledger starts
-        // them at zero.
-        ..Stats::default()
-    })
+    let mut words = [0u64; Stats::MODEL_FIELDS.len()];
+    for (w, name) in words.iter_mut().zip(Stats::MODEL_FIELDS) {
+        *w = r.u64(&format!("stats.{name}"))?;
+    }
+    // Phase timings are wall-clock observability, excluded from Stats
+    // equality and the report fingerprint; a recovered ledger starts them
+    // at zero.
+    Ok(Stats::from_model_words(words))
 }
 
 /// Encodes a full [`JobSpec`] field by field (tags from

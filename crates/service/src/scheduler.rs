@@ -25,6 +25,7 @@ use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::graph_store::{self, GraphStore, SharedGraph};
 use crate::job::{labels_digest, run_job, JobId, JobSpec, Priority};
 use crate::journal::{CrashPlan, Journal, JournalRecord};
+use csmpc_graph::fnv::Fnv1a;
 use csmpc_mpc::{
     run_supervised, Cluster, FaultPlan, MpcConfig, MpcError, ParallelismMode, RecoveryPolicy,
     Stats, SupervisedOutcome, SupervisorConfig,
@@ -153,37 +154,28 @@ pub struct ServiceReport {
 
 impl ServiceReport {
     /// FNV-1a over every *deterministic* per-job field — id, state,
-    /// shed flag, attempt count, output digest, and the model
-    /// observables of the final ledger. Two runs of the same batch must
-    /// produce equal fingerprints regardless of worker interleaving;
-    /// `wall_ms` is deliberately excluded.
+    /// shed flag, attempt count, output digest, and every model
+    /// observable of the final ledger ([`Stats::MODEL_FIELDS`]). Two runs
+    /// of the same batch must produce equal fingerprints regardless of
+    /// worker interleaving; `wall_ms` is deliberately excluded.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for b in word.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for o in &self.outcomes {
-            mix(o.id.0);
-            mix(o.state.discriminant());
-            mix(u64::from(o.shed));
-            mix(u64::from(o.attempts));
-            mix(o.digest);
+            h.word(o.id.0)
+                .word(o.state.discriminant())
+                .word(u64::from(o.shed))
+                .word(u64::from(o.attempts))
+                .word(o.digest);
             if let Some(s) = &o.stats {
-                mix(s.rounds as u64);
-                mix(s.total_words);
-                mix(s.max_round_words as u64);
-                mix(s.max_storage_words as u64);
-                mix(s.recovery_rounds as u64);
-                mix(s.recovery_words);
-                mix(s.corrupted_detected);
+                for w in s.model_words() {
+                    h.word(w);
+                }
             } else {
-                mix(u64::MAX);
+                h.word(u64::MAX);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -883,5 +875,19 @@ mod tests {
         let fp = report.fingerprint();
         report.outcomes[0].wall_ms += 1234.5;
         assert_eq!(report.fingerprint(), fp);
+    }
+
+    #[test]
+    fn fingerprint_sees_every_model_field() {
+        let svc = JobService::new(ServiceConfig::default());
+        let mut report = svc.run_batch(vec![basic("t", 9)]);
+        let base = report.fingerprint();
+        let words = report.outcomes[0].stats.as_ref().unwrap().model_words();
+        for (i, name) in Stats::MODEL_FIELDS.iter().enumerate() {
+            let mut perturbed = words;
+            perturbed[i] += 1;
+            report.outcomes[0].stats = Some(Stats::from_model_words(perturbed));
+            assert_ne!(report.fingerprint(), base, "fingerprint blind to {name}");
+        }
     }
 }
