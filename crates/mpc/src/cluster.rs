@@ -14,7 +14,10 @@
 //!   paper, which explicitly allows unbounded local computation.
 
 use crate::config::MpcConfig;
-use crate::faults::{Checkpoint, FaultKind, FaultPlan, FaultState, RecoveryEvent, RecoveryPolicy};
+use crate::faults::{
+    Checkpoint, FaultKind, FaultPlan, FaultState, Partition, RecoveryEvent, RecoveryPolicy,
+    Transport,
+};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use crate::provenance::{ComponentId, ProvenanceLog, TagTable};
 use crate::route::RouteArena;
@@ -24,6 +27,7 @@ use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_parallel::par_map_mut_into;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Resource ledger for one MPC execution.
@@ -109,18 +113,16 @@ impl Stats {
     /// The ledger whose model observables are `words` (in
     /// [`Stats::MODEL_FIELDS`] order), with zero phase timings.
     #[must_use]
-    pub fn from_model_words(words: [u64; 8]) -> Self {
-        let [rounds, max_round_words, max_storage_words, total_words, recovery_rounds, recovery_words, speculative_rounds, corrupted_detected] =
-            words;
+    pub fn from_model_words(w: [u64; 8]) -> Self {
         Stats {
-            rounds: rounds as usize,
-            max_round_words: max_round_words as usize,
-            max_storage_words: max_storage_words as usize,
-            total_words,
-            recovery_rounds: recovery_rounds as usize,
-            recovery_words,
-            speculative_rounds: speculative_rounds as usize,
-            corrupted_detected,
+            rounds: w[0] as usize,
+            max_round_words: w[1] as usize,
+            max_storage_words: w[2] as usize,
+            total_words: w[3],
+            recovery_rounds: w[4] as usize,
+            recovery_words: w[5],
+            speculative_rounds: w[6] as usize,
+            corrupted_detected: w[7],
             phase: PhaseTimes::default(),
         }
     }
@@ -246,20 +248,14 @@ impl fmt::Display for MpcError {
                 round,
             } => {
                 // `Cluster::require_fits` reports space pressure that is not
-                // attributable to one machine, using `usize::MAX` as the
-                // sentinel; printing that sentinel as a machine index is
-                // nonsense.
+                // attributable to one machine with the sentinel
+                // `usize::MAX`, which is no machine index.
                 if *machine == usize::MAX {
-                    write!(
-                        f,
-                        "unattributed machine stored {words} words in round {round} (limit {limit})"
-                    )
+                    f.write_str("unattributed machine")?;
                 } else {
-                    write!(
-                        f,
-                        "machine {machine} stored {words} words in round {round} (limit {limit})"
-                    )
+                    write!(f, "machine {machine}")?;
                 }
+                write!(f, " stored {words} words in round {round} (limit {limit})")
             }
             MpcError::UnknownMachine { machine, count } => {
                 write!(f, "machine {machine} does not exist ({count} machines)")
@@ -288,17 +284,18 @@ pub struct Message {
     pub words: Vec<u64>,
 }
 
-/// FNV-1a over the destination, the payload length, and a stream of
-/// payload words — the transport checksum sealed into an [`Envelope`].
-/// Streaming lets callers checksum a *hypothetical* payload (e.g. one
-/// tampered word substituted in flight) without materializing it.
-fn transport_checksum_stream(to: usize, len: usize, words: impl Iterator<Item = u64>) -> u64 {
-    fnv1a_words([to as u64, len as u64].into_iter().chain(words))
-}
-
-/// FNV-1a transport checksum of a concrete payload slice.
-fn transport_checksum(to: usize, words: &[u64]) -> u64 {
-    transport_checksum_stream(to, words.len(), words.iter().copied())
+/// FNV-1a over the destination, the payload length, and the payload words
+/// with word `word` XORed by `mask`: the transport checksum sealed into an
+/// [`Envelope`] (`mask = 0`), or the one a receiver recomputes after an
+/// in-flight flip, without materializing the tampered payload.
+fn transport_checksum(message: &Message, word: usize, mask: u64) -> u64 {
+    let words = message.words.iter().enumerate();
+    let words = words.map(|(i, &w)| if i == word { w ^ mask } else { w });
+    fnv1a_words(
+        [message.to as u64, message.words.len() as u64]
+            .into_iter()
+            .chain(words),
+    )
 }
 
 /// A checksummed transport envelope around a [`Message`].
@@ -320,14 +317,14 @@ impl Envelope {
     /// Seals `message` with its transport checksum.
     #[must_use]
     pub fn seal(message: Message) -> Self {
-        let checksum = transport_checksum(message.to, &message.words);
+        let checksum = Self::checksum_of(&message);
         Envelope { message, checksum }
     }
 
     /// `true` when the payload still matches the sealed checksum.
     #[must_use]
     pub fn verify(&self) -> bool {
-        transport_checksum(self.message.to, &self.message.words) == self.checksum
+        Self::checksum_of(&self.message) == self.checksum
     }
 
     /// The enclosed message (payload as currently carried, tampered or
@@ -360,7 +357,7 @@ impl Envelope {
     /// engine's clean path uses this for zero-copy verification.
     #[must_use]
     pub fn checksum_of(message: &Message) -> u64 {
-        transport_checksum(message.to, &message.words)
+        transport_checksum(message, 0, 0)
     }
 
     /// The checksum a receiver would recompute after the adversary XORs
@@ -369,26 +366,14 @@ impl Envelope {
     /// same no-op as [`Envelope::tampered`]).
     #[must_use]
     pub fn tampered_checksum_of(message: &Message, word: usize, mask: u64) -> u64 {
-        transport_checksum_stream(
-            message.to,
-            message.words.len(),
-            message
-                .words
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| if i == word { w ^ mask } else { w }),
-        )
+        transport_checksum(message, word, mask)
     }
 
     /// Unwraps the message if the checksum verifies; `None` for a
     /// detected corruption.
     #[must_use]
     pub fn open(self) -> Option<Message> {
-        if self.verify() {
-            Some(self.message)
-        } else {
-            None
-        }
+        self.verify().then_some(self.message)
     }
 }
 
@@ -753,99 +738,133 @@ impl Cluster {
     /// [`MpcError::RoundLimitExceeded`] once an armed job deadline
     /// ([`Cluster::arm_job_deadline`]) is tripped.
     pub fn advance_rounds(&mut self, rounds: usize) -> Result<(), MpcError> {
-        if self.faults.is_none() {
+        let Some(mut fs) = self.faults.take() else {
             self.stats.rounds = self.stats.rounds.saturating_add(rounds);
             return self.check_job_deadline();
-        }
-        for _ in 0..rounds {
-            self.stats.rounds = self.stats.rounds.saturating_add(1);
-            self.process_accounted_faults()?;
-            self.check_job_deadline()?;
-        }
-        Ok(())
-    }
-
-    /// Fires every armed fault event whose round has been reached. Events
-    /// fire exactly once per execution (or per repetition after
-    /// [`Cluster::reset_for_repetition`]).
-    fn process_accounted_faults(&mut self) -> Result<(), MpcError> {
-        let Some(mut fs) = self.faults.take() else {
-            return Ok(());
         };
-        let result = self.drive_accounted_faults(&mut fs);
+        let result = (0..rounds).try_for_each(|_| {
+            self.stats.rounds = self.stats.rounds.saturating_add(1);
+            self.drive_accounted_faults(&mut fs)?;
+            self.check_job_deadline()
+        });
         self.faults = Some(fs);
         result
     }
 
+    /// The accounted layer's loop over the shared fault driver: fires every
+    /// event whose round the ledger has reached, one at a time, because
+    /// each stall or recovery extends the ledger and can pull later events
+    /// (and partitions) into range.
     fn drive_accounted_faults(&mut self, fs: &mut FaultState) -> Result<(), MpcError> {
-        // A straggler extends the ledger, which can pull later events (and
-        // partitions) into range, so re-scan until nothing fires.
         loop {
             let now = self.stats.rounds;
             // Each partition window charges its barrier stall exactly once:
             // while the cut is up, boundary-crossing traffic is held and
             // the synchronous computation waits out the window.
-            if let Some(i) = (0..fs.plan.partitions().len()).find(|&i| {
-                let p = &fs.plan.partitions()[i];
-                !fs.partitions_charged[i] && p.rounds > 0 && p.start <= now
-            }) {
-                fs.partitions_charged[i] = true;
-                let stall = fs.plan.partitions()[i].rounds;
+            if let Some(stall) = fs.take_partition_stall(now) {
                 self.stats.rounds = self.stats.rounds.saturating_add(stall);
                 continue;
             }
-            let next = fs
-                .plan
-                .events()
-                .iter()
-                .enumerate()
-                .find(|(i, ev)| !fs.fired[*i] && ev.round <= now);
-            let Some((idx, ev)) = next else {
-                return Ok(());
-            };
-            let ev = *ev;
+            let reshipped = self.stats.max_storage_words.max(1);
+            match self.fire_next_event(fs, 0..=now, now, |_| reshipped)? {
+                None => return Ok(()),
+                // The synchronous barrier waits for the slowest machine:
+                // everyone pays the (possibly clamped) stall.
+                Some(Strike::Stall { rounds, .. }) => {
+                    self.stats.rounds = self.stats.rounds.saturating_add(rounds);
+                }
+                Some(Strike::Crash(machine)) => {
+                    if let Some(machine) = self.triage_crashes(fs, &[machine], false)? {
+                        self.recover_accounted_crash(machine);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one fault-event driver both layers share: fires the next
+    /// unfired event due in `due` on a live machine (each event fires once
+    /// per execution, recovery replays included) and dispatches it on its
+    /// kind. A straggle is speculated with `reshipped(machine)` words and
+    /// stamped `round`; a crash is handed back for crash triage. `None`
+    /// once nothing is due; [`MpcError::UnknownMachine`] for an event on a
+    /// machine the cluster does not have.
+    fn fire_next_event(
+        &mut self,
+        fs: &mut FaultState,
+        due: RangeInclusive<usize>,
+        round: usize,
+        reshipped: impl Fn(usize) -> usize,
+    ) -> Result<Option<Strike>, MpcError> {
+        while let Some(idx) = fs.next_due(due.clone()) {
             fs.fired[idx] = true;
+            let ev = fs.plan.events()[idx];
+            self.check_machine(ev.machine)?;
             if self.quarantined.contains(&ev.machine) {
                 // A decommissioned machine's spare already carries its
                 // state; further scheduled faults on it are moot.
                 continue;
             }
-            self.faulted.insert(ev.machine);
-            match ev.kind {
+            let machine = ev.machine;
+            self.faulted.insert(machine);
+            return Ok(Some(match ev.kind {
                 FaultKind::Straggle { rounds } => {
-                    let stall = self.speculate_straggler(ev.machine, rounds);
-                    // The synchronous barrier waits for the slowest
-                    // machine: everyone pays the (possibly clamped) stall.
-                    self.stats.rounds = self.stats.rounds.saturating_add(stall);
+                    let rounds =
+                        self.speculate_straggler(machine, rounds, reshipped(machine), round);
+                    Strike::Stall { machine, rounds }
                 }
-                FaultKind::Crash => {
-                    self.failure_counts[ev.machine] += 1;
-                    if self.should_quarantine(ev.machine) {
-                        self.quarantine_machine(ev.machine);
-                        continue;
-                    }
-                    match fs.policy {
-                        RecoveryPolicy::FailFast => {
-                            return Err(MpcError::MachineFailed {
-                                machine: ev.machine,
-                                round: self.stats.rounds,
-                            });
-                        }
-                        RecoveryPolicy::RestartFromCheckpoint { max_retries }
-                        | RecoveryPolicy::RestartWithBackoff { max_retries, .. } => {
-                            fs.retries_used += 1;
-                            if fs.retries_used > max_retries {
-                                return Err(MpcError::MachineFailed {
-                                    machine: ev.machine,
-                                    round: self.stats.rounds,
-                                });
-                            }
-                            self.charge_backoff(ev.machine, fs.policy, fs.retries_used);
-                            self.recover_accounted_crash(ev.machine);
-                        }
-                    }
-                }
+                FaultKind::Crash => Strike::Crash(machine),
+            }));
+        }
+        Ok(None)
+    }
+
+    /// Crash triage for the crashes at one barrier: a machine past the
+    /// supervisor's failure threshold is quarantined; the others consume
+    /// retries, and the first of them pays the policy's backoff once.
+    /// Returns that machine (`None` if all were quarantined), or
+    /// [`MpcError::MachineFailed`] on a lost quorum (a majority down at
+    /// once), under fail-fast, or past the retry budget.
+    ///
+    /// `fail_fast_first` checks fail-fast before quarantine, as the exact
+    /// engine must: under fail-fast it holds no checkpoint to hand a
+    /// quarantined machine's state to a spare.
+    fn triage_crashes(
+        &mut self,
+        fs: &mut FaultState,
+        crashed: &[usize],
+        fail_fast_first: bool,
+    ) -> Result<Option<usize>, MpcError> {
+        let fail_fast = fs.policy == RecoveryPolicy::FailFast;
+        if crashed.len() * 2 > self.num_machines || (fail_fast_first && fail_fast) {
+            return Err(self.machine_failed(crashed[0]));
+        }
+        let (mut first, mut retries) = (None, 0);
+        for &machine in crashed {
+            self.failure_counts[machine] += 1;
+            if self.should_quarantine(machine) {
+                self.quarantine_machine(machine);
+            } else {
+                first = first.or(Some(machine));
+                retries += 1;
             }
+        }
+        let Some(first) = first else {
+            return Ok(None);
+        };
+        // Fail-fast's retry budget is zero.
+        fs.retries_used += retries;
+        if fs.retries_used > fs.policy.max_retries() {
+            return Err(self.machine_failed(first));
+        }
+        self.charge_backoff(first, fs.policy, fs.retries_used);
+        Ok(Some(first))
+    }
+
+    fn machine_failed(&self, machine: usize) -> MpcError {
+        MpcError::MachineFailed {
+            machine,
+            round: self.stats.rounds,
         }
     }
 
@@ -882,9 +901,15 @@ impl Cluster {
     /// full stall. Past the deadline, a spare speculatively re-executes
     /// the machine from its last snapshot: the barrier only waits out the
     /// deadline budget, while the spare's duplicated work is charged as
-    /// [`Stats::speculative_rounds`] and its re-shipped state as words —
+    /// [`Stats::speculative_rounds`] and its `reshipped` state as words —
     /// speculation trades rounds for work, it is not free.
-    fn speculate_straggler(&mut self, machine: usize, stall: usize) -> usize {
+    fn speculate_straggler(
+        &mut self,
+        machine: usize,
+        stall: usize,
+        reshipped: usize,
+        round: usize,
+    ) -> usize {
         let Some(sup) = self.supervisor else {
             return stall;
         };
@@ -892,14 +917,12 @@ impl Cluster {
             return stall;
         }
         let speculated = stall - sup.deadline_rounds;
-        let reshipped = self.stats.max_storage_words.max(1);
-        self.charge_words(reshipped, reshipped as u64);
-        self.stats.recovery_words = self.stats.recovery_words.saturating_add(reshipped as u64);
+        self.charge_recovery(0, reshipped);
         self.stats.speculative_rounds = self.stats.speculative_rounds.saturating_add(speculated);
         self.failure_counts[machine] += 1;
         self.supervision_log.push(SupervisionEvent::Speculation {
             machine,
-            round: self.stats.rounds,
+            round,
             stall_avoided: speculated,
             reshipped_words: reshipped,
         });
@@ -915,8 +938,7 @@ impl Cluster {
         if stall == 0 {
             return;
         }
-        self.charge_rounds(stall);
-        self.stats.recovery_rounds = self.stats.recovery_rounds.saturating_add(stall);
+        self.charge_recovery(stall, 0);
         self.supervision_log.push(SupervisionEvent::Backoff {
             machine,
             round: self.stats.rounds,
@@ -972,13 +994,34 @@ impl Cluster {
     ///
     /// [`MpcError::SpaceExceeded`] if `words > S`.
     pub fn charge_storage(&mut self, machine: usize, words: usize) -> Result<(), MpcError> {
+        self.charge_storage_at(machine, words, self.stats.rounds)
+    }
+
+    /// [`Cluster::charge_storage`], with a violation stamped `round`.
+    fn charge_storage_at(
+        &mut self,
+        machine: usize,
+        words: usize,
+        round: usize,
+    ) -> Result<(), MpcError> {
         self.stats.max_storage_words = self.stats.max_storage_words.max(words);
         if words > self.local_space {
             return Err(MpcError::SpaceExceeded {
                 machine,
                 words,
                 limit: self.local_space,
-                round: self.stats.rounds,
+                round,
+            });
+        }
+        Ok(())
+    }
+
+    /// [`MpcError::UnknownMachine`] unless `machine` exists.
+    fn check_machine(&self, machine: usize) -> Result<(), MpcError> {
+        if machine >= self.num_machines {
+            return Err(MpcError::UnknownMachine {
+                machine,
+                count: self.num_machines,
             });
         }
         Ok(())
@@ -1029,37 +1072,24 @@ impl Cluster {
 
     /// Runs `program` on the exact engine under a [`FaultPlan`].
     ///
-    /// Per execution round (1-indexed), in order: pending transport
-    /// retransmissions are delivered (and re-charged); the plan's events at
-    /// this round strike — stragglers stall their machine's participation
-    /// while its inbox buffers, crashes either fail the run
-    /// ([`RecoveryPolicy::FailFast`], exhausted retries, or a majority of
-    /// machines down at once = lost quorum) or restore the most recent
-    /// round-boundary [`Checkpoint`] and deterministically re-execute the
-    /// lost rounds, charging the replay and the re-shipped state to the
-    /// ledger; then surviving machines run one normal round, with each
-    /// delivered message subject to the plan's seeded drop (retransmitted
-    /// one round later, charged twice) and duplication (delivered once,
-    /// charged twice) coins.
-    ///
-    /// Under [`RecoveryPolicy::RestartFromCheckpoint`] the cluster
-    /// snapshots inboxes, program state ([`MachineProgram::snapshot`]),
-    /// component tags, the provenance log, the transport RNG position, and
-    /// in-flight straggler/retransmission state every
-    /// [`MpcConfig::checkpoint_interval`] rounds. Fault events fire exactly
-    /// once per execution, including across recovery replays.
+    /// Each execution round (1-indexed) first strikes the plan's events
+    /// for that round: stragglers stall their machine while its inbox
+    /// buffers; crashes either fail the run ([`RecoveryPolicy::FailFast`],
+    /// exhausted retries, or a lost quorum) or restore the latest
+    /// round-boundary [`Checkpoint`] and re-execute the lost rounds, the
+    /// replay and the re-shipped state charged to the ledger. Then the
+    /// surviving machines run one round — route, intake, step, merge —
+    /// with pending retransmissions delivered (and charged again) and every
+    /// sent message exposed to the plan's seeded drop, corruption and
+    /// duplication coins. Under a restart policy a checkpoint is captured
+    /// every [`MpcConfig::checkpoint_interval`] rounds; fault events fire
+    /// once per execution, recovery replays included.
     ///
     /// Everything is deterministic in (`machines`, `initial`, the plan, the
-    /// policy): replaying the same call yields the same result, the same
-    /// [`Stats`] ledger, and the same provenance log — in **either**
-    /// [`crate::MpcConfig::parallelism`] mode. The round body is one shared
-    /// code path: inbox intake and cap checks happen in machine-index order,
-    /// the per-machine step is a pure map over shards (sequential or
-    /// chunked across worker threads), and the merge — per-machine
-    /// [`Stats`] deltas absorbed associatively, component-tag propagation,
-    /// transport drop/duplication coins, and outbox bucketing — runs
-    /// sequentially in fixed machine-index order, so the transport RNG
-    /// consumes exactly the same coin stream either way.
+    /// policy) — result, [`Stats`] ledger and provenance log alike — in
+    /// **either** [`crate::MpcConfig::parallelism`] mode: only the
+    /// per-machine step runs concurrently, while intake and merge walk the
+    /// machines in index order, so the transport RNG draws the same coins.
     ///
     /// # Panics
     ///
@@ -1083,54 +1113,13 @@ impl Cluster {
             m,
             "the engine takes one program shard per machine"
         );
-        let mode = self.cfg.parallelism;
-        // Flat routing state. Messages in flight live in one arrival-ordered
-        // staging buffer (`incoming`); each round the counting-sort fabric
-        // ([`RouteArena::scatter`]) groups them by destination into the
-        // arena's routing buffer, and every machine reads its inbox as a
-        // contiguous `fabric.ranges[id]` slice of `fabric.buf`. Counting
-        // sort is stable per destination by construction, so per-destination
-        // arrival order — the only order a machine can observe — is exactly
-        // what the old nested per-machine inboxes delivered. The staging
-        // buffer and the arena double-buffer each other across rounds:
-        // steady-state rounds reuse their spines and allocate nothing for
-        // message plumbing.
-        let mut incoming: Vec<Message> = Vec::with_capacity(initial.len());
-        for msg in initial {
-            if msg.to >= m {
-                return Err(MpcError::UnknownMachine {
-                    machine: msg.to,
-                    count: m,
-                });
-            }
-            incoming.push(msg);
+        for msg in &initial {
+            self.check_machine(msg.to)?;
         }
-        let mut fabric = RouteArena::new(m);
-        // Arena buffers reused across rounds: per-machine step results and
-        // in-flight component tags. Like the routing spines above, these
-        // reach steady-state capacity after a warm-up round and allocate
-        // nothing afterwards at fixed topology.
-        let mut stepped: Vec<Option<(Vec<Message>, usize)>> = Vec::new();
-        let mut incoming_tags: Vec<Vec<ComponentId>> = vec![Vec::new(); m];
-        // Transport coins (drop/duplication) come from the plan's seed, so
-        // the same plan replays the same per-message faults.
-        let mut rng = SplitMix64::new(plan.seed().derive(0xfa17));
-        // Exec round (inclusive) through which each machine stalls.
-        let mut straggle_until: Vec<usize> = vec![0; m];
-        let mut pending_retransmit: Vec<Message> = Vec::new();
-        // Messages held by an active partition, with the round at which
-        // each becomes deliverable again.
-        let mut partition_held: Vec<(usize, Message)> = Vec::new();
-        let mut fired = vec![false; plan.events().len()];
-        let mut retries_used = 0usize;
+        let mut state = EngineState::new(m, initial, plan.seed());
+        let mut fs = FaultState::new(plan.clone(), policy);
         let interval = self.cfg.checkpoint_interval.max(1);
-        let use_checkpoints = matches!(
-            policy,
-            RecoveryPolicy::RestartFromCheckpoint { .. }
-                | RecoveryPolicy::RestartWithBackoff { .. }
-        );
         let mut checkpoint: Option<Checkpoint> = None;
-
         // Completed execution rounds. Distinct from the ledger's round
         // counter: a recovery rolls `exec` back to the checkpoint while the
         // ledger keeps growing (replayed rounds are paid for twice).
@@ -1140,448 +1129,23 @@ impl Cluster {
             // recovery replay keeps growing even as `exec` rolls back — so
             // a crash-looping execution cannot outrun its deadline.
             self.check_job_deadline()?;
-            if use_checkpoints && exec.is_multiple_of(interval) {
+            if policy != RecoveryPolicy::FailFast && exec.is_multiple_of(interval) {
                 let timer = PhaseTimer::start();
-                let cp = self.capture_checkpoint(
-                    exec,
-                    &incoming,
-                    machines,
-                    &rng,
-                    &straggle_until,
-                    &pending_retransmit,
-                    &partition_held,
-                    checkpoint.as_ref(),
-                );
+                let cp = self.capture_checkpoint(exec, &state, machines, checkpoint.as_ref());
                 checkpoint = Some(cp);
-                self.stats.phase.checkpoint_ns = self
-                    .stats
-                    .phase
-                    .checkpoint_ns
-                    .saturating_add(timer.elapsed_ns());
+                add_elapsed(&mut self.stats.phase.checkpoint_ns, timer);
+            }
+            let cp = checkpoint.as_ref();
+            if let Some(resume) = self.strike_faults(&mut state, &mut fs, machines, exec, cp)? {
+                exec = resume;
+                continue;
             }
             let round_now = exec + 1;
-
-            // Fault events scheduled for this execution round strike before
-            // the round body runs. Each fires at most once per execution.
-            // Events on quarantined machines are moot — a spare already
-            // carries their state.
-            let mut crashed: Vec<usize> = Vec::new();
-            for (i, ev) in plan.events().iter().enumerate() {
-                if fired[i] || ev.round != round_now {
-                    continue;
-                }
-                fired[i] = true;
-                if self.quarantined.contains(&ev.machine) {
-                    continue;
-                }
-                self.faulted.insert(ev.machine);
-                match ev.kind {
-                    FaultKind::Straggle { rounds } => {
-                        // A stall past the supervisor's deadline budget is
-                        // clamped: a spare speculatively re-executes the
-                        // machine from its snapshot, off the critical path.
-                        // The spare's duplicated work and re-shipped state
-                        // are charged below — speculation is never free.
-                        let mut stall = rounds;
-                        if let Some(sup) = self.supervisor {
-                            if stall > sup.deadline_rounds {
-                                let speculated = stall - sup.deadline_rounds;
-                                stall = sup.deadline_rounds;
-                                let reshipped = machines
-                                    .get(ev.machine)
-                                    .map_or(0, |p| p.snapshot().len())
-                                    .max(1);
-                                self.charge_words(reshipped, reshipped as u64);
-                                self.stats.recovery_words =
-                                    self.stats.recovery_words.saturating_add(reshipped as u64);
-                                self.stats.speculative_rounds =
-                                    self.stats.speculative_rounds.saturating_add(speculated);
-                                self.failure_counts[ev.machine] += 1;
-                                self.supervision_log.push(SupervisionEvent::Speculation {
-                                    machine: ev.machine,
-                                    round: round_now,
-                                    stall_avoided: speculated,
-                                    reshipped_words: reshipped,
-                                });
-                            }
-                        }
-                        if stall > 0 {
-                            let until = round_now + stall - 1;
-                            if let Some(slot) = straggle_until.get_mut(ev.machine) {
-                                *slot = (*slot).max(until);
-                            }
-                        }
-                    }
-                    FaultKind::Crash => crashed.push(ev.machine),
-                }
-            }
-            if !crashed.is_empty() {
-                if crashed.len() * 2 > m {
-                    // Lost quorum: a majority of machines went down in one
-                    // round; no checkpoint protocol survives that.
-                    return Err(MpcError::MachineFailed {
-                        machine: crashed[0],
-                        round: self.stats.rounds,
-                    });
-                }
-                match policy {
-                    RecoveryPolicy::FailFast => {
-                        return Err(MpcError::MachineFailed {
-                            machine: crashed[0],
-                            round: self.stats.rounds,
-                        });
-                    }
-                    RecoveryPolicy::RestartFromCheckpoint { max_retries }
-                    | RecoveryPolicy::RestartWithBackoff { max_retries, .. } => {
-                        // A crash that trips the quarantine threshold
-                        // decommissions the machine (charged migration)
-                        // instead of consuming a retry; the checkpoint is
-                        // still restored once so its spare resumes from
-                        // consistent state.
-                        let mut retried: Vec<usize> = Vec::new();
-                        for &machine in &crashed {
-                            self.failure_counts[machine] += 1;
-                            if self.should_quarantine(machine) {
-                                self.quarantine_machine(machine);
-                            } else {
-                                retried.push(machine);
-                            }
-                        }
-                        retries_used += retried.len();
-                        if retries_used > max_retries {
-                            return Err(MpcError::MachineFailed {
-                                machine: retried[0],
-                                round: self.stats.rounds,
-                            });
-                        }
-                        if !retried.is_empty() {
-                            self.charge_backoff(retried[0], policy, retries_used);
-                        }
-                        let cp = checkpoint
-                            .as_ref()
-                            .expect("restart policy always captures a round-0 checkpoint");
-                        let timer = PhaseTimer::start();
-                        let reshipped = self.restore_checkpoint(
-                            cp,
-                            machines,
-                            &mut incoming,
-                            &mut rng,
-                            &mut straggle_until,
-                            &mut pending_retransmit,
-                            &mut partition_held,
-                        );
-                        self.stats.phase.checkpoint_ns = self
-                            .stats
-                            .phase
-                            .checkpoint_ns
-                            .saturating_add(timer.elapsed_ns());
-                        for &machine in &crashed {
-                            self.recovery_log.push(RecoveryEvent {
-                                machine,
-                                crash_round: round_now,
-                                checkpoint_round: cp.round,
-                                replayed_rounds: exec - cp.round,
-                                reshipped_words: reshipped,
-                            });
-                        }
-                        // Re-execute from the checkpoint; the replayed
-                        // rounds charge the ledger a second time and are
-                        // attributed to recovery overhead.
-                        self.stats.recovery_rounds =
-                            self.stats.recovery_rounds.saturating_add(exec - cp.round);
-                        exec = cp.round;
-                        continue;
-                    }
-                }
-            }
-
-            // Route phase: deliver transport retransmissions from last
-            // round's dropped messages, plus traffic released by healed
-            // partitions (each repeated transmission is charged again
-            // below), then sort everything in flight by destination.
-            let route_timer = PhaseTimer::start();
-            let mut retransmit_words = 0u64;
-            for msg in pending_retransmit.drain(..) {
-                retransmit_words += msg.words.len() as u64;
-                incoming.push(msg);
-            }
-            if partition_held.iter().any(|(heal, _)| *heal <= round_now) {
-                for (heal, msg) in std::mem::take(&mut partition_held) {
-                    if heal <= round_now {
-                        retransmit_words += msg.words.len() as u64;
-                        incoming.push(msg);
-                    } else {
-                        partition_held.push((heal, msg));
-                    }
-                }
-            }
-            // Counting-sort scatter: histogram over destinations, prefix
-            // scan into per-machine ranges/cursors, payloads *moved* into
-            // the routing buffer in arrival order — O(m + M), stable per
-            // destination, allocation-free once the arena spines are warm.
-            fabric.scatter(&mut incoming);
-            self.stats.phase.route_ns = self
-                .stats
-                .phase
-                .route_ns
-                .saturating_add(route_timer.elapsed_ns());
-
-            let round = self.stats.rounds + 1;
-            // Intake phase (sequential, machine-index order): enforce the
-            // receive cap on every machine participating this round.
-            // Stragglers' slices stay untouched in the routing buffer —
-            // they neither receive nor send this round; their backlog is
-            // carried forward after the step.
-            let intake_timer = PhaseTimer::start();
-            for (id, &stalled_until) in straggle_until.iter().enumerate().take(m) {
-                if round_now <= stalled_until {
-                    continue;
-                }
-                let (lo, hi) = fabric.ranges[id];
-                // In-round adversarial reordering: one coin per non-empty
-                // inbox (drawn only when the fault class is armed, so the
-                // coin stream is unchanged otherwise); a hit hands the
-                // machine its messages in reversed arrival order.
-                if plan.reorder_per_mille() > 0
-                    && hi - lo > 1
-                    && (rng.index(1000) as u16) < plan.reorder_per_mille()
-                {
-                    fabric.buf[lo..hi].reverse();
-                }
-                let received: usize = fabric.buf[lo..hi].iter().map(|m| m.words.len()).sum();
-                if received > self.local_space {
-                    return Err(MpcError::BandwidthExceeded {
-                        machine: id,
-                        words: received,
-                        limit: self.local_space,
-                        round,
-                    });
-                }
-            }
-            self.stats.phase.intake_ns = self
-                .stats
-                .phase
-                .intake_ns
-                .saturating_add(intake_timer.elapsed_ns());
-            // Step phase (concurrent under `ParallelismMode::Parallel`):
-            // every participating machine runs its round. A shard sees only
-            // its own state and its own inbox slice — a pure per-machine
-            // map — so the execution mode cannot influence any observable.
-            let step_timer = PhaseTimer::start();
-            let straggle_ref = &straggle_until;
-            let route_ref = &fabric.buf;
-            let ranges_ref = &fabric.ranges;
-            par_map_mut_into(mode, machines, &mut stepped, |id, shard| {
-                if round_now <= straggle_ref[id] {
-                    return None;
-                }
-                let (lo, hi) = ranges_ref[id];
-                let outs = shard.round(id, &route_ref[lo..hi]);
-                let storage = shard.storage_words();
-                Some((outs, storage))
-            });
-            self.stats.phase.step_ns = self
-                .stats
-                .phase
-                .step_ns
-                .saturating_add(step_timer.elapsed_ns());
-            // Straggler carry (attributed to routing): a stalled machine's
-            // undelivered slice moves back into the staging buffer *before*
-            // this round's sends are merged, so next round's stable scatter
-            // delivers the backlog ahead of newer traffic — exactly the
-            // order the old per-machine inbox carry produced.
-            let carry_timer = PhaseTimer::start();
-            for (id, &stalled_until) in straggle_until.iter().enumerate().take(m) {
-                if round_now <= stalled_until {
-                    let (lo, hi) = fabric.ranges[id];
-                    for slot in &mut fabric.buf[lo..hi] {
-                        incoming.push(Message {
-                            to: id,
-                            words: std::mem::take(&mut slot.words),
-                        });
-                    }
-                }
-            }
-            self.stats.phase.route_ns = self
-                .stats
-                .phase
-                .route_ns
-                .saturating_add(carry_timer.elapsed_ns());
-            // Merge phase (sequential, fixed machine-index order): send
-            // caps, storage charges, per-machine ledger deltas (absorbed
-            // associatively into one round delta), component-tag
-            // propagation, transport drop/duplication coins (consumed in
-            // machine order — the same coin stream a sequential engine
-            // draws), and staging of sends into the flat buffer.
-            let merge_timer = PhaseTimer::start();
-            // Component tags travel with messages: a delivery hands the
-            // receiver every component tag the sender held. The reusable
-            // per-destination buffers are sorted and deduplicated at merge
-            // time, reproducing the set semantics (and visit order) of the
-            // per-round `BTreeSet`s they replaced without their per-round
-            // allocation.
-            let mut any_sent = false;
-            let mut round_delta = Stats {
-                total_words: retransmit_words,
-                ..Stats::default()
-            };
-            for (id, step) in stepped.drain(..).enumerate() {
-                let Some((outs, storage)) = step else {
-                    continue;
-                };
-                let (in_lo, in_hi) = fabric.ranges[id];
-                let received: usize = fabric.buf[in_lo..in_hi].iter().map(|m| m.words.len()).sum();
-                let sent: usize = outs.iter().map(|m| m.words.len()).sum();
-                if sent > self.local_space {
-                    return Err(MpcError::BandwidthExceeded {
-                        machine: id,
-                        words: sent,
-                        limit: self.local_space,
-                        round,
-                    });
-                }
-                // Stamp the in-flight round (the ledger's counter advances
-                // only once the round completes).
-                if let Err(err) = self.charge_storage(id, storage) {
-                    return Err(match err {
-                        MpcError::SpaceExceeded {
-                            machine,
-                            words,
-                            limit,
-                            ..
-                        } => MpcError::SpaceExceeded {
-                            machine,
-                            words,
-                            limit,
-                            round,
-                        },
-                        other => other,
-                    });
-                }
-                round_delta.absorb(&Stats {
-                    max_round_words: sent.max(received),
-                    total_words: sent as u64,
-                    ..Stats::default()
-                });
-                if !outs.is_empty() {
-                    any_sent = true;
-                }
-                for msg in outs {
-                    if msg.to >= m {
-                        return Err(MpcError::UnknownMachine {
-                            machine: msg.to,
-                            count: m,
-                        });
-                    }
-                    // Tags propagate at send time even if the transport
-                    // delays the physical delivery: the words left the
-                    // sender this round.
-                    if msg.to != id && !msg.words.is_empty() {
-                        incoming_tags[msg.to]
-                            .extend_from_slice(self.machine_components.machine(id));
-                    }
-                    if plan.drop_per_mille() > 0 && (rng.index(1000) as u16) < plan.drop_per_mille()
-                    {
-                        // Lost in transit; the transport retransmits next
-                        // round, charging the words a second time. The
-                        // payload is moved, not cloned — it is already off
-                        // the delivery path.
-                        pending_retransmit.push(msg);
-                        continue;
-                    } else if plan.corrupt_per_mille() > 0
-                        && !msg.words.is_empty()
-                        && (rng.index(1000) as u16) < plan.corrupt_per_mille()
-                    {
-                        // Corrupted in transit: the adversary flips bits in
-                        // one payload word of the sealed envelope. The
-                        // receiver's checksum verification catches it and
-                        // discards the envelope — a tampered payload is
-                        // never handed to a machine — and the transport
-                        // retransmits the original next round, charged.
-                        // Both checksums are computed on the borrowed
-                        // payload (zero-copy): the sealed one and the one
-                        // the receiver would recompute after the flip.
-                        let word = rng.index(msg.words.len());
-                        let mask = rng.next_u64() | 1;
-                        let sealed = Envelope::checksum_of(&msg);
-                        let tampered = Envelope::tampered_checksum_of(&msg, word, mask);
-                        debug_assert_ne!(
-                            sealed, tampered,
-                            "a nonzero payload flip must break the seal"
-                        );
-                        if sealed != tampered {
-                            self.stats.corrupted_detected =
-                                self.stats.corrupted_detected.saturating_add(1);
-                            pending_retransmit.push(msg);
-                            continue;
-                        }
-                        // (If the checksum improbably collided, the
-                        // *original* message is delivered below — output
-                        // can never silently differ.)
-                    } else if plan.dup_per_mille() > 0
-                        && (rng.index(1000) as u16) < plan.dup_per_mille()
-                    {
-                        // Duplicated in transit: the receiver deduplicates,
-                        // but the extra transmission is paid for.
-                        round_delta.total_words = round_delta
-                            .total_words
-                            .saturating_add(msg.words.len() as u64);
-                    }
-                    // An active partition cutting sender from receiver
-                    // holds the message until the last such window heals;
-                    // delivery then is charged like a retransmission.
-                    let mut heal: Option<usize> = None;
-                    for p in plan.partitions() {
-                        if p.active_at(round_now) && p.cuts(id, msg.to) {
-                            heal = Some(heal.map_or(p.heal_round(), |h| h.max(p.heal_round())));
-                        }
-                    }
-                    match heal {
-                        Some(h) => partition_held.push((h, msg)),
-                        None => incoming.push(msg),
-                    }
-                }
-            }
-            // Merge propagated tags and record cross-component deliveries:
-            // a machine already holding component `a` that receives words
-            // tagged with component `b ≠ a` has observed a cross-component
-            // flow.
-            for (to, tags) in incoming_tags.iter_mut().enumerate() {
-                if tags.is_empty() {
-                    continue;
-                }
-                // Sorted + deduplicated, the visit order the old per-round
-                // `BTreeSet` produced.
-                tags.sort_unstable();
-                tags.dedup();
-                let fresh: Vec<ComponentId> = tags
-                    .iter()
-                    .copied()
-                    .filter(|&c| !self.machine_components.contains(to, c))
-                    .collect();
-                for &from in &fresh {
-                    for &held in self.machine_components.machine(to) {
-                        self.provenance
-                            .record("exact-engine message", round, from, held);
-                    }
-                }
-                self.machine_components.extend(to, tags);
-                tags.clear();
-            }
-            self.stats.rounds = self.stats.rounds.saturating_add(1);
-            self.charge_words(round_delta.max_round_words, round_delta.total_words);
-            self.stats.phase.merge_ns = self
-                .stats
-                .phase
-                .merge_ns
-                .saturating_add(merge_timer.elapsed_ns());
-            // A stalled machine has not had the chance to speak yet, so the
-            // computation cannot be declared quiescent around it.
-            let work_pending = !pending_retransmit.is_empty()
-                || !partition_held.is_empty()
-                || !incoming.is_empty()
-                || straggle_until.iter().any(|&u| u >= round_now);
-            if !any_sent && !work_pending {
+            self.route(&mut state, round_now);
+            self.intake(&mut state, plan, round_now)?;
+            self.step(&mut state, machines, round_now);
+            let any_sent = self.merge(&mut state, plan, round_now)?;
+            if !any_sent && !state.work_pending(round_now) {
                 return Ok(());
             }
             exec += 1;
@@ -1589,32 +1153,354 @@ impl Cluster {
         Err(MpcError::RoundLimitExceeded { limit: max_rounds })
     }
 
-    /// Captures a round-boundary recovery snapshot of the exact engine.
-    ///
-    /// Copy-on-write against the previous checkpoint: an inbox, program
-    /// snapshot, the component-tag table, or the provenance log is shared
-    /// (`Arc::clone`) when its content equals the previous capture, and
-    /// deep-copied only when it changed. Sharing is gated on *content
-    /// equality*, so a restore from a shared slot is value-identical to a
-    /// restore from a deep copy — determinism cannot depend on which
-    /// captures happened to share.
-    #[allow(clippy::too_many_arguments)]
+    /// Fault phase of execution round `exec + 1`: fires its plan events.
+    /// Straggles stall their machine through the (possibly speculated)
+    /// stall; the round's crashes are triaged together and recovered.
+    /// Returns the execution round to resume from after a recovery.
+    fn strike_faults<P: MachineProgram>(
+        &mut self,
+        state: &mut EngineState,
+        fs: &mut FaultState,
+        machines: &mut [P],
+        exec: usize,
+        checkpoint: Option<&Checkpoint>,
+    ) -> Result<Option<usize>, MpcError> {
+        let round_now = exec + 1;
+        // A speculating spare re-ships the machine's program snapshot.
+        let snapshot_words = |id: usize| machines[id].snapshot().len().max(1);
+        let mut crashed: Vec<usize> = Vec::new();
+        while let Some(strike) =
+            self.fire_next_event(fs, round_now..=round_now, round_now, snapshot_words)?
+        {
+            match strike {
+                Strike::Stall { machine, rounds } if rounds > 0 => {
+                    let until = &mut state.transport.straggle_until[machine];
+                    *until = (*until).max(round_now + rounds - 1);
+                }
+                Strike::Stall { .. } => {}
+                Strike::Crash(machine) => crashed.push(machine),
+            }
+        }
+        if crashed.is_empty() {
+            return Ok(None);
+        }
+        self.triage_crashes(fs, &crashed, true)?;
+        // Even when every crash was quarantined, the checkpoint is restored
+        // once so the spares resume from consistent state.
+        let cp = checkpoint.expect("restart policy always captures a round-0 checkpoint");
+        self.recover(state, machines, cp, &crashed, exec);
+        Ok(Some(cp.round))
+    }
+
+    /// Recovery phase: restores checkpoint `cp` for the whole cluster and
+    /// charges one restore round plus the re-shipped checkpoint words (at
+    /// least one — recovery is never free), logs each crash, and
+    /// attributes the rounds about to be replayed to recovery overhead.
+    /// Inboxes flatten back in machine-id order; only per-destination
+    /// order is observable, and it is exactly as captured.
+    fn recover<P: MachineProgram>(
+        &mut self,
+        state: &mut EngineState,
+        machines: &mut [P],
+        cp: &Checkpoint,
+        crashed: &[usize],
+        exec: usize,
+    ) {
+        let timer = PhaseTimer::start();
+        state.incoming.clear();
+        for inbox in &cp.inboxes {
+            state.incoming.extend(inbox.iter().cloned());
+        }
+        for (shard, snap) in machines.iter_mut().zip(&cp.program) {
+            shard.restore(snap);
+        }
+        self.machine_components = (*cp.machine_components).clone();
+        self.provenance = (*cp.provenance).clone();
+        state.transport = cp.transport.clone();
+        let reshipped = cp.words().max(1);
+        self.charge_recovery(1, reshipped);
+        add_elapsed(&mut self.stats.phase.checkpoint_ns, timer);
+        let replayed = exec - cp.round;
+        for &machine in crashed {
+            self.recovery_log.push(RecoveryEvent {
+                machine,
+                crash_round: exec + 1,
+                checkpoint_round: cp.round,
+                replayed_rounds: replayed,
+                reshipped_words: reshipped,
+            });
+        }
+        self.stats.recovery_rounds = self.stats.recovery_rounds.saturating_add(replayed);
+    }
+
+    /// Route phase: delivers last round's dropped messages and the traffic
+    /// released by healed partitions into the staging buffer, charging
+    /// each repeated transmission again, then sorts everything in flight
+    /// by destination.
+    fn route(&mut self, state: &mut EngineState, round_now: usize) {
+        let timer = PhaseTimer::start();
+        let mut retransmit_words = 0u64;
+        for msg in state.transport.pending_retransmit.drain(..) {
+            retransmit_words += msg.words.len() as u64;
+            state.incoming.push(msg);
+        }
+        let held = &mut state.transport.partition_held;
+        if held.iter().any(|(heal, _)| *heal <= round_now) {
+            for (heal, msg) in std::mem::take(held) {
+                if heal <= round_now {
+                    retransmit_words += msg.words.len() as u64;
+                    state.incoming.push(msg);
+                } else {
+                    held.push((heal, msg));
+                }
+            }
+        }
+        self.charge_words(0, retransmit_words);
+        state.fabric.scatter(&mut state.incoming);
+        add_elapsed(&mut self.stats.phase.route_ns, timer);
+    }
+
+    /// Intake phase (sequential, machine-index order): enforces the
+    /// receive cap on every machine participating this round. Stragglers'
+    /// slices stay untouched in the routing buffer — they neither receive
+    /// nor send this round; [`Cluster::step`] carries their backlog.
+    fn intake(
+        &mut self,
+        state: &mut EngineState,
+        plan: &FaultPlan,
+        round_now: usize,
+    ) -> Result<(), MpcError> {
+        let timer = PhaseTimer::start();
+        let round = self.stats.rounds + 1;
+        let (fabric, transport) = (&mut state.fabric, &mut state.transport);
+        for (id, &stalled_until) in transport.straggle_until.iter().enumerate() {
+            if round_now <= stalled_until {
+                continue;
+            }
+            let (lo, hi) = fabric.ranges[id];
+            // In-round adversarial reordering: one coin per non-empty
+            // inbox (drawn only when the fault class is armed, so the
+            // coin stream is unchanged otherwise); a hit hands the
+            // machine its messages in reversed arrival order.
+            if plan.reorder_per_mille() > 0
+                && hi - lo > 1
+                && (transport.rng.index(1000) as u16) < plan.reorder_per_mille()
+            {
+                fabric.buf[lo..hi].reverse();
+            }
+            let received: usize = fabric.buf[lo..hi].iter().map(|m| m.words.len()).sum();
+            if received > self.local_space {
+                return Err(MpcError::BandwidthExceeded {
+                    machine: id,
+                    words: received,
+                    limit: self.local_space,
+                    round,
+                });
+            }
+        }
+        add_elapsed(&mut self.stats.phase.intake_ns, timer);
+        Ok(())
+    }
+
+    /// Step phase (concurrent under `ParallelismMode::Parallel`): every
+    /// participating machine runs its round on its own state and inbox
+    /// slice — a pure per-machine map, so the execution mode cannot
+    /// influence any observable. Then the straggler carry (timed as
+    /// routing): a stalled machine's slice moves back into the staging
+    /// buffer *before* this round's sends are merged, so next round's
+    /// stable scatter delivers the backlog ahead of newer traffic.
+    fn step<P: MachineProgram>(
+        &mut self,
+        state: &mut EngineState,
+        machines: &mut [P],
+        round_now: usize,
+    ) {
+        let timer = PhaseTimer::start();
+        let stalled = |id: usize| round_now <= state.transport.straggle_until[id];
+        let (buf, ranges) = (&state.fabric.buf, &state.fabric.ranges);
+        par_map_mut_into(
+            self.cfg.parallelism,
+            machines,
+            &mut state.stepped,
+            |id, shard| {
+                if stalled(id) {
+                    return None;
+                }
+                let (lo, hi) = ranges[id];
+                let outs = shard.round(id, &buf[lo..hi]);
+                Some((outs, shard.storage_words()))
+            },
+        );
+        add_elapsed(&mut self.stats.phase.step_ns, timer);
+        let timer = PhaseTimer::start();
+        for id in (0..self.num_machines).filter(|&id| stalled(id)) {
+            let (lo, hi) = state.fabric.ranges[id];
+            for slot in &mut state.fabric.buf[lo..hi] {
+                state.incoming.push(Message {
+                    to: id,
+                    words: std::mem::take(&mut slot.words),
+                });
+            }
+        }
+        add_elapsed(&mut self.stats.phase.route_ns, timer);
+    }
+
+    /// Merge phase (sequential, fixed machine-index order): send caps,
+    /// storage charges, per-machine ledger deltas (absorbed associatively
+    /// into one round delta), component-tag propagation, transport coins
+    /// (drawn in machine order — the coin stream a sequential engine
+    /// draws), partition holds, and staging of sends. Completes the round
+    /// on the ledger and returns whether any machine sent.
+    fn merge(
+        &mut self,
+        state: &mut EngineState,
+        plan: &FaultPlan,
+        round_now: usize,
+    ) -> Result<bool, MpcError> {
+        let timer = PhaseTimer::start();
+        let round = self.stats.rounds + 1;
+        let mut any_sent = false;
+        let mut round_delta = Stats::default();
+        for (id, step) in state.stepped.drain(..).enumerate() {
+            let Some((outs, storage)) = step else {
+                continue;
+            };
+            let (lo, hi) = state.fabric.ranges[id];
+            let received: usize = state.fabric.buf[lo..hi].iter().map(|m| m.words.len()).sum();
+            let sent: usize = outs.iter().map(|m| m.words.len()).sum();
+            if sent > self.local_space {
+                return Err(MpcError::BandwidthExceeded {
+                    machine: id,
+                    words: sent,
+                    limit: self.local_space,
+                    round,
+                });
+            }
+            // Stamp the in-flight round (the ledger's counter advances
+            // only once the round completes).
+            self.charge_storage_at(id, storage, round)?;
+            round_delta.absorb(&Stats {
+                max_round_words: sent.max(received),
+                total_words: sent as u64,
+                ..Stats::default()
+            });
+            any_sent |= !outs.is_empty();
+            for msg in outs {
+                self.check_machine(msg.to)?;
+                // Tags propagate at send time even if the transport
+                // delays the physical delivery: the words left the
+                // sender this round.
+                if msg.to != id && !msg.words.is_empty() {
+                    let tags = self.machine_components.machine(id);
+                    state.incoming_tags[msg.to].extend_from_slice(tags);
+                }
+                let transport = &mut state.transport;
+                let rng = &mut transport.rng;
+                if plan.drop_per_mille() > 0 && (rng.index(1000) as u16) < plan.drop_per_mille() {
+                    // Lost in transit; the transport retransmits the
+                    // (moved, not cloned) payload next round, charged again.
+                    transport.pending_retransmit.push(msg);
+                    continue;
+                } else if plan.corrupt_per_mille() > 0
+                    && !msg.words.is_empty()
+                    && (rng.index(1000) as u16) < plan.corrupt_per_mille()
+                {
+                    // Corrupted in transit: the adversary flips bits in one
+                    // payload word of the sealed envelope, the receiver's
+                    // checksum catches it and discards the envelope, and
+                    // the original is retransmitted next round, charged.
+                    // Both checksums are computed on the borrowed payload.
+                    let word = rng.index(msg.words.len());
+                    let mask = rng.next_u64() | 1;
+                    let sealed = Envelope::checksum_of(&msg);
+                    let tampered = Envelope::tampered_checksum_of(&msg, word, mask);
+                    debug_assert_ne!(
+                        sealed, tampered,
+                        "a nonzero payload flip must break the seal"
+                    );
+                    if sealed != tampered {
+                        self.stats.corrupted_detected =
+                            self.stats.corrupted_detected.saturating_add(1);
+                        transport.pending_retransmit.push(msg);
+                        continue;
+                    }
+                    // (On an improbable checksum collision the *original*
+                    // message is delivered below — output never differs.)
+                } else if plan.dup_per_mille() > 0
+                    && (rng.index(1000) as u16) < plan.dup_per_mille()
+                {
+                    // Duplicated in transit: the receiver deduplicates,
+                    // but the extra transmission is paid for.
+                    round_delta.total_words = round_delta
+                        .total_words
+                        .saturating_add(msg.words.len() as u64);
+                }
+                // An active partition cutting sender from receiver holds
+                // the message until the last such window heals; delivery
+                // then is charged like a retransmission.
+                let heal = plan
+                    .partitions()
+                    .iter()
+                    .filter(|p| p.active_at(round_now) && p.cuts(id, msg.to))
+                    .map(Partition::heal_round)
+                    .max();
+                match heal {
+                    Some(h) => transport.partition_held.push((h, msg)),
+                    None => state.incoming.push(msg),
+                }
+            }
+        }
+        self.propagate_tags(&mut state.incoming_tags, round);
+        self.stats.rounds = self.stats.rounds.saturating_add(1);
+        self.charge_words(round_delta.max_round_words, round_delta.total_words);
+        add_elapsed(&mut self.stats.phase.merge_ns, timer);
+        Ok(any_sent)
+    }
+
+    /// Merges this round's travelling tags (sorted and deduplicated in
+    /// their reused buffers) into the receivers' tag sets, recording a
+    /// cross-component flow whenever a machine holding component `a`
+    /// receives words tagged with component `b ≠ a`.
+    fn propagate_tags(&mut self, incoming_tags: &mut [Vec<ComponentId>], round: usize) {
+        for (to, tags) in incoming_tags.iter_mut().enumerate() {
+            if tags.is_empty() {
+                continue;
+            }
+            tags.sort_unstable();
+            tags.dedup();
+            let fresh: Vec<ComponentId> = tags
+                .iter()
+                .copied()
+                .filter(|&c| !self.machine_components.contains(to, c))
+                .collect();
+            for &from in &fresh {
+                for &held in self.machine_components.machine(to) {
+                    self.provenance
+                        .record("exact-engine message", round, from, held);
+                }
+            }
+            self.machine_components.extend(to, tags);
+            tags.clear();
+        }
+    }
+
+    /// Captures a round-boundary snapshot of the exact engine: in-flight
+    /// messages by destination, program snapshots, component tags and
+    /// provenance — each shared copy-on-write with `prev` when its content
+    /// is unchanged, so a restore never depends on what was shared — plus
+    /// one clone of the transport state.
     fn capture_checkpoint<P: MachineProgram>(
         &self,
         exec_round: usize,
-        incoming: &[Message],
+        state: &EngineState,
         machines: &[P],
-        rng: &SplitMix64,
-        straggle_until: &[usize],
-        pending_retransmit: &[Message],
-        partition_held: &[(usize, Message)],
         prev: Option<&Checkpoint>,
     ) -> Checkpoint {
         // Group the flat in-flight buffer by destination. Per-destination
         // arrival order is preserved — the only order the routing sort
         // (stable per destination) can observe.
         let mut by_dest: Vec<Vec<Message>> = vec![Vec::new(); self.num_machines];
-        for msg in incoming {
+        for msg in &state.incoming {
             by_dest[msg.to].push(msg.clone());
         }
         let inboxes: Vec<Arc<Vec<Message>>> = by_dest
@@ -1652,49 +1538,68 @@ impl Cluster {
             program,
             machine_components,
             provenance,
-            rng: rng.clone(),
-            straggle_until: straggle_until.to_vec(),
-            pending_retransmit: pending_retransmit.to_vec(),
-            partition_held: partition_held.to_vec(),
+            transport: state.transport.clone(),
+        }
+    }
+}
+
+/// Adds the time since `timer` started to one phase's slot.
+fn add_elapsed(slot: &mut u64, timer: PhaseTimer) {
+    *slot = slot.saturating_add(timer.elapsed_ns());
+}
+
+/// What firing one plan event leaves for the fault layer to apply: a
+/// (possibly speculated) stall, or a crash for crash triage.
+enum Strike {
+    Stall { machine: usize, rounds: usize },
+    Crash(usize),
+}
+
+/// The exact engine's routing and transport state across the rounds of
+/// one [`Cluster::run_program_with_faults`] call. In-flight messages wait
+/// in the arrival-ordered `incoming` buffer; each round the counting-sort
+/// `fabric` groups them by destination, stable per destination, so every
+/// machine reads its inbox as one contiguous slice in arrival order. The
+/// buffers are reused arenas: at fixed topology, steady-state rounds
+/// allocate nothing for message plumbing.
+#[derive(Debug)]
+struct EngineState {
+    incoming: Vec<Message>,
+    fabric: RouteArena,
+    /// Per-machine step results: outgoing messages and storage words.
+    stepped: Vec<Option<(Vec<Message>, usize)>>,
+    /// Component tags travelling to each destination this round.
+    incoming_tags: Vec<Vec<ComponentId>>,
+    /// What a [`Checkpoint`] captures as one clone.
+    transport: Transport,
+}
+
+impl EngineState {
+    fn new(machines: usize, initial: Vec<Message>, seed: Seed) -> Self {
+        EngineState {
+            incoming: initial,
+            fabric: RouteArena::new(machines),
+            stepped: Vec::new(),
+            incoming_tags: vec![Vec::new(); machines],
+            transport: Transport {
+                // Coins come from the plan's seed, so the same plan replays
+                // the same per-message faults.
+                rng: SplitMix64::new(seed.derive(0xfa17)),
+                straggle_until: vec![0; machines],
+                pending_retransmit: Vec::new(),
+                partition_held: Vec::new(),
+            },
         }
     }
 
-    /// Restores a [`Checkpoint`] after a crash and charges the recovery to
-    /// the ledger: one synchronous restore round plus the re-shipped
-    /// checkpoint words (at least one — recovery is never free). Returns
-    /// the words charged.
-    ///
-    /// The per-destination inboxes are flattened back into the staging
-    /// buffer in machine-id order; cross-destination order is immaterial
-    /// (the routing sort is stable per destination), and per-destination
-    /// order is exactly as captured.
-    #[allow(clippy::too_many_arguments)]
-    fn restore_checkpoint<P: MachineProgram>(
-        &mut self,
-        cp: &Checkpoint,
-        machines: &mut [P],
-        incoming: &mut Vec<Message>,
-        rng: &mut SplitMix64,
-        straggle_until: &mut Vec<usize>,
-        pending_retransmit: &mut Vec<Message>,
-        partition_held: &mut Vec<(usize, Message)>,
-    ) -> usize {
-        incoming.clear();
-        for inbox in &cp.inboxes {
-            incoming.extend(inbox.iter().cloned());
-        }
-        for (shard, snap) in machines.iter_mut().zip(&cp.program) {
-            shard.restore(snap);
-        }
-        self.machine_components = (*cp.machine_components).clone();
-        self.provenance = (*cp.provenance).clone();
-        *rng = cp.rng.clone();
-        *straggle_until = cp.straggle_until.clone();
-        *pending_retransmit = cp.pending_retransmit.clone();
-        *partition_held = cp.partition_held.clone();
-        let reshipped = cp.words().max(1);
-        self.charge_recovery(1, reshipped);
-        reshipped
+    /// `true` while a message is in flight or a machine stalls through
+    /// `round_now` (a stalled machine has not yet had its chance to speak).
+    fn work_pending(&self, round_now: usize) -> bool {
+        let t = &self.transport;
+        !t.pending_retransmit.is_empty()
+            || !t.partition_held.is_empty()
+            || !self.incoming.is_empty()
+            || t.straggle_until.iter().any(|&u| u >= round_now)
     }
 }
 

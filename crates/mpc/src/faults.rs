@@ -13,32 +13,22 @@
 //! faults, the same recoveries, the same output, the same [`Stats`] ledger
 //! and the same provenance log on every run (Definition 9, replicability).
 //!
-//! Two layers consume a plan:
+//! Two layers consume a plan, through one shared event driver in
+//! [`crate::Cluster`] (event triage, straggler speculation, crash triage
+//! with quarantine, retry budget and backoff):
 //!
 //! * the **exact engine** ([`crate::Cluster::run_program_with_faults`])
-//!   injects faults message-by-message and recovers by restoring a
-//!   round-boundary [`Checkpoint`] (inboxes, program state via
-//!   [`crate::MachineProgram::snapshot`]/`restore`, provenance tags, RNG
-//!   position) and deterministically re-executing the lost rounds;
+//!   injects faults message by message — including payload corruption
+//!   (always *detected* via the checksummed [`crate::Envelope`]), inbox
+//!   reordering and round-scoped network [`Partition`]s — and recovers by
+//!   restoring a round-boundary [`Checkpoint`] and deterministically
+//!   re-executing the lost rounds;
 //! * the **accounted primitives** observe the plan through
-//!   [`crate::Cluster::advance_rounds`]: a crash under
-//!   [`RecoveryPolicy::RestartFromCheckpoint`] charges the replayed rounds
-//!   and re-shipped words to the ledger (recovery is never free), a crash
-//!   under [`RecoveryPolicy::FailFast`] surfaces as
-//!   [`crate::MpcError::MachineFailed`], and a straggler stalls the
-//!   synchronous barrier for its duration. Message drop/duplication/
-//!   corruption/reordering only has meaning where real messages move,
-//!   i.e. on the exact engine.
-//!
-//! Beyond the PR 2 fault classes, plans can now schedule **adversarial
-//! transport faults**: payload corruption (tampered bits, always *detected*
-//! via the checksummed [`crate::Envelope`] and never silently applied),
-//! in-round inbox reordering, and round-scoped network [`Partition`]s that
-//! hold boundary-crossing traffic until the partition heals. Crash handling
-//! gains [`RecoveryPolicy::RestartWithBackoff`] (bounded exponential
-//! backoff, every idle round charged) and, via
-//! [`crate::SupervisorConfig`], straggler speculation and machine
-//! quarantine.
+//!   [`crate::Cluster::advance_rounds`]: stragglers and partitions stall
+//!   the synchronous barrier, and a crash is either fatal
+//!   ([`RecoveryPolicy::FailFast`]) or charged as a checkpoint replay
+//!   (recovery is never free). Message-level faults only have meaning
+//!   where real messages move, i.e. on the exact engine.
 //!
 //! [`Stats`]: crate::Stats
 //! [`Seed`]: csmpc_graph::rng::Seed
@@ -47,6 +37,7 @@ use crate::cluster::Message;
 use crate::provenance::{ProvenanceLog, TagTable};
 use csmpc_graph::rng::{Seed, SplitMix64};
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// What happens to a machine at a scheduled round.
@@ -424,11 +415,26 @@ impl fmt::Display for RecoveryEvent {
     }
 }
 
+/// The exact engine's transport state — the coin stream and every fault
+/// still in flight — which a [`Checkpoint`] captures as one clone.
+#[derive(Debug, Clone)]
+pub(crate) struct Transport {
+    /// Transport RNG position (drop/corruption/duplication/reorder coins).
+    pub(crate) rng: SplitMix64,
+    /// Exec round (inclusive) through which each machine stalls.
+    pub(crate) straggle_until: Vec<usize>,
+    /// Messages awaiting transport retransmission.
+    pub(crate) pending_retransmit: Vec<Message>,
+    /// Messages held by active network partitions, with the round at
+    /// which each becomes deliverable again.
+    pub(crate) partition_held: Vec<(usize, Message)>,
+}
+
 /// A round-boundary snapshot of everything the exact engine needs to
 /// deterministically re-execute: pending inboxes, the program's machine
 /// storage (via [`crate::MachineProgram::snapshot`]), component-provenance
-/// tags, the provenance log, the transport RNG position, and in-flight
-/// straggler/retransmission state.
+/// tags, the provenance log, and the engine's transport state (RNG
+/// position, in-flight straggler, retransmission and partition state).
 ///
 /// The bulky fields are **copy-on-write**: each per-machine inbox and
 /// program snapshot, the component-tag table, and the provenance log sit
@@ -453,15 +459,8 @@ pub struct Checkpoint {
     pub machine_components: Arc<TagTable>,
     /// Provenance log at the boundary.
     pub provenance: Arc<ProvenanceLog>,
-    /// Transport RNG position (message drop/duplication coins).
-    pub rng: SplitMix64,
-    /// Per-machine stall deadlines at the boundary.
-    pub straggle_until: Vec<usize>,
-    /// Messages awaiting transport retransmission at the boundary.
-    pub pending_retransmit: Vec<Message>,
-    /// Messages held by active network partitions at the boundary, with
-    /// the round at which each becomes deliverable.
-    pub partition_held: Vec<(usize, Message)>,
+    /// The engine's transport state at the boundary.
+    pub(crate) transport: Transport,
 }
 
 impl Checkpoint {
@@ -476,15 +475,17 @@ impl Checkpoint {
             .iter()
             .flat_map(|ms| ms.iter().map(|m| m.words.len()))
             .sum();
-        let pending: usize = self.pending_retransmit.iter().map(|m| m.words.len()).sum();
-        let held: usize = self.partition_held.iter().map(|(_, m)| m.words.len()).sum();
+        let t = &self.transport;
+        let pending: usize = t.pending_retransmit.iter().map(|m| m.words.len()).sum();
+        let held: usize = t.partition_held.iter().map(|(_, m)| m.words.len()).sum();
         let program: usize = self.program.iter().map(|p| p.len()).sum();
         program + inbox + pending + held
     }
 }
 
-/// Runtime fault bookkeeping for the accounted layer, installed by
-/// [`crate::Cluster::arm_faults`].
+/// Runtime fault bookkeeping, shared by both fault layers: the accounted
+/// layer keeps one armed by [`crate::Cluster::arm_faults`], the exact
+/// engine builds one per [`crate::Cluster::run_program_with_faults`] call.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
@@ -495,7 +496,7 @@ pub(crate) struct FaultState {
     pub(crate) retries_used: usize,
     /// One flag per plan partition: the accounted layer charges each
     /// partition's barrier stall exactly once per execution.
-    pub(crate) partitions_charged: Vec<bool>,
+    partitions_charged: Vec<bool>,
 }
 
 impl FaultState {
@@ -509,6 +510,28 @@ impl FaultState {
             retries_used: 0,
             partitions_charged,
         }
+    }
+
+    /// Index of the first unfired event whose round lies in `due`.
+    pub(crate) fn next_due(&self, due: RangeInclusive<usize>) -> Option<usize> {
+        self.plan
+            .events()
+            .iter()
+            .zip(&self.fired)
+            .position(|(ev, &fired)| !fired && due.contains(&ev.round))
+    }
+
+    /// The barrier stall of the first uncharged partition window open by
+    /// ledger round `now`, now marked charged (accounted layer).
+    pub(crate) fn take_partition_stall(&mut self, now: usize) -> Option<usize> {
+        let i = self
+            .plan
+            .partitions()
+            .iter()
+            .zip(&self.partitions_charged)
+            .position(|(p, &charged)| !charged && p.rounds > 0 && p.start <= now)?;
+        self.partitions_charged[i] = true;
+        Some(self.plan.partitions()[i].rounds)
     }
 }
 
