@@ -314,3 +314,34 @@ fn fixtures_stay_silent_for_other_lints() {
     assert!(scan_fixture("hot_path_allocation.rs", &[Lint::Nondeterminism]).is_empty());
     assert!(scan_fixture("hot_path_allocation.rs", &[Lint::StabilityDiscipline]).is_empty());
 }
+
+#[test]
+fn engine_state_restore_without_charge_is_caught_by_both_passes() {
+    // The exact engine's phases are `impl Cluster` methods taking
+    // `&mut EngineState`, so both recovery passes still see the restore.
+    let recovery = scan_fixture("engine_state_violation.rs", &[Lint::RecoveryAccounting]);
+    assert_eq!(lines_of(&recovery), vec![25], "{recovery:#?}");
+    assert!(recovery[0].message.contains("`recover`"));
+    let flow = analyze_fixture("engine_state_violation.rs");
+    assert!(flow.iter().all(|d| d.lint == Lint::ChargeFlow), "{flow:#?}");
+    assert_eq!(lines_of(&flow), vec![17, 25], "{flow:#?}");
+    assert!(flow.iter().all(|d| d.message.contains("inboxes")));
+    // The fault phase is witnessed from the engine entry down to the
+    // uncharged restore; `recover` is itself a recovery root.
+    assert_eq!(
+        flow[0].witness,
+        vec!["run_program_with_faults", "strike_faults", "recover"]
+    );
+    assert_eq!(flow[1].witness, vec!["recover"]);
+}
+
+#[test]
+fn engine_state_restore_with_charge_stays_clean() {
+    let recovery = scan_fixture("engine_state_clean.rs", &[Lint::RecoveryAccounting]);
+    assert!(recovery.is_empty(), "{recovery:#?}");
+    assert!(
+        analyze_fixture("engine_state_clean.rs").is_empty(),
+        "{:#?}",
+        analyze_fixture("engine_state_clean.rs")
+    );
+}

@@ -2250,6 +2250,27 @@ mod tests {
     }
 
     #[test]
+    fn fault_events_on_unknown_machines_are_rejected() {
+        let m = Cluster::new(MpcConfig::with_phi(0.5), 100, 100, Seed(0)).num_machines();
+        let unknown = MpcError::UnknownMachine {
+            machine: m + 5,
+            count: m,
+        };
+        let plans = [
+            FaultPlan::quiet(Seed(4)).crash(m + 5, 1),
+            FaultPlan::quiet(Seed(4)).straggle(m + 5, 1, 3),
+        ];
+        for plan in plans {
+            for policy in [RecoveryPolicy::FailFast, RecoveryPolicy::restart(4)] {
+                let mut cluster = Cluster::new(MpcConfig::with_phi(0.5), 100, 100, Seed(0));
+                cluster.arm_faults(plan.clone(), policy);
+                assert_eq!(cluster.advance_rounds(4), Err(unknown.clone()));
+                assert_eq!(engine_fault_run(&plan, policy).unwrap_err(), unknown);
+            }
+        }
+    }
+
+    #[test]
     fn engine_crash_recovery_preserves_output_and_charges() {
         let quiet = FaultPlan::quiet(Seed(9));
         let (clean_sum, clean_stats, _) =
