@@ -22,6 +22,13 @@ cargo test -q -p csmpc-mpc --test chaos
 echo "==> supervision suite (transport faults, speculation, quarantine, backoff)"
 cargo test -q -p csmpc-mpc --test supervision
 
+echo "==> engine golden ledgers (both fault layers, pinned digests)"
+# Pins the exact engine's and the accounted driver's ledgers, recovery and
+# supervision logs, taint sets and provenance over a fixed plan x policy x
+# supervisor matrix; threads are forced so the parallel column runs on
+# real worker threads.
+RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test engine_golden
+
 echo "==> degradation theorem gate (PartialOutput contract, pinned seeds)"
 cargo test -q --test degradation
 

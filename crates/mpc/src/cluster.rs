@@ -735,8 +735,9 @@ impl Cluster {
     ///
     /// [`MpcError::MachineFailed`] if a crash strikes under fail-fast or
     /// after the retry budget is exhausted;
-    /// [`MpcError::RoundLimitExceeded`] once an armed job deadline
-    /// ([`Cluster::arm_job_deadline`]) is tripped.
+    /// [`MpcError::UnknownMachine`] for an event on a machine the cluster
+    /// does not have; [`MpcError::RoundLimitExceeded`] once an armed job
+    /// deadline ([`Cluster::arm_job_deadline`]) is tripped.
     pub fn advance_rounds(&mut self, rounds: usize) -> Result<(), MpcError> {
         let Some(mut fs) = self.faults.take() else {
             self.stats.rounds = self.stats.rounds.saturating_add(rounds);
@@ -861,6 +862,7 @@ impl Cluster {
         Ok(Some(first))
     }
 
+    /// The unrecoverable-crash error, stamped with the ledger round.
     fn machine_failed(&self, machine: usize) -> MpcError {
         MpcError::MachineFailed {
             machine,
@@ -1245,15 +1247,9 @@ impl Cluster {
             state.incoming.push(msg);
         }
         let held = &mut state.transport.partition_held;
-        if held.iter().any(|(heal, _)| *heal <= round_now) {
-            for (heal, msg) in std::mem::take(held) {
-                if heal <= round_now {
-                    retransmit_words += msg.words.len() as u64;
-                    state.incoming.push(msg);
-                } else {
-                    held.push((heal, msg));
-                }
-            }
+        for (_, msg) in held.extract_if(.., |(heal, _)| *heal <= round_now) {
+            retransmit_words += msg.words.len() as u64;
+            state.incoming.push(msg);
         }
         self.charge_words(0, retransmit_words);
         state.fabric.scatter(&mut state.incoming);

@@ -191,7 +191,7 @@ fn encode_stats(out: &mut Vec<u8>, s: &Stats) {
 fn decode_stats(r: &mut Reader<'_>) -> Result<Stats, String> {
     let mut words = [0u64; Stats::MODEL_FIELDS.len()];
     for (w, name) in words.iter_mut().zip(Stats::MODEL_FIELDS) {
-        *w = r.u64(&format!("stats.{name}"))?;
+        *w = r.u64(name).map_err(|e| format!("stats: {e}"))?;
     }
     // Phase timings are wall-clock observability, excluded from Stats
     // equality and the report fingerprint; a recovered ledger starts them
