@@ -27,7 +27,6 @@ use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_parallel::par_map_mut_into;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Resource ledger for one MPC execution.
@@ -767,7 +766,7 @@ impl Cluster {
                 continue;
             }
             let reshipped = self.stats.max_storage_words.max(1);
-            match self.fire_next_event(fs, 0..=now, now, |_| reshipped)? {
+            match self.fire_next_event(fs, 0, now, |_| reshipped)? {
                 None => return Ok(()),
                 // The synchronous barrier waits for the slowest machine:
                 // everyone pays the (possibly clamped) stall.
@@ -784,20 +783,21 @@ impl Cluster {
     }
 
     /// The one fault-event driver both layers share: fires the next
-    /// unfired event due in `due` on a live machine (each event fires once
-    /// per execution, recovery replays included) and dispatches it on its
-    /// kind. A straggle is speculated with `reshipped(machine)` words and
-    /// stamped `round`; a crash is handed back for crash triage. `None`
-    /// once nothing is due; [`MpcError::UnknownMachine`] for an event on a
-    /// machine the cluster does not have.
+    /// unfired event on a live machine scheduled for rounds `from..=round`
+    /// (each event fires once per execution, recovery replays included)
+    /// and dispatches it on its kind. A straggle is speculated with
+    /// `reshipped(machine)` words and stamped `round`; a crash is handed
+    /// back for crash triage. `None` once nothing is due;
+    /// [`MpcError::UnknownMachine`] for an event on a machine the cluster
+    /// does not have.
     fn fire_next_event(
         &mut self,
         fs: &mut FaultState,
-        due: RangeInclusive<usize>,
+        from: usize,
         round: usize,
         reshipped: impl Fn(usize) -> usize,
     ) -> Result<Option<Strike>, MpcError> {
-        while let Some(idx) = fs.next_due(due.clone()) {
+        while let Some(idx) = fs.next_due(from, round) {
             fs.fired[idx] = true;
             let ev = fs.plan.events()[idx];
             self.check_machine(ev.machine)?;
@@ -1171,9 +1171,7 @@ impl Cluster {
         // A speculating spare re-ships the machine's program snapshot.
         let snapshot_words = |id: usize| machines[id].snapshot().len().max(1);
         let mut crashed: Vec<usize> = Vec::new();
-        while let Some(strike) =
-            self.fire_next_event(fs, round_now..=round_now, round_now, snapshot_words)?
-        {
+        while let Some(strike) = self.fire_next_event(fs, round_now, round_now, snapshot_words)? {
             match strike {
                 Strike::Stall { machine, rounds } if rounds > 0 => {
                     let until = &mut state.transport.straggle_until[machine];

@@ -37,7 +37,6 @@ use crate::cluster::Message;
 use crate::provenance::{ProvenanceLog, TagTable};
 use csmpc_graph::rng::{Seed, SplitMix64};
 use std::fmt;
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// What happens to a machine at a scheduled round.
@@ -512,13 +511,13 @@ impl FaultState {
         }
     }
 
-    /// Index of the first unfired event whose round lies in `due`.
-    pub(crate) fn next_due(&self, due: RangeInclusive<usize>) -> Option<usize> {
+    /// Index of the first unfired event scheduled for rounds `from..=to`.
+    pub(crate) fn next_due(&self, from: usize, to: usize) -> Option<usize> {
         self.plan
             .events()
             .iter()
             .zip(&self.fired)
-            .position(|(ev, &fired)| !fired && due.contains(&ev.round))
+            .position(|(ev, &fired)| !fired && (from..=to).contains(&ev.round))
     }
 
     /// The barrier stall of the first uncharged partition window open by

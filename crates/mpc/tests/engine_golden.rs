@@ -58,6 +58,17 @@ fn crash_plan() -> FaultPlan {
         .straggle(2, 4, 4)
 }
 
+/// Two over-deadline straggles on machine 3 and then a crash on it: under
+/// the default supervisor the crash crosses the quarantine threshold, and
+/// the two layers order that against fail-fast differently.
+fn threshold_plan() -> FaultPlan {
+    FaultPlan::quiet(Seed(41))
+        .straggle(3, 1, 4)
+        .straggle(3, 2, 4)
+        .crash(3, 3)
+        .crash(6, 4)
+}
+
 /// Two crashes per round on fresh machines, plus a doubled crash event
 /// on one machine: enough to exhaust an eight-retry budget.
 fn storm_plan() -> FaultPlan {
@@ -164,7 +175,7 @@ type Driver = fn(ParallelismMode, &FaultPlan, RecoveryPolicy, Option<SupervisorC
 
 /// `(case name, pinned digest)` in matrix order: driver × plan × policy ×
 /// supervisor.
-const GOLDEN: [(&str, u64); 36] = [
+const GOLDEN: [(&str, u64); 48] = [
     ("engine/transport/failfast/none", 0x218cd4d62e5a5b40),
     ("engine/transport/failfast/sup", 0x1f9a97494d5f62ef),
     ("engine/transport/restart8/none", 0x91c4a75f1f4d6c36),
@@ -183,24 +194,36 @@ const GOLDEN: [(&str, u64); 36] = [
     ("engine/storm/restart8/sup", 0x41ef8df3784ba090),
     ("engine/storm/backoff8x1/none", 0x3c1fc8cfd9969ddd),
     ("engine/storm/backoff8x1/sup", 0x41dba998345a0e74),
-    ("accounted/transport/failfast/none", 0x9a03e60f261e7593),
-    ("accounted/transport/failfast/sup", 0xc2ba92178d444698),
-    ("accounted/transport/restart8/none", 0x689730adf8b6b071),
-    ("accounted/transport/restart8/sup", 0x62c30a8aa07b43aa),
-    ("accounted/transport/backoff8x1/none", 0x7d252a89ede1e6b7),
-    ("accounted/transport/backoff8x1/sup", 0xe15500d38172162c),
-    ("accounted/crash/failfast/none", 0xea3cbca46b3e215e),
-    ("accounted/crash/failfast/sup", 0x15307a88b355808b),
-    ("accounted/crash/restart8/none", 0x134d31b9f0604bd5),
-    ("accounted/crash/restart8/sup", 0xdcdd1b4f7bcc362b),
-    ("accounted/crash/backoff8x1/none", 0xbe812bd64a75b375),
-    ("accounted/crash/backoff8x1/sup", 0x5ef21ace67128439),
-    ("accounted/storm/failfast/none", 0x772ef2afa6b8e14a),
-    ("accounted/storm/failfast/sup", 0x020848d1661361e7),
-    ("accounted/storm/restart8/none", 0xddda5038dc484479),
-    ("accounted/storm/restart8/sup", 0xbd509396627e78c4),
-    ("accounted/storm/backoff8x1/none", 0xff62d5cdc6866ae6),
-    ("accounted/storm/backoff8x1/sup", 0xe83a1563bb3e4003),
+    ("engine/threshold/failfast/none", 0x6d3d560bf4aa3343),
+    ("engine/threshold/failfast/sup", 0xa827c749756467e1),
+    ("engine/threshold/restart8/none", 0x763f416f63ef0353),
+    ("engine/threshold/restart8/sup", 0x15f01ea0d70c18c1),
+    ("engine/threshold/backoff8x1/none", 0x4fadce409c4eb65f),
+    ("engine/threshold/backoff8x1/sup", 0x2f11a49d85187f24),
+    ("accounted/transport/failfast/none", 0x8c4d4a7893a7b455),
+    ("accounted/transport/failfast/sup", 0x1de14af664f1476e),
+    ("accounted/transport/restart8/none", 0x0b2c46d831e57e9b),
+    ("accounted/transport/restart8/sup", 0x4deb9c17ee26b6e0),
+    ("accounted/transport/backoff8x1/none", 0xbc082f4b20765919),
+    ("accounted/transport/backoff8x1/sup", 0x766df3caf9a76232),
+    ("accounted/crash/failfast/none", 0xb45428989265356c),
+    ("accounted/crash/failfast/sup", 0xa45a1df642260ed1),
+    ("accounted/crash/restart8/none", 0x9ae339d14ee4f3b3),
+    ("accounted/crash/restart8/sup", 0x3c2f9b3395b41725),
+    ("accounted/crash/backoff8x1/none", 0x3f01799a07dbe17f),
+    ("accounted/crash/backoff8x1/sup", 0x57aac44490cc5b7b),
+    ("accounted/storm/failfast/none", 0xf01e00f2bc622e00),
+    ("accounted/storm/failfast/sup", 0x1c14bcd338d36f65),
+    ("accounted/storm/restart8/none", 0xb39d50bd6776f113),
+    ("accounted/storm/restart8/sup", 0x0f24d52096149816),
+    ("accounted/storm/backoff8x1/none", 0xee4884ac174360ec),
+    ("accounted/storm/backoff8x1/sup", 0x8988336cddeb7761),
+    ("accounted/threshold/failfast/none", 0x7c480fef1ea74356),
+    ("accounted/threshold/failfast/sup", 0x28c04c2bf6ded04e),
+    ("accounted/threshold/restart8/none", 0x9d35d2d657ed2470),
+    ("accounted/threshold/restart8/sup", 0xb6ce0ba828f83ca3),
+    ("accounted/threshold/backoff8x1/none", 0x56767ab15042c53f),
+    ("accounted/threshold/backoff8x1/sup", 0x1f78d570373949e7),
 ];
 
 #[test]
@@ -210,6 +233,7 @@ fn fault_layers_reproduce_pinned_ledgers() {
         ("transport", transport_plan()),
         ("crash", crash_plan()),
         ("storm", storm_plan()),
+        ("threshold", threshold_plan()),
     ];
     let sups = [("none", None), ("sup", Some(SupervisorConfig::default()))];
     let mut actual = Vec::new();
