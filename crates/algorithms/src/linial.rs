@@ -1,9 +1,9 @@
 //! Linial's deterministic color reduction — the `O(log* n)` machinery the
 //! paper invokes twice: Theorem 45 reduces the name space by
 //! `Δ^{4t}`-coloring the power graph `G^{2t}` "within `O(log* N)`
-//! deterministic rounds [Kuh09]", and the final `5Δ'`-edge-coloring step of
+//! deterministic rounds \[Kuh09\]", and the final `5Δ'`-edge-coloring step of
 //! Theorem 41 simulates "Linial's (deterministic) vertex-coloring
-//! algorithm [Lin92]".
+//! algorithm \[Lin92\]".
 //!
 //! One reduction step: given a proper `k`-coloring, encode each color as a
 //! degree-`d` polynomial over `F_q` (base-`q` digits). Since two distinct

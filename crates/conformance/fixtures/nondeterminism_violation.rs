@@ -19,7 +19,7 @@ pub fn innocuous() -> &'static str {
     "HashMap and Instant in a string are fine"
 }
 
-// conformance: allow(nondeterminism)
+// csmpc-allow(nondeterminism): fixture for the suppressed case
 pub fn suppressed() -> std::collections::HashSet<u64> {
     Default::default()
 }

@@ -37,7 +37,7 @@ impl MachineProgram for FixtureSum {
     }
 }
 
-// conformance: allow(recovery-accounting)
+// csmpc-allow(recovery-accounting): fixture for the suppressed case
 pub fn retry_suppressed(cluster: &mut Cluster) {
     cluster.inboxes.clear();
 }
@@ -65,7 +65,7 @@ pub fn backoff_before_retry(cluster: &mut Cluster, stall: usize) {
     cluster.backoff_until = cluster.round + stall;
 }
 
-// conformance: allow(recovery-accounting)
+// csmpc-allow(recovery-accounting): fixture for the suppressed case
 fn quarantine_suppressed(cluster: &mut Cluster) {
     cluster.quarantined.clear();
 }

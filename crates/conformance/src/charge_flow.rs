@@ -69,7 +69,7 @@ const ENTRY_NAMES: &[&str] = &[
 ];
 
 /// `true` when the function's signature mutates cluster state.
-fn mutates_cluster(fm: &FileModel, f: &crate::syntax::FnItem) -> bool {
+pub(crate) fn mutates_cluster(fm: &FileModel, f: &crate::syntax::FnItem) -> bool {
     let flat = FileModel::flat_sig(f);
     flat.contains("&mutCluster") || (flat.contains("&mutself") && fm.in_inherent_cluster_impl(f))
 }

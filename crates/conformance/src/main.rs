@@ -47,14 +47,15 @@ fn usage() {
         "usage: conformance [--format text|json|sarif] [--baseline FILE]\n\
          \x20                  [--write-baseline FILE] [--sarif-out FILE] [ROOT]\n\
          \n\
-         Static model-conformance analysis: token lints (nondeterminism,\n\
-         unaccounted-primitive, recovery-accounting, stability-discipline,\n\
-         determinism) plus interprocedural passes (charge-flow,\n\
-         par-closure-race, stability-flow) and suppression hygiene\n\
-         (unused-suppression).\n\
+         Static model-conformance analysis over one parse of each file:\n\
+         token lints (nondeterminism, unaccounted-primitive,\n\
+         recovery-accounting, stability-discipline, determinism) plus\n\
+         interprocedural passes (charge-flow, par-closure-race,\n\
+         stability-flow) and suppression hygiene (unused-suppression).\n\
          \n\
-         Suppress a finding with `// csmpc-allow(<lint>): <reason>` on the\n\
-         same or the preceding line.\n\
+         Suppress a finding of any lint with\n\
+         `// csmpc-allow(<lint>): <reason>` on the same or the preceding\n\
+         line; it is the only suppression syntax.\n\
          \n\
          Exit codes: 0 clean / all findings baselined, 1 new findings,\n\
          2 internal or usage error."

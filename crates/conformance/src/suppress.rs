@@ -7,11 +7,9 @@
 //! the reviewable artifact — and a suppression that silences nothing is
 //! itself a finding ([`crate::Lint::UnusedSuppression`]), so stale
 //! annotations cannot accumulate after the code they excused is fixed.
-//!
-//! The legacy `// conformance: allow(<lint>)` spelling is still honored by
-//! the token-level lints (see [`crate::check_source`]) but does not
-//! participate in unused-suppression detection; new annotations should use
-//! `csmpc-allow`.
+//! This is the analyzer's only suppression syntax: [`crate::check_source`]
+//! filters the token lints through it, and [`crate::analyze_sources`]
+//! applies it to every lint and reports the unused annotations.
 
 use crate::{Diagnostic, Lint, Severity};
 use std::path::Path;

@@ -2,7 +2,7 @@
 //! call expressions, and closure arguments.
 //!
 //! This is not a full Rust parser — it recovers exactly the structure the
-//! interprocedural passes need:
+//! token lints and the interprocedural passes need:
 //!
 //! * every `fn` item with its name, flattened signature, parameter names,
 //!   body token span, and enclosing `impl` context;

@@ -20,7 +20,7 @@
 //! a thread-local workspace; sweeps that want explicit control (e.g. to
 //! pair the workspace with a [`CsrAdjacency`]) use
 //! [`with_thread_workspace`]. The pre-workspace implementation survives in
-//! [`reference`] as the differential-testing oracle.
+//! [`mod@reference`] as the differential-testing oracle.
 //!
 //! [`GraphBuilder`]: crate::GraphBuilder
 

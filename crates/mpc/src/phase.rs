@@ -16,13 +16,13 @@
 //! the simulated execution, not how long the host took to run it.
 //!
 //! With the `alloc-count` feature a process-wide allocation counter is
-//! also available (see [`counting_alloc`]); the `perf` binary installs it
+//! also available (the `counting_alloc` module); the `perf` binary installs it
 //! to report allocations per workload.
 
 use std::fmt;
 // Wall-clock handle for phase attribution; see the module docs for why
 // this is exempt from the replayability rule.
-// conformance: allow(nondeterminism)
+// csmpc-allow(nondeterminism): wall-clock phase timing, excluded from every ledger and fingerprint
 use std::time::Instant;
 
 /// Cumulative wall-clock attribution of engine work, in nanoseconds.
@@ -88,7 +88,7 @@ impl fmt::Display for PhaseTimes {
 /// A started phase stopwatch; read it with [`PhaseTimer::elapsed_ns`].
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseTimer {
-    // conformance: allow(nondeterminism)
+    // csmpc-allow(nondeterminism): wall-clock phase timer, excluded from Stats equality
     started: Instant,
 }
 
@@ -97,7 +97,7 @@ impl PhaseTimer {
     #[must_use]
     pub fn start() -> Self {
         PhaseTimer {
-            // conformance: allow(nondeterminism)
+            // csmpc-allow(nondeterminism): wall-clock phase timer, excluded from Stats equality
             started: Instant::now(),
         }
     }

@@ -1,17 +1,16 @@
-//! Shared graph materialization: one built graph and one CSR spine per
-//! distinct [`GraphSpec`], no matter how many jobs reference it.
+//! Shared graph materialization: one built graph per distinct
+//! [`GraphSpec`], no matter how many jobs reference it.
 //!
 //! The store is the service-side face of the content-keyed cache family
-//! from `csmpc-mpc`: specs are compared exactly (they are pure data), a
-//! hit hands back the same [`Arc`]'d immutable [`SharedGraph`] every
-//! caller sees, and the CSR spine inside it comes from the process-wide
-//! [`csmpc_mpc::ball_cache::csr_global`] cache — so a fleet of jobs on
-//! the same topology pays for one adjacency spine total, across the
-//! store *and* ball collection.
+//! from `csmpc-mpc`: specs are compared exactly (they are pure data), and
+//! a hit hands back the same [`Arc`]'d immutable [`SharedGraph`] every
+//! caller sees. The store holds no adjacency spine of its own: ball
+//! collection fetches one from the process-wide
+//! [`csmpc_mpc::ball_cache::csr_global`] cache when it first needs it, so
+//! a fleet of jobs on the same topology still pays for one spine total.
 
 use crate::job::GraphSpec;
-use csmpc_graph::{CsrAdjacency, Graph};
-use csmpc_mpc::ball_cache::csr_global;
+use csmpc_graph::Graph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -20,8 +19,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct SharedGraph {
     /// The built graph.
     pub graph: Graph,
-    /// The shared CSR adjacency spine (from the process-wide CSR cache).
-    pub csr: Arc<CsrAdjacency>,
     /// `graph_words(graph)` — the input-size figure admission works from.
     pub words: usize,
 }
@@ -63,8 +60,7 @@ impl GraphStore {
         }
         let graph = spec.build();
         let words = csmpc_mpc::graph_words(&graph);
-        let csr = csr_global().get(&graph);
-        let shared = Arc::new(SharedGraph { graph, csr, words });
+        let shared = Arc::new(SharedGraph { graph, words });
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock().expect("graph store poisoned");
         // A racing thread may have built the same spec; keep one copy.
@@ -113,12 +109,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_spec_shares_one_graph_and_one_spine() {
+    fn same_spec_shares_one_graph() {
         let store = GraphStore::with_capacity(4);
         let a = store.get(&GraphSpec::Cycle { n: 12 });
         let b = store.get(&GraphSpec::Cycle { n: 12 });
         assert!(Arc::ptr_eq(&a, &b), "store must share materializations");
-        assert!(Arc::ptr_eq(&a.csr, &b.csr));
         assert_eq!(store.stats(), (1, 1));
         assert_eq!(a.words, csmpc_mpc::graph_words(&a.graph));
     }
@@ -134,15 +129,5 @@ mod tests {
         let a2 = store.get(&GraphSpec::Cycle { n: 8 });
         assert!(!Arc::ptr_eq(&a, &a2));
         assert_eq!(a.graph.n(), a2.graph.n());
-    }
-
-    #[test]
-    fn csr_spine_is_shared_across_identical_topologies() {
-        let store = GraphStore::with_capacity(8);
-        // Same topology through different spec paths: the store entries
-        // differ, but the topology-keyed CSR cache unifies the spine.
-        let cyc = store.get(&GraphSpec::Cycle { n: 10 });
-        let direct = csr_global().get(&cyc.graph);
-        assert!(Arc::ptr_eq(&cyc.csr, &direct));
     }
 }

@@ -27,12 +27,13 @@
 //! * **Tenant fairness**: dispatch rotates across tenants at equal
 //!   priority, so one tenant's burst cannot starve another.
 //!
-//! Jobs on the same graph share one CSR spine through the process-wide
-//! [`csmpc_mpc::ball_cache::csr_global`] cache (the content-keyed
-//! [`csmpc_mpc::BallCache`] family), and per-job seeded determinism
-//! survives concurrent scheduling: an attempt's result is a pure
-//! function of `(spec, attempt, shed)` — wall-clock observability never
-//! feeds back into outputs, so the same batch produces bit-identical
+//! Jobs on the same graph spec share one built graph through the
+//! [`GraphStore`], and ball collection shares one CSR spine per topology
+//! through the process-wide [`csmpc_mpc::ball_cache::csr_global`] cache
+//! (the content-keyed [`csmpc_mpc::BallCache`] family). Per-job seeded
+//! determinism survives concurrent scheduling: an attempt's result is a
+//! pure function of `(spec, attempt, shed)` — wall-clock observability
+//! never feeds back into outputs, so the same batch produces bit-identical
 //! per-job digests regardless of worker interleaving.
 //!
 //! **Durability**: the service process itself is no longer a single

@@ -8,7 +8,7 @@
 //! interleave. The design makes that structural rather than lucky:
 //!
 //! * An attempt's result is a **pure function** of
-//!   `(spec, attempt, shed)` — [`execute_attempt`] touches no mutable
+//!   `(spec, attempt, shed)` — `execute_attempt` touches no mutable
 //!   shared state (the graph store and CSR cache hand out immutable
 //!   `Arc`s whose contents are content-keyed).
 //! * Admission and shedding are decided **at submission time, in

@@ -1,20 +1,22 @@
 //! Workspace-level model-conformance gate.
 //!
-//! The static analyzer (`csmpc-conformance`) runs over the entire
-//! workspace from this integration test, so `cargo test` fails the moment
+//! The whole static analyzer (`csmpc-conformance`) runs over the workspace
+//! from this integration test: the token lints, the interprocedural passes
+//! and `csmpc-allow` suppression hygiene. `cargo test` fails the moment
 //! anyone introduces a nondeterminism source, an unaccounted primitive, an
-//! uncharged recovery path, or a stability-discipline breach. The same
-//! scan is available as a binary
-//! (`cargo run -p csmpc-conformance --bin conformance`).
+//! uncharged recovery path or charge flow, a stability-discipline breach,
+//! a racy parallel closure, or a stale suppression. The same scan is
+//! available as a binary (`cargo run -p csmpc-conformance --bin
+//! conformance`).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use csmpc_conformance::{check_source, check_workspace, Lint};
+use csmpc_conformance::{analyze_sources, analyze_workspace, check_source, Lint};
 
 #[test]
 fn workspace_has_zero_conformance_violations() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = check_workspace(root).expect("workspace scan");
+    let report = analyze_workspace(root).expect("workspace scan");
     assert!(
         report.files_scanned >= 40,
         "suspiciously few files scanned: {}",
@@ -85,6 +87,27 @@ fn racy(items: &[u64], total: &AtomicU64) {
         check_source(Path::new("x.rs"), unordered, &[Lint::Determinism]).len(),
         1
     );
+
+    // The interprocedural layer: the entry point charges, but the helper
+    // it delegates the wire work to does not.
+    let delegated = "\
+pub fn shuffle(cluster: &mut Cluster) {
+    cluster.charge_rounds(1);
+    raw_shuffle(cluster);
+}
+fn raw_shuffle(cluster: &mut Cluster) {
+    cluster.inboxes.swap(0, 1);
+}
+";
+    let report = analyze_sources(&[(PathBuf::from("crates/mpc/src/x.rs"), delegated.to_string())]);
+    let flow: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.lint == Lint::ChargeFlow)
+        .collect();
+    assert_eq!(flow.len(), 1, "{}", report.to_json());
+    assert_eq!(flow[0].line, 5);
+    assert_eq!(flow[0].witness, vec!["shuffle", "raw_shuffle"]);
 }
 
 #[test]
