@@ -59,11 +59,14 @@ fn lines(fm: &FileModel, first: usize, last: usize) -> Range<usize> {
     fm.toks.partition_point(|t| t.line < first)..fm.toks.partition_point(|t| t.line <= last)
 }
 
-/// Production-code tokens of source lines `first..=last`, with their index.
-fn live(fm: &FileModel, first: usize, last: usize) -> impl Iterator<Item = (usize, &Tok)> {
-    lines(fm, first, last)
-        .filter(|&k| !fm.test_mask[k])
-        .map(|k| (k, &fm.toks[k]))
+/// Indices of the production-code (not `#[cfg(test)]`) tokens on `line`.
+fn live(fm: &FileModel, line: usize) -> impl Iterator<Item = usize> + '_ {
+    lines(fm, line, line).filter(|&k| !fm.test_mask[k])
+}
+
+/// `true` when `t` is one of the identifiers `names`.
+fn ident_in(t: &Tok, names: &[&str]) -> bool {
+    t.kind == TokKind::Ident && names.contains(&t.text.as_str())
 }
 
 /// `true` when token `k` is a call `name(`, behind a `.` when `method`.
@@ -196,7 +199,7 @@ fn uncharged_fns(
         resume = last + 1;
         let charged = fm.toks[lines(fm, first, last)]
             .iter()
-            .any(|t| t.kind == TokKind::Ident && CHARGE_TOKENS.contains(&t.text.as_str()));
+            .any(|t| ident_in(t, CHARGE_TOKENS));
         if !charged {
             out.push(finding(fm, lint, f.line, report(&f.name)));
         }
@@ -271,11 +274,11 @@ const GLOBAL_MIX_CALLS: &[(&str, &str)] = &[
 
 /// `true` when the impl's `component_stable()` body mentions `true`.
 fn declares_stable(fm: &FileModel, body: (usize, usize)) -> bool {
+    let inside = |(open, _): (usize, usize)| body.0 < open && open < body.1;
     fm.fns
         .iter()
-        .filter_map(|f| Some((f, f.body?)))
-        .find(|(f, (open, _))| f.name == "component_stable" && body.0 < *open && *open < body.1)
-        .and_then(|(f, _)| body_lines(fm, f))
+        .find(|f| f.name == "component_stable" && f.body.is_some_and(inside))
+        .and_then(|f| body_lines(fm, f))
         .is_some_and(|(first, last)| {
             fm.toks[lines(fm, first, last)]
                 .iter()
@@ -296,7 +299,7 @@ fn stability_discipline(fm: &FileModel, out: &mut Vec<Diagnostic>) {
                 let (name, method) = call
                     .strip_prefix('.')
                     .map_or((call, false), |name| (name, true));
-                if live(fm, line, line).any(|(k, _)| is_call(&fm.toks, k, name, method)) {
+                if live(fm, line).any(|k| is_call(&fm.toks, k, name, method)) {
                     out.push(finding(
                         fm,
                         Lint::StabilityDiscipline,
@@ -307,7 +310,7 @@ fn stability_discipline(fm: &FileModel, out: &mut Vec<Diagnostic>) {
             }
             // `.name(` on any receiver but `self`: stable outputs may depend
             // on IDs, never names.
-            let name_read = live(fm, line, line).any(|(k, _)| {
+            let name_read = live(fm, line).any(|k| {
                 is_call(&fm.toks, k, "name", true) && !(k > 1 && fm.toks[k - 2].is_ident("self"))
             });
             if name_read {
@@ -365,7 +368,7 @@ fn hot_allocations(fm: &FileModel, out: &mut Vec<Diagnostic>) {
         for line in first..=last {
             let Some(token) = HOT_ALLOC_TOKENS
                 .iter()
-                .find(|&&token| live(fm, line, line).any(|(_, t)| t.is_ident(token)))
+                .find(|&&token| live(fm, line).any(|k| fm.toks[k].is_ident(token)))
             else {
                 continue;
             };
@@ -395,8 +398,7 @@ fn par_chains(fm: &FileModel, out: &mut Vec<Diagnostic>) {
     };
     let mut resume = 0;
     for (k, t) in toks.iter().enumerate() {
-        let par = t.kind == TokKind::Ident && PAR_TOKENS.contains(&t.text.as_str());
-        if !par || fm.test_mask[k] || t.line < resume {
+        if !ident_in(t, PAR_TOKENS) || fm.test_mask[k] || t.line < resume {
             continue;
         }
         // The chain: from the parallel-iterator call to the end of the
