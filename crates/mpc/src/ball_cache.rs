@@ -110,7 +110,7 @@ impl BallCache {
         if let Some(found) = self.lookup(fp, &key) {
             return found;
         }
-        let csr = csr_global().get(g);
+        let csr = CsrAdjacency::from_graph(g);
         let balls: Vec<(Graph, usize)> = par_map_range(mode, g.n(), |v| {
             // csmpc-allow(par-closure-race): the workspace is thread_local! — each worker mutates only its own RefCell, never shared state
             with_thread_workspace(|ws| {
@@ -183,130 +183,6 @@ impl BallCache {
 pub fn global() -> &'static BallCache {
     static GLOBAL: OnceLock<BallCache> = OnceLock::new();
     GLOBAL.get_or_init(|| BallCache::with_capacity(8))
-}
-
-/// Topology-only content key for CSR sharing: `[n, m, per-node
-/// degree+targets…]`. IDs, names, and radius are deliberately excluded —
-/// a CSR spine is pure index-space adjacency, so two graphs that differ
-/// only in identity share one spine.
-fn csr_key(g: &Graph) -> Vec<u64> {
-    let mut key = Vec::with_capacity(2 + g.n() + 2 * g.m());
-    key.push(g.n() as u64);
-    key.push(g.m() as u64);
-    for v in 0..g.n() {
-        let nbrs = g.neighbors(v);
-        key.push(nbrs.len() as u64);
-        for &w in nbrs {
-            key.push(u64::from(w));
-        }
-    }
-    key
-}
-
-struct CsrEntry {
-    fingerprint: u64,
-    key: Vec<u64>,
-    csr: Arc<CsrAdjacency>,
-}
-
-/// A bounded LRU cache of shared CSR adjacency spines, keyed by exact
-/// graph topology — the process-wide extension of the content-keyed
-/// cache family that lets N concurrent jobs on the same graph pay for
-/// one adjacency spine instead of N.
-///
-/// Same correctness posture as [`BallCache`]: the key is the *entire*
-/// topology (fingerprint fast-reject, then word-for-word compare), so a
-/// stale spine can never be served; entries are immutable behind an
-/// [`Arc`], so concurrent readers share bits without coordination. The
-/// CSR is a host-side representation detail, not a model observable —
-/// sharing it changes no [`crate::Stats`] charge anywhere.
-pub struct CsrCache {
-    entries: Mutex<Vec<CsrEntry>>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for CsrCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self.entries.lock().map(|e| e.len()).unwrap_or(0);
-        f.debug_struct("CsrCache")
-            .field("capacity", &self.capacity)
-            .field("entries", &len)
-            .finish()
-    }
-}
-
-impl CsrCache {
-    /// An empty cache holding at most `capacity` spines.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        CsrCache {
-            entries: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Returns the shared CSR spine of `g`, building and inserting it on
-    /// a miss. Hits move to the front (most recently used).
-    #[must_use]
-    pub fn get(&self, g: &Graph) -> Arc<CsrAdjacency> {
-        let key = csr_key(g);
-        let fp = fingerprint(&key);
-        {
-            let mut entries = self.entries.lock().expect("csr cache poisoned");
-            if let Some(pos) = entries
-                .iter()
-                .position(|e| e.fingerprint == fp && e.key == key)
-            {
-                let entry = entries.remove(pos);
-                let csr = Arc::clone(&entry.csr);
-                entries.insert(0, entry);
-                return csr;
-            }
-        }
-        let csr = Arc::new(CsrAdjacency::from_graph(g));
-        let mut entries = self.entries.lock().expect("csr cache poisoned");
-        // A racing thread may have inserted the same topology; keep one.
-        if let Some(pos) = entries
-            .iter()
-            .position(|e| e.fingerprint == fp && e.key == key)
-        {
-            return Arc::clone(&entries[pos].csr);
-        }
-        entries.insert(
-            0,
-            CsrEntry {
-                fingerprint: fp,
-                key,
-                csr: Arc::clone(&csr),
-            },
-        );
-        entries.truncate(self.capacity);
-        csr
-    }
-
-    /// Number of cached spines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("csr cache poisoned").len()
-    }
-
-    /// `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The process-wide CSR spine cache shared by the job-service layer and
-/// [`BallCache::collect`]: a fleet of jobs on the same input graph pays
-/// for one adjacency spine.
-pub fn csr_global() -> &'static CsrCache {
-    static GLOBAL: OnceLock<CsrCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| CsrCache::with_capacity(16))
 }
 
 #[cfg(test)]

@@ -1,14 +1,11 @@
-//! The content-keyed caches under concurrent scheduling: hits from one
-//! job must never perturb another job's charges or output, results stay
+//! The ball cache under concurrent scheduling: hits from one job must
+//! never perturb another job's charges or output, results stay
 //! bit-identical from 2 to 8 scheduler threads, and the LRU bound holds
-//! under contention. Covers both the ball-set cache ([`BallCache`]) and
-//! its CSR-spine extension ([`ball_cache::csr_global`]'s `CsrCache`).
+//! under contention.
 
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{generators, Graph};
-use csmpc_mpc::ball_cache::{self, BallCache, CsrCache};
-use csmpc_mpc::{Cluster, DistributedGraph, MpcConfig, ParallelismMode, Stats};
-use std::sync::Arc;
+use csmpc_mpc::{BallCache, Cluster, DistributedGraph, MpcConfig, ParallelismMode, Stats};
 
 fn roomy_cluster(g: &Graph, seed: Seed) -> Cluster {
     let cfg = MpcConfig {
@@ -110,60 +107,4 @@ fn lru_eviction_under_contention_keeps_the_bound_and_the_bits() {
         }
     });
     assert!(cache.len() <= 2 && !cache.is_empty());
-}
-
-#[test]
-fn csr_cache_shares_one_spine_per_topology_across_threads() {
-    let cache = CsrCache::with_capacity(8);
-    let g = generators::cycle(40);
-    let spines: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = &cache;
-                let g = &g;
-                scope.spawn(move || cache.get(g))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // Exactly one spine survives the insert race; all callers share it.
-    assert_eq!(cache.len(), 1);
-    for s in &spines[1..] {
-        assert!(Arc::ptr_eq(&spines[0], s), "spine not shared");
-    }
-    assert_eq!(spines[0].n(), 40);
-}
-
-#[test]
-fn csr_cache_keys_on_topology_not_identity() {
-    // Same adjacency under relabeled IDs/names: one spine serves both,
-    // because the CSR is pure index-space structure.
-    let cache = CsrCache::with_capacity(4);
-    let a = generators::cycle(16);
-    let b = generators::shuffle_identity(&a, 1000, 5000, Seed(3));
-    let sa = cache.get(&a);
-    let sb = cache.get(&b);
-    assert!(Arc::ptr_eq(&sa, &sb));
-    assert_eq!(cache.len(), 1);
-    // A genuinely different topology gets its own spine.
-    let c = cache.get(&generators::path(16));
-    assert!(!Arc::ptr_eq(&sa, &c));
-    assert_eq!(cache.len(), 2);
-}
-
-#[test]
-fn global_csr_cache_backs_ball_collection() {
-    // BallCache::collect routes its CSR through the process-wide
-    // csr_global cache, so a later direct lookup is the same spine.
-    let g = generators::cycle(26);
-    let local = BallCache::with_capacity(2);
-    let _ = local.collect(&g, 1, ParallelismMode::Sequential);
-    let before = ball_cache::csr_global().len();
-    let spine = ball_cache::csr_global().get(&g);
-    assert_eq!(
-        ball_cache::csr_global().len(),
-        before,
-        "collect should have primed the spine"
-    );
-    assert_eq!(spine.n(), 26);
 }

@@ -4,10 +4,7 @@
 //! The store is the service-side face of the content-keyed cache family
 //! from `csmpc-mpc`: specs are compared exactly (they are pure data), and
 //! a hit hands back the same [`Arc`]'d immutable [`SharedGraph`] every
-//! caller sees. The store holds no adjacency spine of its own: ball
-//! collection fetches one from the process-wide
-//! [`csmpc_mpc::ball_cache::csr_global`] cache when it first needs it, so
-//! a fleet of jobs on the same topology still pays for one spine total.
+//! caller sees.
 
 use crate::job::GraphSpec;
 use csmpc_graph::Graph;

@@ -56,8 +56,8 @@ impl Priority {
 }
 
 /// A deterministic graph recipe. Specs are *content*, not graph handles:
-/// two jobs with equal specs share one built graph (and one CSR spine)
-/// through the [`crate::GraphStore`].
+/// two jobs with equal specs share one built graph through the
+/// [`crate::GraphStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphSpec {
     /// `generators::cycle(n)`.

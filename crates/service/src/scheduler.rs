@@ -9,7 +9,7 @@
 //!
 //! * An attempt's result is a **pure function** of
 //!   `(spec, attempt, shed)` — `execute_attempt` touches no mutable
-//!   shared state (the graph store and CSR cache hand out immutable
+//!   shared state (the graph store and the ball cache hand out immutable
 //!   `Arc`s whose contents are content-keyed).
 //! * Admission and shedding are decided **at submission time, in
 //!   submission order**, from booked reservations only.
