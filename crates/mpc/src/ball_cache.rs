@@ -17,24 +17,34 @@
 //! reused (the model's observables measure the simulated algorithm, which
 //! always "performs" the collection).
 //!
-//! The cache is process-global, bounded (LRU), and shared across threads;
-//! entries are immutable once inserted, so a hit in parallel mode returns
-//! the same bits a sequential run computes ([`BallWorkspace`] output is
-//! mode-independent by construction).
+//! The cache is process-global, bounded (a shared [`Lru`]), and shared
+//! across threads; entries are immutable once inserted, so a hit in
+//! parallel mode returns the same bits a sequential run computes
+//! ([`BallWorkspace`] output is mode-independent by construction).
 //!
 //! [`BallWorkspace`]: csmpc_graph::ball::BallWorkspace
 
+use crate::lru::Lru;
 use csmpc_graph::ball::with_thread_workspace;
 use csmpc_graph::fnv::fnv1a_words;
 use csmpc_graph::{CsrAdjacency, Graph};
 use csmpc_parallel::{par_map_range, ParallelismMode};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// One collected ball set: `(ball graph, center index)` per vertex.
 pub type BallSet = Arc<Vec<(Graph, usize)>>;
 
+/// The content key behind its FNV-1a fingerprint. The fingerprint is
+/// the first field, so the derived equality rejects on it before
+/// comparing the key word for word.
+#[derive(PartialEq)]
+struct BallKey {
+    fingerprint: u64,
+    key: Vec<u64>,
+}
+
 /// Exact content key: `[n, m, r, ids…, names…, per-node degree+targets…]`.
-fn content_key(g: &Graph, r: usize) -> Vec<u64> {
+fn content_key(g: &Graph, r: usize) -> BallKey {
     let mut key = Vec::with_capacity(3 + 3 * g.n() + 2 * g.m());
     key.push(g.n() as u64);
     key.push(g.m() as u64);
@@ -50,50 +60,24 @@ fn content_key(g: &Graph, r: usize) -> Vec<u64> {
             key.push(u64::from(w));
         }
     }
-    key
-}
-
-/// FNV-1a over the key words — the fast-reject fingerprint.
-fn fingerprint(key: &[u64]) -> u64 {
-    fnv1a_words(key.iter().copied())
-}
-
-struct Entry {
-    fingerprint: u64,
-    key: Vec<u64>,
-    balls: BallSet,
-    /// `max(graph_words(ball))` over the set — cached so hits charge the
-    /// identical space figure without rescanning.
-    worst_words: usize,
+    BallKey {
+        fingerprint: fnv1a_words(key.iter().copied()),
+        key,
+    }
 }
 
 /// A bounded LRU cache of collected ball sets.
 ///
 /// Most callers want the process-wide [`global`] instance; tests build
 /// their own to observe hit/miss behavior in isolation.
-pub struct BallCache {
-    entries: Mutex<Vec<Entry>>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for BallCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self.entries.lock().map(|e| e.len()).unwrap_or(0);
-        f.debug_struct("BallCache")
-            .field("capacity", &self.capacity)
-            .field("entries", &len)
-            .finish()
-    }
-}
+#[derive(Debug)]
+pub struct BallCache(Lru<BallKey, Vec<(Graph, usize)>>);
 
 impl BallCache {
     /// An empty cache holding at most `capacity` ball sets.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        BallCache {
-            entries: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
-        }
+    pub const fn with_capacity(capacity: usize) -> Self {
+        BallCache(Lru::with_capacity(capacity))
     }
 
     /// Returns the `r`-radius ball set of `g` (plus the worst-case
@@ -105,17 +89,14 @@ impl BallCache {
     /// results are mode-agnostic.
     #[must_use]
     pub fn collect(&self, g: &Graph, r: usize, mode: ParallelismMode) -> (BallSet, usize) {
-        let key = content_key(g, r);
-        let fp = fingerprint(&key);
-        if let Some(found) = self.lookup(fp, &key) {
-            return found;
-        }
-        let csr = CsrAdjacency::from_graph(g);
-        let balls: Vec<(Graph, usize)> = par_map_range(mode, g.n(), |v| {
-            // csmpc-allow(par-closure-race): the workspace is thread_local! — each worker mutates only its own RefCell, never shared state
-            with_thread_workspace(|ws| {
-                let (b, c, _) = ws.ball_csr(g, &csr, v, r);
-                (b, c)
+        let balls = self.0.get_or_insert_with(content_key(g, r), || {
+            let csr = CsrAdjacency::from_graph(g);
+            par_map_range(mode, g.n(), |v| {
+                // csmpc-allow(par-closure-race): the workspace is thread_local! — each worker mutates only its own RefCell, never shared state
+                with_thread_workspace(|ws| {
+                    let (b, c, _) = ws.ball_csr(g, &csr, v, r);
+                    (b, c)
+                })
             })
         });
         let worst = balls
@@ -123,40 +104,7 @@ impl BallCache {
             .map(|(b, _)| crate::distributed::graph_words(b))
             .max()
             .unwrap_or(0);
-        let set: BallSet = Arc::new(balls);
-        self.insert(fp, key, Arc::clone(&set), worst);
-        (set, worst)
-    }
-
-    /// Exact-match lookup: fingerprint fast-reject, then full key compare.
-    /// A hit is moved to the front (most recently used).
-    fn lookup(&self, fp: u64, key: &[u64]) -> Option<(BallSet, usize)> {
-        let mut entries = self.entries.lock().expect("ball cache poisoned");
-        let pos = entries
-            .iter()
-            .position(|e| e.fingerprint == fp && e.key == key)?;
-        let entry = entries.remove(pos);
-        let found = (Arc::clone(&entry.balls), entry.worst_words);
-        entries.insert(0, entry);
-        Some(found)
-    }
-
-    fn insert(&self, fp: u64, key: Vec<u64>, balls: BallSet, worst_words: usize) {
-        let mut entries = self.entries.lock().expect("ball cache poisoned");
-        // A racing thread may have inserted the same key; keep one copy.
-        if entries.iter().any(|e| e.fingerprint == fp && e.key == key) {
-            return;
-        }
-        entries.insert(
-            0,
-            Entry {
-                fingerprint: fp,
-                key,
-                balls,
-                worst_words,
-            },
-        );
-        entries.truncate(self.capacity);
+        (balls, worst)
     }
 
     /// Number of cached ball sets.
@@ -166,13 +114,13 @@ impl BallCache {
     /// Panics if the cache mutex was poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("ball cache poisoned").len()
+        self.0.len()
     }
 
     /// `true` when nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 }
 
@@ -181,8 +129,8 @@ impl BallCache {
 /// set of a repetition loop (a handful of distinct `(graph, radius)`
 /// pairs) without accumulating unbounded ball sets.
 pub fn global() -> &'static BallCache {
-    static GLOBAL: OnceLock<BallCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| BallCache::with_capacity(8))
+    static GLOBAL: BallCache = BallCache::with_capacity(8);
+    &GLOBAL
 }
 
 #[cfg(test)]
@@ -235,22 +183,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(b[8].0.id(b[8].1).0, g.id(8).0 + 500);
         assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn lru_evicts_beyond_capacity() {
-        let cache = BallCache::with_capacity(2);
-        let g1 = generators::path(5);
-        let g2 = generators::cycle(5);
-        let g3 = generators::star(4);
-        let (first, _) = cache.collect(&g1, 1, ParallelismMode::Sequential);
-        let _ = cache.collect(&g2, 1, ParallelismMode::Sequential);
-        let _ = cache.collect(&g3, 1, ParallelismMode::Sequential);
-        assert_eq!(cache.len(), 2);
-        // g1 was least recently used and must have been evicted: a fresh
-        // collect recomputes (a different allocation).
-        let (again, _) = cache.collect(&g1, 1, ParallelismMode::Sequential);
-        assert!(!Arc::ptr_eq(&first, &again));
     }
 
     #[test]

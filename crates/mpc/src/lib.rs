@@ -50,6 +50,7 @@ pub mod cluster;
 pub mod config;
 pub mod distributed;
 pub mod faults;
+pub mod lru;
 pub mod phase;
 pub mod primitives;
 pub mod provenance;

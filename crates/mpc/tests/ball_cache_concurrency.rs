@@ -1,7 +1,8 @@
 //! The ball cache under concurrent scheduling: hits from one job must
 //! never perturb another job's charges or output, results stay
 //! bit-identical from 2 to 8 scheduler threads, and the LRU bound holds
-//! under contention.
+//! under contention. The shared [`csmpc_mpc::lru::Lru`] behind [`BallCache`]
+//! is unit-tested in its own module.
 
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{generators, Graph};

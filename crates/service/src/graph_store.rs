@@ -1,15 +1,15 @@
 //! Shared graph materialization: one built graph per distinct
 //! [`GraphSpec`], no matter how many jobs reference it.
 //!
-//! The store is the service-side face of the content-keyed cache family
-//! from `csmpc-mpc`: specs are compared exactly (they are pure data), and
-//! a hit hands back the same [`Arc`]'d immutable [`SharedGraph`] every
-//! caller sees.
+//! The store runs on the same bounded [`Lru`] as
+//! [`csmpc_mpc::BallCache`]: specs are compared exactly (they are pure
+//! data), and a hit hands back the same [`Arc`]'d immutable
+//! [`SharedGraph`] every caller sees.
 
 use crate::job::GraphSpec;
 use csmpc_graph::Graph;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use csmpc_mpc::lru::Lru;
+use std::sync::Arc;
 
 /// One materialized graph, shared read-only between concurrent jobs.
 #[derive(Debug)]
@@ -22,83 +22,37 @@ pub struct SharedGraph {
 
 /// A bounded LRU store of [`SharedGraph`]s keyed by exact [`GraphSpec`].
 #[derive(Debug)]
-pub struct GraphStore {
-    entries: Mutex<Vec<(GraphSpec, Arc<SharedGraph>)>>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub struct GraphStore(Lru<GraphSpec, SharedGraph>);
 
 impl GraphStore {
     /// An empty store holding at most `capacity` graphs.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        GraphStore {
-            entries: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+    pub const fn with_capacity(capacity: usize) -> Self {
+        GraphStore(Lru::with_capacity(capacity))
     }
 
     /// Returns the shared materialization of `spec`, building it on a
     /// miss. Hits move to the front (most recently used).
     #[must_use]
     pub fn get(&self, spec: &GraphSpec) -> Arc<SharedGraph> {
-        {
-            let mut entries = self.entries.lock().expect("graph store poisoned");
-            if let Some(pos) = entries.iter().position(|(k, _)| k == spec) {
-                let entry = entries.remove(pos);
-                let shared = Arc::clone(&entry.1);
-                entries.insert(0, entry);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return shared;
-            }
-        }
-        let graph = spec.build();
-        let words = csmpc_mpc::graph_words(&graph);
-        let shared = Arc::new(SharedGraph { graph, words });
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("graph store poisoned");
-        // A racing thread may have built the same spec; keep one copy.
-        if let Some(pos) = entries.iter().position(|(k, _)| k == spec) {
-            return Arc::clone(&entries[pos].1);
-        }
-        entries.insert(0, (*spec, Arc::clone(&shared)));
-        entries.truncate(self.capacity);
-        shared
+        self.0.get_or_insert_with(*spec, || {
+            let graph = spec.build();
+            let words = csmpc_mpc::graph_words(&graph);
+            SharedGraph { graph, words }
+        })
     }
 
     /// `(hits, misses)` so far.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of stored graphs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store mutex was poisoned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("graph store poisoned").len()
-    }
-
-    /// `true` when nothing is stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.stats()
     }
 }
 
 /// The process-wide store used by the scheduler.
 pub fn global() -> &'static GraphStore {
-    static GLOBAL: OnceLock<GraphStore> = OnceLock::new();
-    GLOBAL.get_or_init(|| GraphStore::with_capacity(32))
+    static GLOBAL: GraphStore = GraphStore::with_capacity(32);
+    &GLOBAL
 }
 
 #[cfg(test)]
@@ -116,15 +70,13 @@ mod tests {
     }
 
     #[test]
-    fn distinct_specs_do_not_collide_and_lru_evicts() {
-        let store = GraphStore::with_capacity(2);
-        let a = store.get(&GraphSpec::Cycle { n: 8 });
-        let _b = store.get(&GraphSpec::Path { n: 8 });
-        let _c = store.get(&GraphSpec::TwoCycles { n: 8 });
-        assert_eq!(store.len(), 2, "capacity bound holds");
-        // `a` was least recently used — evicted; refetch rebuilds.
-        let a2 = store.get(&GraphSpec::Cycle { n: 8 });
-        assert!(!Arc::ptr_eq(&a, &a2));
-        assert_eq!(a.graph.n(), a2.graph.n());
+    fn distinct_specs_do_not_collide() {
+        let store = GraphStore::with_capacity(4);
+        let cycle = store.get(&GraphSpec::Cycle { n: 8 });
+        let path = store.get(&GraphSpec::Path { n: 8 });
+        let two = store.get(&GraphSpec::TwoCycles { n: 8 });
+        assert!(!Arc::ptr_eq(&cycle, &path) && !Arc::ptr_eq(&path, &two));
+        assert_eq!((cycle.graph.m(), path.graph.m()), (8, 7));
+        assert_eq!(store.stats(), (0, 3));
     }
 }

@@ -28,8 +28,8 @@
 //!   priority, so one tenant's burst cannot starve another.
 //!
 //! Jobs on the same graph spec share one built graph through the
-//! [`GraphStore`], and ball collection is memoized by the content-keyed
-//! [`csmpc_mpc::BallCache`]. Per-job seeded
+//! [`GraphStore`], which runs on the same bounded [`csmpc_mpc::lru::Lru`] as
+//! the content-keyed [`csmpc_mpc::BallCache`]. Per-job seeded
 //! determinism survives concurrent scheduling: an attempt's result is a
 //! pure function of `(spec, attempt, shed)` — wall-clock observability
 //! never feeds back into outputs, so the same batch produces bit-identical
