@@ -15,12 +15,13 @@
 //! reusable [`BallWorkspace`]: a `u64`-word visited bitset plus flat
 //! `dist`/`queue` arrays and a bounded BFS that touches only the ball
 //! itself (not all of `G`), with no per-call `BTreeMap` and no
-//! [`GraphBuilder`] revalidation.
+//! [`GraphBuilder`] revalidation. It reads the graph's CSR spine and
+//! emits the ball's spine directly.
 //! The convenience free functions [`ball`] and [`radius_identical`] borrow
-//! a thread-local workspace; sweeps that want explicit control (e.g. to
-//! pair the workspace with a [`CsrAdjacency`]) use
-//! [`with_thread_workspace`]. The pre-workspace implementation survives in
-//! [`mod@reference`] as the differential-testing oracle.
+//! a thread-local workspace; whole-graph sweeps use
+//! [`with_thread_workspace`]. The pre-workspace implementation (full BFS
+//! plus an induced-subgraph rebuild) survives in `tests/ball_workspace.rs`
+//! as the differential-testing oracle.
 //!
 //! [`GraphBuilder`]: crate::GraphBuilder
 
@@ -154,36 +155,6 @@ impl BallWorkspace {
     // #[csmpc_hot]
     #[must_use]
     pub fn ball(&mut self, g: &Graph, v: usize, r: usize) -> (Graph, usize, Vec<usize>) {
-        self.ball_inner(g, None, v, r)
-    }
-
-    /// [`BallWorkspace::ball`] reading adjacency from a packed CSR view —
-    /// the fastest path for whole-graph sweeps that already built one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= g.n()` or `csr.n() != g.n()`.
-    // #[csmpc_hot]
-    #[must_use]
-    pub fn ball_csr(
-        &mut self,
-        g: &Graph,
-        csr: &CsrAdjacency,
-        v: usize,
-        r: usize,
-    ) -> (Graph, usize, Vec<usize>) {
-        assert_eq!(csr.n(), g.n(), "CSR view does not match the graph");
-        self.ball_inner(g, Some(csr), v, r)
-    }
-
-    // #[csmpc_hot]
-    fn ball_inner(
-        &mut self,
-        g: &Graph,
-        csr: Option<&CsrAdjacency>,
-        v: usize,
-        r: usize,
-    ) -> (Graph, usize, Vec<usize>) {
         assert!(v < g.n(), "node index {v} out of range");
         self.begin(g.n());
         // Distances are < n ≤ u32::MAX (adjacency is u32-indexed), so a
@@ -203,11 +174,7 @@ impl BallWorkspace {
             if du == r32 {
                 continue;
             }
-            let nbrs = match csr {
-                Some(c) => c.neighbors(u),
-                None => g.neighbors(u),
-            };
-            for &w in nbrs {
+            for &w in g.neighbors(u) {
                 let wi = w as usize;
                 if self.visited[wi >> 6] & (1 << (wi & 63)) == 0 {
                     self.visited[wi >> 6] |= 1 << (wi & 63);
@@ -217,8 +184,8 @@ impl BallWorkspace {
                 }
             }
         }
-        // Ascending original order, matching `(0..n).filter(...)` of the
-        // reference implementation bit-for-bit.
+        // Ascending original order, matching the induced-subgraph
+        // numbering of the reference extraction bit-for-bit.
         self.nodes.sort_unstable();
         let k = self.nodes.len();
         for (i, &u) in self.nodes.iter().enumerate() {
@@ -226,25 +193,22 @@ impl BallWorkspace {
         }
         let mut ids: Vec<NodeId> = Vec::with_capacity(k);
         let mut names: Vec<NodeName> = Vec::with_capacity(k);
-        let mut adj: Vec<Vec<u32>> = Vec::with_capacity(k);
+        let mut offsets: Vec<u32> = Vec::with_capacity(k + 1);
+        let mut targets: Vec<u32> = Vec::new();
+        offsets.push(0);
         for &u in &self.nodes {
             let ui = u as usize;
             ids.push(g.id(ui));
             names.push(g.name(ui));
-            let nbrs = match csr {
-                Some(c) => c.neighbors(ui),
-                None => g.neighbors(ui),
-            };
-            let mut row = Vec::new();
-            for &w in nbrs {
+            for &w in g.neighbors(ui) {
                 let wi = w as usize;
                 if self.visited[wi >> 6] & (1 << (wi & 63)) != 0 {
                     // Ascending neighbors map through a monotone `new_index`,
                     // so each row stays sorted without re-sorting.
-                    row.push(self.new_index[wi]);
+                    targets.push(self.new_index[wi]);
                 }
             }
-            adj.push(row);
+            offsets.push(targets.len() as u32);
         }
         let center_pos = self.new_index[v] as usize;
         let original: Vec<usize> = self.nodes.iter().map(|&u| u as usize).collect();
@@ -254,12 +218,13 @@ impl BallWorkspace {
         for &u in &self.nodes {
             self.visited[(u as usize) >> 6] = 0;
         }
-        (Graph::from_parts(ids, names, adj), center_pos, original)
+        let csr = CsrAdjacency::from_raw(offsets, targets);
+        (Graph::from_parts(ids, names, csr), center_pos, original)
     }
 
     /// `d`-radius-identity of two centered graphs — same contract as the
     /// top-level [`radius_identical`], with flat sorted `(id, index)`
-    /// correspondences in place of the reference `BTreeMap`s.
+    /// correspondences in place of `BTreeMap`s.
     // #[csmpc_hot]
     #[must_use]
     pub fn radius_identical(
@@ -330,9 +295,9 @@ thread_local! {
 
 /// Runs `f` with this thread's shared [`BallWorkspace`].
 ///
-/// Sweeps that extract many balls (optionally via
-/// [`BallWorkspace::ball_csr`]) use this instead of constructing a fresh
-/// workspace per call; the buffers persist for the life of the thread.
+/// Sweeps that extract many balls use this instead of constructing a
+/// fresh workspace per call; the buffers persist for the life of the
+/// thread.
 ///
 /// # Panics
 ///
@@ -347,7 +312,8 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&mut BallWorkspace) -> R) -> R {
 /// and the original indices of the ball's nodes.
 ///
 /// Borrows the calling thread's [`BallWorkspace`]; output is bit-identical
-/// to [`reference::ball`].
+/// to a full BFS followed by [`crate::ops::induced`] on the nodes within
+/// distance `r`.
 ///
 /// # Panics
 ///
@@ -363,7 +329,7 @@ pub fn ball(g: &Graph, v: usize, r: usize) -> (Graph, usize, Vec<usize>) {
 /// Because IDs are component-unique, the correspondence between the two
 /// balls — if one exists — is forced: nodes must match by ID. The check is
 /// therefore exact, not an isomorphism search. Borrows the calling thread's
-/// [`BallWorkspace`]; agrees exactly with [`reference::radius_identical`].
+/// [`BallWorkspace`].
 #[must_use]
 pub fn radius_identical(g1: &Graph, c1: usize, g2: &Graph, c2: usize, d: usize) -> bool {
     with_thread_workspace(|ws| ws.radius_identical(g1, c1, g2, c2, d))
@@ -392,84 +358,6 @@ pub fn identical_ball_path_pair(d: usize, k: usize) -> (Graph, usize, Graph, usi
         }
     });
     (g, center, gp, center)
-}
-
-/// The pre-workspace implementations, kept verbatim as the differential-
-/// testing oracle: full-graph BFS plus [`crate::ops::induced`] for balls,
-/// `BTreeMap` ID maps for radius-identity. Property tests assert the
-/// workspace path agrees with these exactly on random graphs.
-pub mod reference {
-    use super::{Graph, NodeId};
-    use crate::ops::induced;
-    use std::collections::BTreeMap;
-
-    /// Oracle implementation of [`super::ball`]: full-`n` BFS, filter,
-    /// induced-subgraph rebuild through the validating builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= g.n()`.
-    #[must_use]
-    pub fn ball(g: &Graph, v: usize, r: usize) -> (Graph, usize, Vec<usize>) {
-        let dist = g.bfs_distances(v);
-        let nodes: Vec<usize> = (0..g.n()).filter(|&u| dist[u] <= r).collect();
-        let center_pos = nodes
-            .iter()
-            .position(|&u| u == v)
-            .expect("center is within its own ball");
-        let (sub, original) = induced(g, &nodes);
-        (sub, center_pos, original)
-    }
-
-    /// Oracle implementation of [`super::radius_identical`] over `BTreeMap`
-    /// ID → index maps.
-    #[must_use]
-    pub fn radius_identical(g1: &Graph, c1: usize, g2: &Graph, c2: usize, d: usize) -> bool {
-        let (b1, ctr1, _) = ball(g1, c1, d);
-        let (b2, ctr2, _) = ball(g2, c2, d);
-        if b1.id(ctr1) != b2.id(ctr2) || b1.n() != b2.n() || b1.m() != b2.m() {
-            return false;
-        }
-        // Build ID -> index maps; duplicate IDs inside a ball are impossible
-        // for legal graphs (a ball is within one component).
-        let map1: BTreeMap<NodeId, usize> = (0..b1.n()).map(|i| (b1.id(i), i)).collect();
-        let map2: BTreeMap<NodeId, usize> = (0..b2.n()).map(|i| (b2.id(i), i)).collect();
-        if map1.len() != b1.n() || map2.len() != b2.n() {
-            return false; // illegal input: ambiguous correspondence
-        }
-        for (id, &i1) in &map1 {
-            let Some(&i2) = map2.get(id) else {
-                return false;
-            };
-            // Compare neighbor ID sets.
-            let mut n1: Vec<NodeId> = b1
-                .neighbors(i1)
-                .iter()
-                .map(|&w| b1.id(w as usize))
-                .collect();
-            let mut n2: Vec<NodeId> = b2
-                .neighbors(i2)
-                .iter()
-                .map(|&w| b2.id(w as usize))
-                .collect();
-            n1.sort_unstable();
-            n2.sort_unstable();
-            if n1 != n2 {
-                return false;
-            }
-        }
-        // Distances from the centers must also agree: the ball of radius d
-        // could otherwise match as a graph while nodes sit at different
-        // depths.
-        let d1 = b1.bfs_distances(ctr1);
-        let d2 = b2.bfs_distances(ctr2);
-        for (id, &i1) in &map1 {
-            if d1[i1] != d2[map2[id]] {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -501,29 +389,6 @@ mod tests {
         let (b, _, _) = ball(&g, 0, 10);
         assert_eq!(b.n(), 6);
         assert_eq!(b.m(), 6);
-    }
-
-    #[test]
-    fn ball_matches_reference_on_generators() {
-        let seeds = [3u64, 17, 99];
-        for &s in &seeds {
-            let g = generators::random_tree(30, crate::rng::Seed(s));
-            for v in 0..g.n() {
-                for r in 0..4 {
-                    assert_eq!(ball(&g, v, r), reference::ball(&g, v, r), "v={v} r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ball_csr_matches_plain_ball() {
-        let g = generators::random_tree(25, crate::rng::Seed(8));
-        let csr = crate::CsrAdjacency::from_graph(&g);
-        let mut ws = BallWorkspace::new();
-        for v in 0..g.n() {
-            assert_eq!(ws.ball_csr(&g, &csr, v, 2), ws.ball(&g, v, 2));
-        }
     }
 
     #[test]

@@ -1,34 +1,33 @@
-//! Compressed-sparse-row adjacency: a flat, cache-friendly view of a
-//! [`Graph`]'s neighbor lists.
+//! Compressed-sparse-row adjacency: the one adjacency format of the
+//! workspace.
 //!
-//! [`Graph`] stores one `Vec<u32>` per node, which is convenient to build
-//! but scatters neighbor lists across the heap. Hot sweeps (ball
-//! collection, per-vertex LOCAL evaluation) traverse every adjacency list
-//! once per vertex per repetition; packing all targets into a single
-//! array with per-node offsets removes a pointer indirection per node and
-//! keeps consecutive lists on the same cache lines.
+//! Every [`Graph`](crate::Graph) stores its neighbor lists as a
+//! `CsrAdjacency` (see [`Graph::csr`](crate::Graph::csr)), and the
+//! million-vertex scale path streams seeded families straight into one
+//! without building a `Graph` at all. All targets sit in a single array
+//! with per-node offsets, so a sweep that visits every adjacency list
+//! once per vertex per repetition (ball collection, per-vertex LOCAL
+//! evaluation, the scale kernels) follows no per-node pointer and reads
+//! consecutive lists from the same cache lines.
 //!
-//! A `CsrAdjacency` is a *view*: it copies the neighbor structure once at
-//! construction and is immutable afterwards. Neighbor order is preserved
-//! exactly (ascending, as [`Graph::neighbors`] guarantees), so any
-//! traversal that swaps `g.neighbors(v)` for `csr.neighbors(v)` visits
-//! nodes in the identical order — bit-for-bit determinism is unaffected.
+//! Rows are ascending and immutable once built, so any two constructors
+//! that see the same edge set produce the same bytes: a traversal visits
+//! nodes in the same order whichever path built its adjacency.
 
-use crate::graph::Graph;
+use crate::graph::GraphError;
 use csmpc_parallel::{par_map_mut, ParallelismMode};
 
 /// Flat adjacency of a graph: `targets[offsets[v]..offsets[v + 1]]` are the
-/// neighbors of node `v`, in the same ascending order as
-/// [`Graph::neighbors`].
+/// neighbors of node `v`, ascending.
 ///
 /// # Examples
 ///
 /// ```
 /// use csmpc_graph::{generators, CsrAdjacency};
-/// let g = generators::cycle(5);
-/// let csr = CsrAdjacency::from_graph(&g);
-/// assert_eq!(csr.n(), 5);
-/// assert_eq!(csr.neighbors(0), g.neighbors(0));
+/// let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
+/// let csr = CsrAdjacency::from_edges(5, edges.iter().copied());
+/// assert_eq!(&csr, generators::cycle(5).csr());
+/// assert_eq!(csr.neighbors(0), [1, 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrAdjacency {
@@ -39,37 +38,61 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Packs `g`'s adjacency lists into CSR form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more than `u32::MAX` directed edges (far
-    /// beyond any instance the substrate can hold in memory).
-    #[must_use]
-    pub fn from_graph(g: &Graph) -> Self {
-        let n = g.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total: usize = 0;
-        offsets.push(0);
-        for v in 0..n {
-            total += g.neighbors(v).len();
-            offsets.push(u32::try_from(total).expect("edge count fits u32"));
-        }
-        let mut targets = Vec::with_capacity(total);
-        for v in 0..n {
-            targets.extend_from_slice(g.neighbors(v));
-        }
+    /// Wraps prebuilt arrays: `offsets` holds `n + 1` prefix offsets
+    /// starting at 0, and every row of `targets` is already ascending.
+    pub(crate) fn from_raw(offsets: Vec<u32>, targets: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
         CsrAdjacency { offsets, targets }
+    }
+
+    /// The validating path behind [`crate::GraphBuilder::build`]: checks
+    /// every endpoint and self-loop in edge order, scatters both
+    /// endpoints, then sorts each row and rejects the first repeated
+    /// neighbor in node order. Sequential: it runs once per built graph,
+    /// and most graphs are too small to repay a parallel row sort.
+    pub(crate) fn from_builder_edges(
+        n: usize,
+        edges: &[(usize, usize)],
+    ) -> Result<Self, GraphError> {
+        let mut counts = vec![0u32; n + 1];
+        for &(u, v) in edges {
+            for w in [u, v] {
+                if w >= n {
+                    return Err(GraphError::UnknownNode { index: w, n });
+                }
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop { index: u });
+            }
+            counts[u] += 1;
+            counts[v] += 1;
+        }
+        let mut csr = Self::scatter(counts, edges.iter().map(|&(u, v)| (u as u32, v as u32)));
+        for u in 0..n {
+            let (lo, hi) = (csr.offsets[u] as usize, csr.offsets[u + 1] as usize);
+            let row = &mut csr.targets[lo..hi];
+            row.sort_unstable();
+            if let Some(w) = row.windows(2).find(|w| w[0] == w[1]) {
+                return Err(GraphError::DuplicateEdge {
+                    u,
+                    v: w[0] as usize,
+                });
+            }
+        }
+        Ok(csr)
     }
 
     /// Builds the CSR adjacency directly from an undirected edge stream —
     /// the million-vertex ingestion path that never materializes the
-    /// intermediate [`Graph`] (no per-node `Vec`s, no builder validation).
+    /// intermediate [`Graph`](crate::Graph) (no builder edge list, no
+    /// validation).
     ///
     /// Two passes over the (cheaply cloneable) stream: pass 1 counts
     /// degrees, pass 2 scatters and sorts exactly as
     /// [`CsrAdjacency::from_degrees`] does. The result is bit-identical to
-    /// [`CsrAdjacency::from_graph`] on the graph with the same edge set.
+    /// [`Graph::csr`](crate::Graph::csr) of the graph with the same edge
+    /// set.
     ///
     /// The stream must describe a *simple* undirected graph on nodes
     /// `0..n`: every endpoint `< n`, no self-loops, each undirected edge
@@ -100,10 +123,10 @@ impl CsrAdjacency {
     /// The degrees are prefix-summed into `offsets`, both endpoints of
     /// every edge are scattered through per-node cursors, and rows are
     /// then sorted ascending in parallel over contiguous row blocks,
-    /// making the result bit-identical to [`CsrAdjacency::from_graph`]
-    /// ([`Graph::neighbors`] is ascending). The sort output is a pure
-    /// per-row function, so the worker count cannot affect the bytes
-    /// produced.
+    /// making the result bit-identical to
+    /// [`Graph::csr`](crate::Graph::csr) of the graph with the same edge
+    /// set. The sort output is a pure per-row function, so the worker
+    /// count cannot affect the bytes produced.
     ///
     /// The stream must describe a simple undirected graph on nodes
     /// `0..degrees.len()` whose degree sequence is exactly `degrees`.
@@ -125,41 +148,19 @@ impl CsrAdjacency {
     }
 
     /// The shared tail of [`CsrAdjacency::from_edges`] and
-    /// [`CsrAdjacency::from_degrees`]: `counts[v]` is node `v`'s degree
-    /// (`counts[n]` is 0). Prefix-scans the counts into offsets in place,
-    /// scatters the edges, and sorts every row.
-    fn scatter_sorted<I>(mut offsets: Vec<u32>, edges: I) -> Self
+    /// [`CsrAdjacency::from_degrees`]: scatters the edges, then sorts
+    /// every row in parallel.
+    fn scatter_sorted<I>(counts: Vec<u32>, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32)>,
     {
+        let CsrAdjacency {
+            offsets,
+            mut targets,
+        } = Self::scatter(counts, edges);
         let n = offsets.len() - 1;
         if n == 0 {
-            return CsrAdjacency {
-                offsets,
-                targets: Vec::new(),
-            };
-        }
-        // Exclusive prefix scan: offsets[v] = directed edges of nodes < v.
-        let mut acc: u64 = 0;
-        for slot in &mut offsets {
-            let d = u64::from(*slot);
-            *slot = u32::try_from(acc).expect("directed edge count fits u32");
-            acc += d;
-        }
-        let total = offsets[n] as usize;
-        // Scatter both endpoints through per-node write cursors.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; total];
-        for (u, v) in edges {
-            let (ui, vi) = (u as usize, v as usize);
-            debug_assert!(
-                cursor[ui] < offsets[ui + 1] && cursor[vi] < offsets[vi + 1],
-                "edge ({u}, {v}) exceeds its endpoints' degrees"
-            );
-            targets[cursor[ui] as usize] = v;
-            cursor[ui] += 1;
-            targets[cursor[vi] as usize] = u;
-            cursor[vi] += 1;
+            return CsrAdjacency { offsets, targets };
         }
         // Per-row ascending sort, parallel over contiguous row blocks:
         // `split_at_mut` at row boundaries keeps the blocks disjoint.
@@ -189,6 +190,39 @@ impl CsrAdjacency {
         CsrAdjacency { offsets, targets }
     }
 
+    /// `counts[v]` is node `v`'s degree (`counts[n]` is 0). Prefix-scans
+    /// the counts into offsets in place and scatters both endpoints of
+    /// every edge through per-node cursors, leaving each row in stream
+    /// order.
+    fn scatter<I>(mut offsets: Vec<u32>, edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)>,
+    {
+        let n = offsets.len() - 1;
+        // Exclusive prefix scan: offsets[v] = directed edges of nodes < v.
+        let mut acc: u64 = 0;
+        for slot in &mut offsets {
+            let d = u64::from(*slot);
+            *slot = u32::try_from(acc).expect("directed edge count fits u32");
+            acc += d;
+        }
+        let total = offsets[n] as usize;
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut targets = vec![0u32; total];
+        for (u, v) in edges {
+            let (ui, vi) = (u as usize, v as usize);
+            debug_assert!(
+                cursor[ui] < offsets[ui + 1] && cursor[vi] < offsets[vi + 1],
+                "edge ({u}, {v}) exceeds its endpoints' degrees"
+            );
+            targets[cursor[ui] as usize] = v;
+            cursor[ui] += 1;
+            targets[cursor[vi] as usize] = u;
+            cursor[vi] += 1;
+        }
+        CsrAdjacency { offsets, targets }
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -201,8 +235,7 @@ impl CsrAdjacency {
         self.targets.len()
     }
 
-    /// Neighbors of `v`, ascending — identical content and order to
-    /// [`Graph::neighbors`].
+    /// Neighbors of `v`, ascending.
     ///
     /// # Panics
     ///
@@ -232,25 +265,7 @@ mod tests {
     use crate::rng::Seed;
 
     #[test]
-    fn matches_graph_adjacency_exactly() {
-        for g in [
-            generators::path(7),
-            generators::cycle(9),
-            generators::random_tree(40, Seed(3)),
-            generators::path(1),
-        ] {
-            let csr = CsrAdjacency::from_graph(&g);
-            assert_eq!(csr.n(), g.n());
-            assert_eq!(csr.directed_edges(), 2 * g.m());
-            for v in 0..g.n() {
-                assert_eq!(csr.neighbors(v), g.neighbors(v), "node {v}");
-                assert_eq!(csr.degree(v), g.neighbors(v).len());
-            }
-        }
-    }
-
-    #[test]
-    fn from_edges_matches_from_graph() {
+    fn from_edges_matches_the_graph_spine() {
         for g in [
             generators::path(7),
             generators::cycle(9),
@@ -260,7 +275,12 @@ mod tests {
         ] {
             let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u as u32, v as u32)).collect();
             let streamed = CsrAdjacency::from_edges(g.n(), edges.iter().copied());
-            assert_eq!(streamed, CsrAdjacency::from_graph(&g));
+            assert_eq!(&streamed, g.csr());
+            assert_eq!(streamed.directed_edges(), 2 * g.m());
+            for v in 0..g.n() {
+                assert!(streamed.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(streamed.degree(v), g.degree(v));
+            }
         }
     }
 
@@ -269,17 +289,11 @@ mod tests {
         let none: Vec<(u32, u32)> = Vec::new();
         let csr = CsrAdjacency::from_edges(0, none.iter().copied());
         assert_eq!(csr.n(), 0);
+        assert_eq!(csr.directed_edges(), 0);
+        assert_eq!(&csr, generators::path(0).csr());
         // Isolated nodes: n = 3, no edges.
         let csr = CsrAdjacency::from_edges(3, none.iter().copied());
         assert_eq!(csr.n(), 3);
         assert_eq!(csr.degree(1), 0);
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = generators::path(0);
-        let csr = CsrAdjacency::from_graph(&g);
-        assert_eq!(csr.n(), 0);
-        assert_eq!(csr.directed_edges(), 0);
     }
 }

@@ -10,8 +10,10 @@
 //!   *not* depend on names.
 //!
 //! Internally nodes are indexed `0..n`; indices are an implementation detail
-//! and never part of the model semantics.
+//! and never part of the model semantics. Adjacency is one
+//! [`CsrAdjacency`] spine, ascending within every row.
 
+use crate::csr::CsrAdjacency;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -110,20 +112,18 @@ impl std::error::Error for GraphError {}
 pub struct Graph {
     ids: Vec<NodeId>,
     names: Vec<NodeName>,
-    adj: Vec<Vec<u32>>,
-    m: usize,
+    csr: CsrAdjacency,
 }
 
 impl Graph {
     /// The empty graph.
     #[must_use]
     pub fn empty() -> Self {
-        Graph {
-            ids: Vec::new(),
-            names: Vec::new(),
-            adj: Vec::new(),
-            m: 0,
-        }
+        Graph::from_parts(
+            Vec::new(),
+            Vec::new(),
+            CsrAdjacency::from_raw(vec![0], Vec::new()),
+        )
     }
 
     /// Number of nodes `n`.
@@ -135,7 +135,7 @@ impl Graph {
     /// Number of undirected edges `m`.
     #[must_use]
     pub fn m(&self) -> usize {
-        self.m
+        self.csr.directed_edges() / 2
     }
 
     /// Returns `true` when the graph has no nodes.
@@ -151,19 +151,19 @@ impl Graph {
     /// Panics if `v >= n`.
     #[must_use]
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        self.csr.degree(v)
     }
 
     /// Maximum degree Δ (0 for the empty graph).
     #[must_use]
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        (0..self.n()).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
     /// Minimum degree (0 for the empty graph).
     #[must_use]
     pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
+        (0..self.n()).map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
     /// Sorted neighbor indices of `v`.
@@ -173,7 +173,13 @@ impl Graph {
     /// Panics if `v >= n`.
     #[must_use]
     pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.adj[v]
+        self.csr.neighbors(v)
+    }
+
+    /// The adjacency spine: every neighbor list, in node order.
+    #[must_use]
+    pub fn csr(&self) -> &CsrAdjacency {
+        &self.csr
     }
 
     /// The ID of node index `v`.
@@ -215,13 +221,14 @@ impl Graph {
     /// Panics if an index is out of range.
     #[must_use]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adj[u].binary_search(&(v as u32)).is_ok()
+        self.neighbors(u).binary_search(&(v as u32)).is_ok()
     }
 
     /// Iterates over all undirected edges as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
-            nbrs.iter()
+        (0..self.n()).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
                 .map(move |&w| (u, w as usize))
                 .filter(|&(u, w)| u < w)
         })
@@ -255,7 +262,7 @@ impl Graph {
             label[s] = next;
             stack.push(s);
             while let Some(v) = stack.pop() {
-                for &w in &self.adj[v] {
+                for &w in self.neighbors(v) {
                     let w = w as usize;
                     if label[w] == usize::MAX {
                         label[w] = next;
@@ -335,7 +342,7 @@ impl Graph {
         dist[src] = 0;
         queue.push_back(src);
         while let Some(v) = queue.pop_front() {
-            for &w in &self.adj[v] {
+            for &w in self.neighbors(v) {
                 let w = w as usize;
                 if dist[w] == usize::MAX {
                     dist[w] = dist[v] + 1;
@@ -394,10 +401,10 @@ impl Graph {
         out
     }
 
-    /// Internal constructor from parts. `adj` must be symmetric and sorted.
-    pub(crate) fn from_parts(ids: Vec<NodeId>, names: Vec<NodeName>, adj: Vec<Vec<u32>>) -> Self {
-        let m = adj.iter().map(Vec::len).sum::<usize>() / 2;
-        Graph { ids, names, adj, m }
+    /// Internal constructor from parts. `csr` must be symmetric.
+    pub(crate) fn from_parts(ids: Vec<NodeId>, names: Vec<NodeName>, csr: CsrAdjacency) -> Self {
+        debug_assert!(ids.len() == names.len() && names.len() == csr.n());
+        Graph { ids, names, csr }
     }
 }
 
@@ -488,33 +495,8 @@ impl GraphBuilder {
     /// some constructions (e.g. simulation graphs mid-assembly) are checked
     /// separately via [`Graph::check_legal`].
     pub fn build(&self) -> Result<Graph, GraphError> {
-        let n = self.ids.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(u, v) in &self.edges {
-            if u >= n {
-                return Err(GraphError::UnknownNode { index: u, n });
-            }
-            if v >= n {
-                return Err(GraphError::UnknownNode { index: v, n });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { index: u });
-            }
-            adj[u].push(v as u32);
-            adj[v].push(u as u32);
-        }
-        for (u, nbrs) in adj.iter_mut().enumerate() {
-            nbrs.sort_unstable();
-            if nbrs.windows(2).any(|w| w[0] == w[1]) {
-                let dup = nbrs
-                    .windows(2)
-                    .find(|w| w[0] == w[1])
-                    .map(|w| w[0] as usize)
-                    .unwrap_or(0);
-                return Err(GraphError::DuplicateEdge { u, v: dup });
-            }
-        }
-        Ok(Graph::from_parts(self.ids.clone(), self.names.clone(), adj))
+        let csr = CsrAdjacency::from_builder_edges(self.ids.len(), &self.edges)?;
+        Ok(Graph::from_parts(self.ids.clone(), self.names.clone(), csr))
     }
 
     /// Validates, assembles, and additionally checks legality (Definition 6).

@@ -2,14 +2,14 @@
 //! [`CsrAdjacency::from_edges`] directly, never materializing the
 //! intermediate [`Graph`].
 //!
-//! At million-vertex scale the [`Graph`] representation (one `Vec<u32>`
-//! per node, builder validation, ID/name tables) costs more to build than
-//! the algorithms cost to run. A [`StreamFamily`] is a *spec* — family
+//! At million-vertex scale the [`Graph`] representation (builder edge
+//! list and validation, ID/name tables) costs more to build than the
+//! algorithms cost to run. A [`StreamFamily`] is a *spec* — family
 //! plus size plus seed — whose [`StreamFamily::edges`] iterator emits the
 //! exact edge multiset of the corresponding `generators::*` call with O(1)
 //! state for the deterministic families and O(n) decoder state (no
 //! adjacency) for random trees. [`StreamFamily::stream_csr`] is therefore
-//! bit-identical to `CsrAdjacency::from_graph(&family.materialize())` —
+//! bit-identical to `family.materialize().csr()` —
 //! property-tested in `tests/stream_csr.rs` — while allocating only the
 //! CSR arrays themselves.
 
@@ -124,7 +124,7 @@ impl StreamFamily {
     }
 
     /// Builds the CSR adjacency straight from the stream — bit-identical
-    /// to `CsrAdjacency::from_graph(&self.materialize())`, without the
+    /// to `self.materialize().csr()`, without the
     /// intermediate graph. A random tree is decoded once: its degrees are
     /// the Prüfer occurrence counts, known before the decode starts.
     #[must_use]
@@ -350,8 +350,8 @@ mod tests {
 
     fn assert_streamed_matches(fam: StreamFamily) {
         let streamed = fam.stream_csr();
-        let oracle = CsrAdjacency::from_graph(&fam.materialize());
-        assert_eq!(streamed, oracle, "{} n={}", fam.name(), fam.n());
+        let g = fam.materialize();
+        assert_eq!(&streamed, g.csr(), "{} n={}", fam.name(), fam.n());
         assert_eq!(streamed.directed_edges(), 2 * fam.m(), "{}", fam.name());
     }
 

@@ -1,13 +1,84 @@
 //! Differential tests for the flat `BallWorkspace` hot path against the
-//! retained `BTreeMap` reference implementation, plus the epoch regression
-//! test: a workspace reused across different graphs must never leak
-//! visitation state from an earlier call.
+//! pre-workspace implementation kept below as [`reference`], plus the
+//! epoch regression test: a workspace reused across different graphs must
+//! never leak visitation state from an earlier call.
 
 use csmpc_graph::ball::{self, BallWorkspace};
-use csmpc_graph::{generators, CsrAdjacency, Graph, GraphBuilder};
+use csmpc_graph::{generators, Graph, GraphBuilder};
 use proptest::collection;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// The pre-workspace implementations, kept verbatim as the oracle:
+/// full-graph BFS plus [`csmpc_graph::ops::induced`] for balls,
+/// `BTreeMap` ID maps for radius-identity.
+mod reference {
+    use csmpc_graph::ops::induced;
+    use csmpc_graph::{Graph, NodeId};
+    use std::collections::BTreeMap;
+
+    /// Oracle for [`csmpc_graph::ball::ball`]: full-`n` BFS, filter,
+    /// induced-subgraph rebuild through the validating builder.
+    pub fn ball(g: &Graph, v: usize, r: usize) -> (Graph, usize, Vec<usize>) {
+        let dist = g.bfs_distances(v);
+        let nodes: Vec<usize> = (0..g.n()).filter(|&u| dist[u] <= r).collect();
+        let center_pos = nodes
+            .iter()
+            .position(|&u| u == v)
+            .expect("center is within its own ball");
+        let (sub, original) = induced(g, &nodes);
+        (sub, center_pos, original)
+    }
+
+    /// Oracle for [`csmpc_graph::ball::radius_identical`] over `BTreeMap`
+    /// ID → index maps.
+    pub fn radius_identical(g1: &Graph, c1: usize, g2: &Graph, c2: usize, d: usize) -> bool {
+        let (b1, ctr1, _) = ball(g1, c1, d);
+        let (b2, ctr2, _) = ball(g2, c2, d);
+        if b1.id(ctr1) != b2.id(ctr2) || b1.n() != b2.n() || b1.m() != b2.m() {
+            return false;
+        }
+        // Build ID -> index maps; duplicate IDs inside a ball are impossible
+        // for legal graphs (a ball is within one component).
+        let map1: BTreeMap<NodeId, usize> = (0..b1.n()).map(|i| (b1.id(i), i)).collect();
+        let map2: BTreeMap<NodeId, usize> = (0..b2.n()).map(|i| (b2.id(i), i)).collect();
+        if map1.len() != b1.n() || map2.len() != b2.n() {
+            return false; // illegal input: ambiguous correspondence
+        }
+        for (id, &i1) in &map1 {
+            let Some(&i2) = map2.get(id) else {
+                return false;
+            };
+            // Compare neighbor ID sets.
+            let mut n1: Vec<NodeId> = b1
+                .neighbors(i1)
+                .iter()
+                .map(|&w| b1.id(w as usize))
+                .collect();
+            let mut n2: Vec<NodeId> = b2
+                .neighbors(i2)
+                .iter()
+                .map(|&w| b2.id(w as usize))
+                .collect();
+            n1.sort_unstable();
+            n2.sort_unstable();
+            if n1 != n2 {
+                return false;
+            }
+        }
+        // Distances from the centers must also agree: the ball of radius d
+        // could otherwise match as a graph while nodes sit at different
+        // depths.
+        let d1 = b1.bfs_distances(ctr1);
+        let d2 = b2.bfs_distances(ctr2);
+        for (id, &i1) in &map1 {
+            if d1[i1] != d2[map2[id]] {
+                return false;
+            }
+        }
+        true
+    }
+}
 
 /// Builds an arbitrary (possibly disconnected) legal graph on `n`
 /// sequential nodes from raw endpoint draws, deduplicating edges.
@@ -42,24 +113,10 @@ proptest! {
         let g = build_graph(n, &edges);
         let v = v_raw % g.n();
         let got = ball::ball(&g, v, r);
-        let want = ball::reference::ball(&g, v, r);
+        let want = reference::ball(&g, v, r);
         // Same node set, ids, names, edges, and center — the tuples are
         // compared structurally, so this is bit-exact agreement.
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn workspace_csr_ball_matches_reference(
-        n in 1usize..=28,
-        edges in edges_strategy(),
-        v_raw in 0usize..10_000,
-        r in 0usize..6,
-    ) {
-        let g = build_graph(n, &edges);
-        let v = v_raw % g.n();
-        let csr = CsrAdjacency::from_graph(&g);
-        let mut ws = BallWorkspace::new();
-        prop_assert_eq!(ws.ball_csr(&g, &csr, v, r), ball::reference::ball(&g, v, r));
     }
 
     #[test]
@@ -75,7 +132,7 @@ proptest! {
         let c2 = centers.1 % g2.n();
         prop_assert_eq!(
             ball::radius_identical(&g1, c1, &g2, c2, d),
-            ball::reference::radius_identical(&g1, c1, &g2, c2, d)
+            reference::radius_identical(&g1, c1, &g2, c2, d)
         );
         // Reflexivity survives the workspace path too.
         prop_assert!(ball::radius_identical(&g1, c1, &g1, c1, d));
@@ -106,17 +163,34 @@ fn workspace_reuse_across_graphs_never_leaks_state() {
         let got = shared.ball(g, v, r);
         let fresh = BallWorkspace::new().ball(g, v, r);
         assert_eq!(got, fresh, "reused workspace diverged at v={v} r={r}");
-        assert_eq!(got, ball::reference::ball(g, v, r));
+        assert_eq!(got, reference::ball(g, v, r));
     }
     // Radius-identity calls interleaved with ball calls share the same
     // scratch buffers; they must be equally immune to reuse.
     assert!(shared.radius_identical(&big, 3, &big, 3, 2));
     assert_eq!(
         shared.radius_identical(&small, 1, &medium, 1, 2),
-        ball::reference::radius_identical(&small, 1, &medium, 1, 2)
+        reference::radius_identical(&small, 1, &medium, 1, 2)
     );
     let after = shared.ball(&small, 0, 2);
-    assert_eq!(after, ball::reference::ball(&small, 0, 2));
+    assert_eq!(after, reference::ball(&small, 0, 2));
+}
+
+/// Every ball of seeded random trees, at radii 0–3, matches the oracle.
+#[test]
+fn ball_matches_reference_on_generators() {
+    for s in [3u64, 17, 99] {
+        let g = generators::random_tree(30, csmpc_graph::rng::Seed(s));
+        for v in 0..g.n() {
+            for r in 0..4 {
+                assert_eq!(
+                    ball::ball(&g, v, r),
+                    reference::ball(&g, v, r),
+                    "v={v} r={r}"
+                );
+            }
+        }
+    }
 }
 
 /// The thread-local convenience path and an owned workspace agree.

@@ -1,7 +1,7 @@
 //! Property tests: the streaming ingestion path
 //! (`StreamFamily::stream_csr`, i.e. `CsrAdjacency::from_edges`, or
 //! `CsrAdjacency::from_degrees` for random trees) is bit-identical to the
-//! materialized `Graph` → `CsrAdjacency::from_graph` path for every seeded
+//! materialized `Graph`'s CSR spine (`Graph::csr`) for every seeded
 //! family, at arbitrary sizes and seeds. Random trees are checked against
 //! an independent min-heap Prüfer decoder kept here as the oracle, since
 //! `generators::random_tree` itself decodes through the stream.
@@ -20,10 +20,10 @@ use std::collections::BinaryHeap;
 
 fn assert_stream_matches(fam: StreamFamily) {
     let streamed = fam.stream_csr();
-    let oracle = CsrAdjacency::from_graph(&fam.materialize());
+    let g = fam.materialize();
     assert_eq!(
-        streamed,
-        oracle,
+        &streamed,
+        g.csr(),
         "family {} n={} diverged from the materialized path",
         fam.name(),
         fam.n()
@@ -55,7 +55,10 @@ fn heap_prufer_tree_csr(n: usize, seed: Seed) -> CsrAdjacency {
         let Reverse(v) = heap.pop().expect("two nodes remain");
         b.add_edge(u, v);
     }
-    CsrAdjacency::from_graph(&b.build().expect("prufer decoding yields a tree"))
+    b.build()
+        .expect("prufer decoding yields a tree")
+        .csr()
+        .clone()
 }
 
 fn assert_tree_matches_heap_oracle(n: usize, seed: u64) {
@@ -65,8 +68,8 @@ fn assert_tree_matches_heap_oracle(n: usize, seed: u64) {
     };
     let oracle = heap_prufer_tree_csr(n, Seed(seed));
     assert_eq!(fam.stream_csr(), oracle, "stream_csr n={n} seed={seed}");
-    let materialized = CsrAdjacency::from_graph(&fam.materialize());
-    assert_eq!(materialized, oracle, "random_tree n={n} seed={seed}");
+    let materialized = fam.materialize();
+    assert_eq!(materialized.csr(), &oracle, "random_tree n={n} seed={seed}");
 }
 
 #[test]

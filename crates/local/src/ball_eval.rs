@@ -9,7 +9,7 @@
 
 use crate::params::LocalParams;
 use csmpc_graph::ball::with_thread_workspace;
-use csmpc_graph::{CsrAdjacency, Graph};
+use csmpc_graph::Graph;
 use csmpc_parallel::{par_map_range, ParallelismMode};
 
 /// A LOCAL algorithm in ball form: output at a node is computed from its
@@ -61,14 +61,12 @@ where
     A::Output: Send,
 {
     let r = alg.radius(params);
-    // One CSR adjacency view shared by the whole sweep; each worker thread
-    // extracts balls through its reusable flat workspace (no per-node map
-    // allocations). Output is bit-identical to the reference extraction.
-    let csr = CsrAdjacency::from_graph(g);
+    // Each worker thread extracts balls through its reusable flat
+    // workspace over the graph's CSR spine (no per-node map allocations).
     par_map_range(mode, g.n(), |v| {
         // csmpc-allow(par-closure-race): the workspace is thread_local! — each worker mutates only its own RefCell, never shared state
         let (b, c) = with_thread_workspace(|ws| {
-            let (b, c, _) = ws.ball_csr(g, &csr, v, r);
+            let (b, c, _) = ws.ball(g, v, r);
             (b, c)
         });
         alg.evaluate(&b, c, params)
@@ -90,15 +88,14 @@ where
 {
     let r = alg.radius(params);
     let mode = ParallelismMode::default();
-    let csr = CsrAdjacency::from_graph(g);
     // Per-node check is pure; collect the verdicts in index order, then
     // filter sequentially so violation indices come out sorted. Both ball
     // extractions share the worker thread's flat workspace.
     let differs: Vec<bool> = par_map_range(mode, g.n(), |v| {
         // csmpc-allow(par-closure-race): the workspace is thread_local! — each worker mutates only its own RefCell, never shared state
         with_thread_workspace(|ws| {
-            let (b1, c1, _) = ws.ball_csr(g, &csr, v, r);
-            let (b2, c2, _) = ws.ball_csr(g, &csr, v, r + extra);
+            let (b1, c1, _) = ws.ball(g, v, r);
+            let (b2, c2, _) = ws.ball(g, v, r + extra);
             alg.evaluate(&b1, c1, params) != alg.evaluate(&b2, c2, params)
         })
     });

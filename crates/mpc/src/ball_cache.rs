@@ -7,12 +7,12 @@
 //! sweep's output is identical across trials. This cache shares one
 //! computed ball set (behind an [`Arc`]) across those trials.
 //!
-//! **Correctness over speed**: a cache key is the *entire* graph content —
-//! node count, edge count, radius, every ID, every name, and every
-//! adjacency list — not a lossy hash. A 64-bit fingerprint provides the
-//! fast reject; on fingerprint match the full key is compared word for
-//! word before an entry is reused, so a fault-mutated or otherwise edited
-//! graph can never be served stale balls. Charges are unaffected: callers
+//! **Correctness over speed**: a cache key is the radius plus the *entire*
+//! graph — every ID, every name, and the CSR adjacency spine — not a
+//! lossy hash. A 64-bit FNV-1a fingerprint of that content provides the
+//! fast reject; on fingerprint match the key's graph is compared with the
+//! caller's field for field before an entry is reused, so a fault-mutated
+//! or otherwise edited graph can never be served stale balls. Charges are unaffected: callers
 //! charge the same rounds/words/space whether the set was computed or
 //! reused (the model's observables measure the simulated algorithm, which
 //! always "performs" the collection).
@@ -26,43 +26,40 @@
 
 use crate::lru::Lru;
 use csmpc_graph::ball::with_thread_workspace;
-use csmpc_graph::fnv::fnv1a_words;
-use csmpc_graph::{CsrAdjacency, Graph};
+use csmpc_graph::fnv::Fnv1a;
+use csmpc_graph::Graph;
 use csmpc_parallel::{par_map_range, ParallelismMode};
 use std::sync::Arc;
 
 /// One collected ball set: `(ball graph, center index)` per vertex.
 pub type BallSet = Arc<Vec<(Graph, usize)>>;
 
-/// The content key behind its FNV-1a fingerprint. The fingerprint is
-/// the first field, so the derived equality rejects on it before
-/// comparing the key word for word.
+/// The radius and the graph itself behind their FNV-1a fingerprint. The
+/// fingerprint is the first field, so the derived equality rejects on it
+/// before comparing the graph.
 #[derive(PartialEq)]
 struct BallKey {
     fingerprint: u64,
-    key: Vec<u64>,
+    r: usize,
+    graph: Graph,
 }
 
-/// Exact content key: `[n, m, r, ids…, names…, per-node degree+targets…]`.
-fn content_key(g: &Graph, r: usize) -> BallKey {
-    let mut key = Vec::with_capacity(3 + 3 * g.n() + 2 * g.m());
-    key.push(g.n() as u64);
-    key.push(g.m() as u64);
-    key.push(r as u64);
-    for v in 0..g.n() {
-        key.push(g.id(v).0);
-        key.push(g.name(v).0);
-    }
-    for v in 0..g.n() {
-        let nbrs = g.neighbors(v);
-        key.push(nbrs.len() as u64);
-        for &w in nbrs {
-            key.push(u64::from(w));
+impl BallKey {
+    fn new(g: &Graph, r: usize) -> Self {
+        let mut h = Fnv1a::new();
+        h.word(r as u64).word(g.n() as u64).word(g.m() as u64);
+        for v in 0..g.n() {
+            h.word(g.id(v).0).word(g.name(v).0);
+            h.word(g.degree(v) as u64);
+            for &w in g.neighbors(v) {
+                h.bytes(&w.to_le_bytes());
+            }
         }
-    }
-    BallKey {
-        fingerprint: fnv1a_words(key.iter().copied()),
-        key,
+        BallKey {
+            fingerprint: h.finish(),
+            r,
+            graph: g.clone(),
+        }
     }
 }
 
@@ -84,17 +81,16 @@ impl BallCache {
     /// `graph_words` over the set), computing and inserting it on a miss.
     ///
     /// The computation sweeps every vertex with a per-thread
-    /// [`csmpc_graph::ball::BallWorkspace`] over a CSR adjacency view;
+    /// [`csmpc_graph::ball::BallWorkspace`] over the graph's CSR spine;
     /// output is bit-identical in both [`ParallelismMode`]s, so cached
     /// results are mode-agnostic.
     #[must_use]
     pub fn collect(&self, g: &Graph, r: usize, mode: ParallelismMode) -> (BallSet, usize) {
-        let balls = self.0.get_or_insert_with(content_key(g, r), || {
-            let csr = CsrAdjacency::from_graph(g);
+        let balls = self.0.get_or_insert_with(BallKey::new(g, r), || {
             par_map_range(mode, g.n(), |v| {
                 // csmpc-allow(par-closure-race): the workspace is thread_local! — each worker mutates only its own RefCell, never shared state
                 with_thread_workspace(|ws| {
-                    let (b, c, _) = ws.ball_csr(g, &csr, v, r);
+                    let (b, c, _) = ws.ball(g, v, r);
                     (b, c)
                 })
             })
@@ -191,7 +187,7 @@ mod tests {
         let g = generators::random_tree(30, Seed(9));
         let (cached, worst) = cache.collect(&g, 3, ParallelismMode::Sequential);
         for (v, (b, c)) in cached.iter().enumerate() {
-            let (rb, rc, _) = csmpc_graph::ball::reference::ball(&g, v, 3);
+            let (rb, rc, _) = csmpc_graph::ball::ball(&g, v, 3);
             assert_eq!((b, c), (&rb, &rc), "vertex {v}");
         }
         let recomputed_worst = cached
