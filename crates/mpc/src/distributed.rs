@@ -16,12 +16,13 @@
 //! | `count_nodes`, `max_degree` | `d`            |
 //! | `neighbor_reduce` (sort)    | `2d`           |
 //! | `collect_balls(r)`          | `(⌈log₂ r⌉+1)·2d` |
-//! | `cc_labels_pointer_jumping` | `O(log n)` measured iterations × 2 |
+//! | `cc_labels`                 | `2d` per measured iteration |
 
 use crate::ball_cache::{self, BallSet};
 use crate::cluster::{Cluster, MpcError};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use crate::provenance::ComponentId;
+use crate::scale::hook_jump;
 use csmpc_graph::rng::{FastRange, SplitMix64};
 use csmpc_graph::Graph;
 use csmpc_parallel::par_map_range;
@@ -519,6 +520,12 @@ impl<'a> DistributedGraph<'a> {
     /// iteration doubles the reach. Charges `2d` rounds per measured
     /// iteration and returns `(labels, iterations)`.
     ///
+    /// The sweep is [`crate::scale::hook_jump`], run in dense name-rank
+    /// space: pointer jumping reads only the order of names, so labels are
+    /// ranks of the sorted distinct names while it runs and are mapped
+    /// back to names at the end. Equal names share a rank, and a rank
+    /// points at the *last* node carrying its name.
+    ///
     /// # Errors
     ///
     /// [`MpcError::MachineFailed`] from an armed fault plan.
@@ -528,53 +535,46 @@ impl<'a> DistributedGraph<'a> {
         let d = cluster
             .config()
             .tree_depth(cluster.input_n(), cluster.num_machines());
-        // labels start as own name; pointer[v] = min name within current
-        // reach. Each iteration: label[v] <- min(label[v], min over nbrs'
-        // labels), then pointer-jump: label[v] <- label[argmin] — realized
-        // here as doubling by composing the "min over my reach set" map.
-        let mut label: Vec<u64> = (0..n).map(|v| self.g.name(v).0).collect();
-        // Name-to-node lookup for the jump step; node names never change,
-        // so this is loop-invariant.
-        let by_name: std::collections::BTreeMap<u64, usize> =
-            (0..n).map(|v| (self.g.name(v).0, v)).collect();
+        let mut by_name: Vec<(u64, usize)> = (0..n).map(|v| (self.g.name(v).0, v)).collect();
+        by_name.sort_unstable();
+        // rank → name and rank → node; `label` starts as every node's rank.
+        let mut names: Vec<u64> = Vec::with_capacity(n);
+        let mut node_of: Vec<usize> = Vec::with_capacity(n);
+        let mut label = vec![0u64; n];
+        for (name, v) in by_name {
+            if names.last() == Some(&name) {
+                *node_of.last_mut().expect("a rank per pushed name") = v;
+            } else {
+                names.push(name);
+                node_of.push(v);
+            }
+            label[v] = (names.len() - 1) as u64;
+        }
+        let csr = self.g.csr();
+        let (mut next, mut jumped) = (Vec::new(), Vec::new());
         let mut iterations = 0usize;
         let mut sweep_ns = 0u64;
         loop {
             iterations += 1;
             cluster.advance_rounds(2 * d)?;
             let timer = PhaseTimer::start();
-            // Hook: take min over neighbors. Each vertex reads only the
-            // previous iteration's labels, so the sweep is a pure map.
-            let next: Vec<u64> = par_map_range(mode, n, |v| {
-                let mut nv = label[v];
-                for &w in self.g.neighbors(v) {
-                    let lw = label[w as usize];
-                    if lw < nv {
-                        nv = lw;
-                    }
-                }
-                nv
-            });
-            // Jump: label[v] <- label of the node whose name is next[v]
-            // (pointer doubling through the current label map).
-            let jumped: Vec<u64> = par_map_range(mode, n, |v| {
-                let mut jv = next[v];
-                if let Some(&rep) = by_name.get(&next[v]) {
-                    jv = jv.min(label[rep]).min(next[rep]);
-                }
-                jv
+            hook_jump(mode, csr, &label, &mut next, &mut jumped, |r| {
+                node_of[r as usize]
             });
             sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
             if jumped == label {
                 break;
             }
-            label = jumped;
+            std::mem::swap(&mut label, &mut jumped);
         }
         cluster.record_phase(&PhaseTimes {
             step_ns: sweep_ns,
             ..PhaseTimes::default()
         });
-        Ok((label, iterations))
+        Ok((
+            label.iter().map(|&r| names[r as usize]).collect(),
+            iterations,
+        ))
     }
 }
 

@@ -1,15 +1,17 @@
 //! Million-vertex scale workloads over streaming CSR ingestion.
 //!
 //! The [`crate::distributed`] primitives are faithful to the paper's
-//! accounting but carry per-node `Vec`s, name maps, and a materialized
-//! [`csmpc_graph::Graph`] — fine at the conformance-suite sizes (n ≤ 4000),
-//! prohibitive at n = 10⁶. This module is the scale path: inputs arrive as
-//! a [`StreamFamily`] and are ingested straight into a
-//! [`CsrAdjacency`] (two passes over the edge stream, one for a random
-//! tree; no intermediate `Graph`), node *names are node indices* (so the
-//! pointer-jumping lookup is an array index, not a `BTreeMap` probe), and
-//! every per-vertex sweep writes into a caller-held [`ScaleWorkspace`]
-//! buffer via [`csmpc_parallel::par_map_range_into`]. [`luby_mis`] and
+//! accounting but carry a materialized [`csmpc_graph::Graph`] (IDs and
+//! names beside its CSR spine) plus per-node placement and component
+//! tables — fine at the conformance-suite sizes (n ≤ 4000), prohibitive
+//! at n = 10⁶. This module is the scale path: inputs arrive as a
+//! [`StreamFamily`] and are ingested straight into a [`CsrAdjacency`]
+//! (two passes over the edge stream, one for a random tree; no
+//! intermediate `Graph`), node *names are node indices*, and every
+//! per-vertex sweep writes into a caller-held [`ScaleWorkspace`] buffer
+//! via [`csmpc_parallel::par_map_range_into`]. Both paths' connectivity
+//! runs the one pointer-jumping sweep [`hook_jump`]: here with the
+//! identity rank map, on the materialized path over name ranks. [`luby_mis`] and
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
 //!
@@ -123,9 +125,43 @@ pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacenc
     Ok(csr)
 }
 
+/// One pointer-jumping iteration, the sweep behind every cc-labels path.
+///
+/// Labels are *ranks*: `node_of(r)` is the node a label `r` points at.
+/// The hook writes into `next` the minimum of `label` over every closed
+/// neighborhood; the jump writes into `jumped` the minimum of `next[v]`
+/// and the previous and hooked labels of the node `next[v]` names, so each
+/// iteration doubles the reach. Both are pure per-vertex maps over
+/// `label`, bit-identical in every [`ParallelismMode`]. The caller charges
+/// the iteration and checks convergence (`jumped == label`).
+pub(crate) fn hook_jump<F>(
+    mode: ParallelismMode,
+    csr: &CsrAdjacency,
+    label: &[u64],
+    next: &mut Vec<u64>,
+    jumped: &mut Vec<u64>,
+    node_of: F,
+) where
+    F: Fn(u64) -> usize + Sync,
+{
+    let n = csr.n();
+    par_map_range_into(mode, n, next, |v| {
+        let mut nv = label[v];
+        for &w in csr.neighbors(v) {
+            nv = nv.min(label[w as usize]);
+        }
+        nv
+    });
+    let next_s: &[u64] = next;
+    par_map_range_into(mode, n, jumped, |v| {
+        let t = node_of(next_s[v]);
+        next_s[v].min(label[t]).min(next_s[t])
+    });
+}
+
 /// Connected-component labels by pointer jumping, the scale analogue of
 /// [`crate::DistributedGraph::cc_labels`]. Node names are node indices,
-/// so the jump resolves through plain array indexing. On return
+/// so [`hook_jump`] runs with the identity rank map. On return
 /// `ws.label[v]` is the minimum node index in `v`'s component. Charges
 /// `2d` rounds per measured iteration; returns the iteration count.
 ///
@@ -157,27 +193,7 @@ pub fn cc_labels(
         iterations += 1;
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
-        // Hook: min over the closed neighborhood of the previous labels.
-        {
-            let label_s: &[u64] = label;
-            par_map_range_into(mode, n, next, |v| {
-                let mut nv = label_s[v];
-                for &w in csr.neighbors(v) {
-                    nv = nv.min(label_s[w as usize]);
-                }
-                nv
-            });
-        }
-        // Jump: follow the label (a node index) one more hop. With
-        // identity names, `by_name[next[v]]` degenerates to `next[v]`.
-        {
-            let label_s: &[u64] = label;
-            let next_s: &[u64] = next;
-            par_map_range_into(mode, n, jumped, |v| {
-                let t = next_s[v] as usize;
-                next_s[v].min(label_s[t]).min(next_s[t])
-            });
-        }
+        hook_jump(mode, csr, label, next, jumped, |r| r as usize);
         sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
         let converge_timer = PhaseTimer::start();
         let converged = jumped == label;
