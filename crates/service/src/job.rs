@@ -97,6 +97,25 @@ impl GraphSpec {
         }
     }
 
+    /// Checks the recipe against its generator's preconditions without
+    /// building it.
+    ///
+    /// # Errors
+    ///
+    /// Why [`GraphSpec::build`] would panic: a cycle on fewer than 3
+    /// nodes, or two cycles on an odd or fewer-than-6 node count.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            GraphSpec::Cycle { n } if n < 3 => Err(format!(
+                "invalid graph: a cycle needs at least 3 nodes, got {n}"
+            )),
+            GraphSpec::TwoCycles { n } if n < 6 || n % 2 == 1 => Err(format!(
+                "invalid graph: two cycles need an even node count of at least 6, got {n}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Node count without building the graph.
     #[must_use]
     pub fn nodes(&self) -> usize {
@@ -200,6 +219,25 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// Checks everything the service would otherwise trip over when it
+    /// builds the job's graph or cluster: the graph recipe, and a space
+    /// exponent `φ` that must be finite and lie in `(0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// The first problem found, as the reason the service journals with
+    /// the job's rejection.
+    pub fn validate(&self) -> Result<(), String> {
+        self.graph.validate()?;
+        if !(self.phi > 0.0 && self.phi < 1.0) {
+            return Err(format!(
+                "invalid phi {}: the space exponent must be finite and lie in (0, 1)",
+                self.phi
+            ));
+        }
+        Ok(())
+    }
+
     /// A fault-free, undeadlined spec with service defaults — the base
     /// tests and the soak generator specialize from here.
     #[must_use]

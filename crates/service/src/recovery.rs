@@ -42,8 +42,8 @@ use crate::graph_store;
 use crate::job::{JobId, JobSpec};
 use crate::journal::{Journal, JournalError, JournalRecord, RecoveredLog, FRAME_HEADER};
 use crate::scheduler::{
-    job_mpc_config, Counters, JobOutcome, JobService, JobState, QueuedJob, SchedState,
-    ServiceConfig,
+    admission_decision, job_footprint, Counters, JobOutcome, JobService, JobState, QueuedJob,
+    SchedState, ServiceConfig,
 };
 use csmpc_mpc::Stats;
 use std::collections::{BTreeMap, BTreeSet};
@@ -402,11 +402,9 @@ pub(crate) fn replay_journal(
         .collect();
     for id in undecided {
         let job = jobs.get_mut(&id).expect("undecided id just enumerated");
-        let shared = store.get(&job.spec.graph);
-        let mcfg = job_mpc_config(&job.spec, cfg.mode);
-        let n = shared.graph.n();
-        let footprint = mcfg.machines_for(n, shared.words) * mcfg.local_space(n);
-        let decision = admission.decide(footprint, job.spec.priority);
+        let footprint = job_footprint(&job.spec, store, cfg.mode);
+        let (decision, footprint) =
+            admission_decision(&mut admission, footprint, job.spec.priority);
         let rec = match &decision {
             AdmissionDecision::Reject { reason } => JournalRecord::Rejected {
                 id: JobId(id),

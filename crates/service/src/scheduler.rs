@@ -234,6 +234,36 @@ pub(crate) fn job_mpc_config(spec: &JobSpec, mode: ParallelismMode) -> MpcConfig
     }
 }
 
+/// The words a job would book, or why it is refused before admission:
+/// the spec is validated before its graph is built, so a malformed spec
+/// never reaches a generator. [`JobService::submit`] and recovery's
+/// re-derived decisions both go through here, so replay reaches the same
+/// verdict.
+pub(crate) fn job_footprint(
+    spec: &JobSpec,
+    store: &GraphStore,
+    mode: ParallelismMode,
+) -> Result<usize, String> {
+    spec.validate()?;
+    let shared = store.get(&spec.graph);
+    let mcfg = job_mpc_config(spec, mode);
+    let n = shared.graph.n();
+    Ok(mcfg.machines_for(n, shared.words) * mcfg.local_space(n))
+}
+
+/// The admission verdict on a [`job_footprint`] result, with the footprint
+/// it books (0 for a refused spec, which books nothing).
+pub(crate) fn admission_decision(
+    admission: &mut AdmissionController,
+    footprint: Result<usize, String>,
+    priority: Priority,
+) -> (AdmissionDecision, usize) {
+    match footprint {
+        Ok(words) => (admission.decide(words, priority), words),
+        Err(reason) => (AdmissionDecision::Reject { reason }, 0),
+    }
+}
+
 struct AttemptSuccess {
     labels: Vec<Option<u64>>,
     stats: Stats,
@@ -410,13 +440,11 @@ impl JobService {
     }
 
     /// Submits one job, deciding admission immediately (in submission
-    /// order): rejected jobs get a terminal outcome with the reason;
-    /// admitted jobs are queued — possibly on the shedding rung.
+    /// order): rejected jobs — invalid specs ([`JobSpec::validate`]) and
+    /// jobs over the space budget — get a terminal outcome with the
+    /// reason; admitted jobs are queued — possibly on the shedding rung.
     pub fn submit(&self, spec: JobSpec) -> JobId {
-        let shared = self.store.get(&spec.graph);
-        let mcfg = job_mpc_config(&spec, self.cfg.mode);
-        let n = shared.graph.n();
-        let footprint = mcfg.machines_for(n, shared.words) * mcfg.local_space(n);
+        let footprint = job_footprint(&spec, self.store, self.cfg.mode);
         let mut state = self.state.lock().expect("service state poisoned");
         let id = JobId(state.outcomes.len() as u64);
         let seq = id.0;
@@ -437,7 +465,8 @@ impl JobService {
             return id;
         }
         state.counters.submitted += 1;
-        let decision = state.admission.decide(footprint, spec.priority);
+        let (decision, footprint) =
+            admission_decision(&mut state.admission, footprint, spec.priority);
         let decision_rec = match &decision {
             AdmissionDecision::Reject { reason } => JournalRecord::Rejected {
                 id,

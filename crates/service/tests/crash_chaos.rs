@@ -388,3 +388,75 @@ fn counters_counted_exactly_once_across_the_crash_boundary() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+/// Specs the generators or the cluster configuration would panic on,
+/// each with a fragment of the reason its rejection must carry.
+fn invalid_specs() -> Vec<(JobSpec, &'static str)> {
+    let spec = |graph| JobSpec::basic("mallory", Workload::CcLabels, graph, Seed(90));
+    let with_phi = |phi| JobSpec {
+        phi,
+        ..spec(GraphSpec::Cycle { n: 8 })
+    };
+    vec![
+        (
+            spec(GraphSpec::Cycle { n: 2 }),
+            "a cycle needs at least 3 nodes, got 2",
+        ),
+        (
+            spec(GraphSpec::Cycle { n: 0 }),
+            "a cycle needs at least 3 nodes, got 0",
+        ),
+        (
+            spec(GraphSpec::TwoCycles { n: 7 }),
+            "even node count of at least 6, got 7",
+        ),
+        (
+            spec(GraphSpec::TwoCycles { n: 4 }),
+            "even node count of at least 6, got 4",
+        ),
+        (with_phi(f64::NAN), "invalid phi NaN"),
+        (with_phi(f64::INFINITY), "invalid phi inf"),
+        (with_phi(0.0), "invalid phi 0"),
+        (with_phi(-0.5), "invalid phi -0.5"),
+        (with_phi(1.0), "invalid phi 1"),
+    ]
+}
+
+#[test]
+fn invalid_specs_are_rejected_with_their_reason_and_recover_identically() {
+    let cfg = config();
+    let bad = invalid_specs();
+    // Valid and invalid submissions interleaved, so kill points land
+    // between an invalid submission and its rejection record too.
+    let mut specs = Vec::new();
+    for (i, (spec, _)) in bad.iter().enumerate() {
+        specs.push(JobSpec::basic(
+            "acme",
+            Workload::CcLabels,
+            GraphSpec::TwoCycles { n: 8 },
+            Seed(i as u64),
+        ));
+        specs.push(spec.clone());
+    }
+    let reference = reference_report(&cfg, &specs);
+    assert_eq!(reference.counters.rejected, bad.len() as u64);
+    assert_eq!(reference.counters.completed, bad.len() as u64);
+    for (k, (_, why)) in bad.iter().enumerate() {
+        let outcome = &reference.outcomes[2 * k + 1];
+        assert_eq!(outcome.state, csmpc_service::JobState::Rejected);
+        assert_eq!(outcome.attempts, 0);
+        let reason = outcome.reject_reason.as_deref().unwrap_or_default();
+        assert!(reason.contains(why), "job {k}: {reason:?} lacks {why:?}");
+    }
+    for k in 1..=2 * specs.len() as u64 {
+        let path = tmp(&format!("invalid_{k}"));
+        let (report, recoveries) = run_with_crash(&cfg, &specs, CrashPlan::kill_after(k), &path);
+        assert!(recoveries >= 1, "kill point {k} fired before the log ended");
+        assert_reports_match(
+            &reference,
+            &report,
+            &format!("invalid specs, kill after {k}"),
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
