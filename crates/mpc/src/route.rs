@@ -18,10 +18,10 @@
 //! the staging buffer in arrival order and each destination's cursor
 //! only moves forward, so per-destination arrival order — the only order
 //! a machine can observe — is exactly what the index tie-break of the
-//! sort-based router produced. The sort-based router is kept as
-//! [`reference::scatter`], and `tests/routing_equivalence.rs` proves the
-//! two produce element-for-element identical buffers and ranges over
-//! random message multisets.
+//! sort-based router produced. The sort-based router is kept as the
+//! oracle of `tests/routing_equivalence.rs`, which proves the two produce
+//! element-for-element identical buffers and ranges over random message
+//! multisets.
 //!
 //! **Arena lifetimes.** All three spines (`buf`, `ranges`, `counts`)
 //! live in one [`RouteArena`] hoisted outside the engine's round loop,
@@ -120,44 +120,6 @@ impl RouteArena {
     }
 }
 
-/// The retired sort-based router, kept as the oracle the counting-sort
-/// fabric is property-tested against.
-pub mod reference {
-    use super::Message;
-
-    /// Routes `incoming` exactly as the pre-fabric engine did: index sort
-    /// by `(to, index)` (the index tie-break makes it stable per
-    /// destination), payloads moved into a fresh buffer, per-machine
-    /// ranges swept out of the sorted result. O(len log len).
-    #[must_use]
-    pub fn scatter(
-        machines: usize,
-        incoming: &mut Vec<Message>,
-    ) -> (Vec<Message>, Vec<(usize, usize)>) {
-        let mut order: Vec<usize> = (0..incoming.len()).collect();
-        order.sort_unstable_by_key(|&i| (incoming[i].to, i));
-        let buf: Vec<Message> = order
-            .iter()
-            .map(|&i| Message {
-                to: incoming[i].to,
-                words: std::mem::take(&mut incoming[i].words),
-            })
-            .collect();
-        incoming.clear();
-        let mut ranges = vec![(0, 0); machines];
-        let mut lo = 0usize;
-        for (id, range) in ranges.iter_mut().enumerate() {
-            let mut hi = lo;
-            while hi < buf.len() && buf[hi].to == id {
-                hi += 1;
-            }
-            *range = (lo, hi);
-            lo = hi;
-        }
-        (buf, ranges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,24 +156,5 @@ mod tests {
         arena.scatter(&mut incoming);
         assert_eq!(arena.ranges, vec![(0, 0); 4]);
         assert!(arena.buf.is_empty());
-    }
-
-    #[test]
-    fn matches_reference_on_a_mixed_batch() {
-        let batch = vec![
-            msg(1, &[9, 9]),
-            msg(0, &[]),
-            msg(1, &[7]),
-            msg(3, &[3]),
-            msg(0, &[4, 5, 6]),
-            msg(1, &[8]),
-        ];
-        let mut arena = RouteArena::new(4);
-        let mut a_in = batch.clone();
-        arena.scatter(&mut a_in);
-        let mut r_in = batch;
-        let (r_buf, r_ranges) = reference::scatter(4, &mut r_in);
-        assert_eq!(arena.buf, r_buf);
-        assert_eq!(arena.ranges, r_ranges);
     }
 }

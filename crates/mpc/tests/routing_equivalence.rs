@@ -11,10 +11,47 @@
 //! destinations, self-sends, empty rounds, single-machine clusters) plus
 //! the structured edge cases, using [`reference::scatter`] as the oracle.
 
-use csmpc_mpc::route::{reference, RouteArena};
+use csmpc_mpc::route::RouteArena;
 use csmpc_mpc::Message;
 use proptest::collection;
 use proptest::prelude::*;
+
+/// The retired sort-based router, kept as the oracle the counting-sort
+/// fabric is tested against.
+mod reference {
+    use csmpc_mpc::Message;
+
+    /// Routes `incoming` exactly as the pre-fabric engine did: index sort
+    /// by `(to, index)` (the index tie-break makes it stable per
+    /// destination), payloads moved into a fresh buffer, per-machine
+    /// ranges swept out of the sorted result. O(len log len).
+    pub fn scatter(
+        machines: usize,
+        incoming: &mut Vec<Message>,
+    ) -> (Vec<Message>, Vec<(usize, usize)>) {
+        let mut order: Vec<usize> = (0..incoming.len()).collect();
+        order.sort_unstable_by_key(|&i| (incoming[i].to, i));
+        let buf: Vec<Message> = order
+            .iter()
+            .map(|&i| Message {
+                to: incoming[i].to,
+                words: std::mem::take(&mut incoming[i].words),
+            })
+            .collect();
+        incoming.clear();
+        let mut ranges = vec![(0, 0); machines];
+        let mut lo = 0usize;
+        for (id, range) in ranges.iter_mut().enumerate() {
+            let mut hi = lo;
+            while hi < buf.len() && buf[hi].to == id {
+                hi += 1;
+            }
+            *range = (lo, hi);
+            lo = hi;
+        }
+        (buf, ranges)
+    }
+}
 
 /// Builds a message batch from raw draws: destination reduced mod
 /// `machines`, payload length and contents derived from the draw so
@@ -111,4 +148,27 @@ fn duplicate_payloads_keep_arrival_order_per_destination() {
     // Identical (to, words) pairs are only distinguishable by arrival
     // order — exactly what stability must preserve.
     assert_equivalent(4, &[8, 8, 8, 4, 4, 8, 12, 0, 0, 12]);
+}
+
+#[test]
+fn matches_reference_on_a_mixed_batch() {
+    let msg = |to: usize, words: &[u64]| Message {
+        to,
+        words: words.to_vec(),
+    };
+    let batch = vec![
+        msg(1, &[9, 9]),
+        msg(0, &[]),
+        msg(1, &[7]),
+        msg(3, &[3]),
+        msg(0, &[4, 5, 6]),
+        msg(1, &[8]),
+    ];
+    let mut arena = RouteArena::new(4);
+    let mut a_in = batch.clone();
+    arena.scatter(&mut a_in);
+    let mut r_in = batch;
+    let (r_buf, r_ranges) = reference::scatter(4, &mut r_in);
+    assert_eq!(arena.buf, r_buf);
+    assert_eq!(arena.ranges, r_ranges);
 }
