@@ -520,7 +520,7 @@ impl<'a> DistributedGraph<'a> {
     /// iteration doubles the reach. Charges `2d` rounds per measured
     /// iteration and returns `(labels, iterations)`.
     ///
-    /// The sweep is [`crate::scale::hook_jump`], run in dense name-rank
+    /// The sweep is `scale::hook_jump`, run in dense name-rank
     /// space: pointer jumping reads only the order of names, so labels are
     /// ranks of the sorted distinct names while it runs and are mapped
     /// back to names at the end. Equal names share a rank, and a rank
@@ -535,22 +535,24 @@ impl<'a> DistributedGraph<'a> {
         let d = cluster
             .config()
             .tree_depth(cluster.input_n(), cluster.num_machines());
-        let mut by_name: Vec<(u64, usize)> = (0..n).map(|v| (self.g.name(v).0, v)).collect();
-        by_name.sort_unstable();
+        let mut sorted: Vec<(u64, usize)> = (0..n).map(|v| (self.g.name(v).0, v)).collect();
+        sorted.sort_unstable();
         // rank → name and rank → node; `label` starts as every node's rank.
         let mut names: Vec<u64> = Vec::with_capacity(n);
         let mut node_of: Vec<usize> = Vec::with_capacity(n);
         let mut label = vec![0u64; n];
-        for (name, v) in by_name {
-            if names.last() == Some(&name) {
-                *node_of.last_mut().expect("a rank per pushed name") = v;
-            } else {
+        for (name, v) in sorted {
+            if names.last() != Some(&name) {
                 names.push(name);
                 node_of.push(v);
             }
-            label[v] = (names.len() - 1) as u64;
+            let rank = names.len() - 1;
+            // Ascending `v` within a name: the last node carrying it wins.
+            node_of[rank] = v;
+            label[v] = rank as u64;
         }
         let csr = self.g.csr();
+        let rank_node = |r: u64| node_of[r as usize];
         let (mut next, mut jumped) = (Vec::new(), Vec::new());
         let mut iterations = 0usize;
         let mut sweep_ns = 0u64;
@@ -558,9 +560,7 @@ impl<'a> DistributedGraph<'a> {
             iterations += 1;
             cluster.advance_rounds(2 * d)?;
             let timer = PhaseTimer::start();
-            hook_jump(mode, csr, &label, &mut next, &mut jumped, |r| {
-                node_of[r as usize]
-            });
+            hook_jump(mode, csr, &label, &mut next, &mut jumped, rank_node);
             sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
             if jumped == label {
                 break;
@@ -571,10 +571,8 @@ impl<'a> DistributedGraph<'a> {
             step_ns: sweep_ns,
             ..PhaseTimes::default()
         });
-        Ok((
-            label.iter().map(|&r| names[r as usize]).collect(),
-            iterations,
-        ))
+        let labels = label.iter().map(|&r| names[r as usize]).collect();
+        Ok((labels, iterations))
     }
 }
 

@@ -10,7 +10,7 @@
 //! intermediate `Graph`), node *names are node indices*, and every
 //! per-vertex sweep writes into a caller-held [`ScaleWorkspace`] buffer
 //! via [`csmpc_parallel::par_map_range_into`]. Both paths' connectivity
-//! runs the one pointer-jumping sweep [`hook_jump`]: here with the
+//! runs the one pointer-jumping sweep `hook_jump`: here with the
 //! identity rank map, on the materialized path over name ranks. [`luby_mis`] and
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
@@ -161,7 +161,7 @@ pub(crate) fn hook_jump<F>(
 
 /// Connected-component labels by pointer jumping, the scale analogue of
 /// [`crate::DistributedGraph::cc_labels`]. Node names are node indices,
-/// so [`hook_jump`] runs with the identity rank map. On return
+/// so `hook_jump` runs with the identity rank map. On return
 /// `ws.label[v]` is the minimum node index in `v`'s component. Charges
 /// `2d` rounds per measured iteration; returns the iteration count.
 ///
