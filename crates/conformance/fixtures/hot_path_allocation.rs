@@ -23,8 +23,8 @@ pub fn flat_extent(ids: &[u64], scratch: &mut Vec<u64>) -> usize {
     scratch.len()
 }
 
-// Unmarked functions may build loop-invariant maps freely (cc_labels'
-// by_name table is the canonical legitimate use).
+// Unmarked functions may build loop-invariant maps freely (a lookup
+// table built once per call, outside any per-vertex loop).
 pub fn grouped(ids: &[u64]) -> BTreeMap<u64, u64> {
     ids.iter().map(|&x| (x, x)).collect()
 }
