@@ -89,22 +89,6 @@ echo "==> perfbench self-tests (metric lists match BENCHMARK.json)"
 # BENCHMARK.json declaration.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> bench smoke + perf-regression gate (vs committed BENCH_mpc_smoke.json)"
-# Writes BENCH_mpc_smoke.json (the committed full-size BENCH_mpc.json is
-# left untouched) and fails on gross per-workload regressions against the
-# committed smoke baseline. The gate is phase-aware: each row's route
-# phase is compared against the baseline's (warn above 1.5x, fail above
-# 3x past the noise floor), so a fabric regression trips even when step
-# time hides it in the wall-time tolerance. Threads are forced to 4 so
-# the run exercises the parallel dispatch path; per-row accounting books
-# effective workers as min(threads, cores), the sequential column (whose
-# wall time and phases do the gating) always runs one worker, and the
-# speedup gates still arm themselves only on genuinely multi-core
-# runners.
-RAYON_NUM_THREADS=4 cargo run -q --release -p csmpc-bench --bin perf -- \
-    --smoke --gate BENCH_mpc_smoke.json
-test -s BENCH_mpc_smoke.json
-
 echo "==> steady-state allocation gate (alloc-count build)"
 # Rebuilds perf with the counting allocator installed and replays a warm
 # ball-coloring repetition at fixed topology: the second repetition must
@@ -132,5 +116,22 @@ echo "==> job-service soak smoke + determinism + crash-recovery gates"
 RAYON_NUM_THREADS=4 cargo run -q --release -p csmpc-bench --bin soak -- \
     --smoke --check-determinism --crash-every 400
 test -s BENCH_service_smoke.json
+
+echo "==> bench smoke + perf-regression gate (vs committed BENCH_mpc_smoke.json)"
+# Writes BENCH_mpc_smoke.json (the committed full-size BENCH_mpc.json is
+# left untouched) and fails on gross per-workload regressions against the
+# committed smoke baseline. The gate is phase-aware: each row's route
+# phase is compared against the baseline's (warn above 1.5x, fail above
+# 3x past the noise floor), so a fabric regression trips even when step
+# time hides it in the wall-time tolerance. Threads are forced to 4 so
+# the run exercises the parallel dispatch path; per-row accounting books
+# effective workers as min(threads, cores), the sequential column (whose
+# wall time and phases do the gating) always runs one worker, and the
+# speedup gates still arm themselves only on genuinely multi-core
+# runners. It runs last, so a failing speedup check on a small host
+# cannot keep the allocation and determinism gates above from running.
+RAYON_NUM_THREADS=4 cargo run -q --release -p csmpc-bench --bin perf -- \
+    --smoke --gate BENCH_mpc_smoke.json
+test -s BENCH_mpc_smoke.json
 
 echo "CI green."
