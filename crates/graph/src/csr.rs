@@ -154,30 +154,24 @@ impl CsrAdjacency {
     where
         I: Iterator<Item = (u32, u32)>,
     {
-        let CsrAdjacency {
-            offsets,
-            mut targets,
-        } = Self::scatter(counts, edges);
-        let n = offsets.len() - 1;
-        if n == 0 {
-            return CsrAdjacency { offsets, targets };
-        }
+        let mut csr = Self::scatter(counts, edges);
+        let n = csr.n();
         // Per-row ascending sort, parallel over contiguous row blocks:
         // `split_at_mut` at row boundaries keeps the blocks disjoint.
         let blocks = (4 * rayon::current_num_threads()).min(n);
         let mut parts: Vec<(usize, usize, &mut [u32])> = Vec::with_capacity(blocks);
-        let mut rest: &mut [u32] = &mut targets;
+        let mut rest: &mut [u32] = &mut csr.targets;
         let mut consumed = 0usize;
         for b in 0..blocks {
             let r0 = b * n / blocks;
             let r1 = (b + 1) * n / blocks;
-            let end = offsets[r1] as usize;
+            let end = csr.offsets[r1] as usize;
             let (head, tail) = rest.split_at_mut(end - consumed);
             parts.push((r0, r1, head));
             consumed = end;
             rest = tail;
         }
-        let offs = &offsets;
+        let offs = &csr.offsets;
         let _: Vec<()> = par_map_mut(ParallelismMode::auto(), &mut parts, |_, part| {
             let (r0, r1, block) = part;
             let base = offs[*r0] as usize;
@@ -187,7 +181,7 @@ impl CsrAdjacency {
                 block[lo..hi].sort_unstable();
             }
         });
-        CsrAdjacency { offsets, targets }
+        csr
     }
 
     /// `counts[v]` is node `v`'s degree (`counts[n]` is 0). Prefix-scans
