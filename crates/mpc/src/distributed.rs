@@ -90,11 +90,11 @@ impl<'a> DistributedGraph<'a> {
             .collect();
         // Connected-component labels, dense `0..k` numbered by smallest
         // node index — the `Graph::component_labels` numbering exactly,
-        // computed by union-find over the edge stream instead of a DFS
-        // chasing adjacency Vecs. Pointing the larger root at the smaller
-        // keeps each set's root at its minimum element, so the ascending
-        // label scan below reproduces the DFS numbering; path halving in
-        // `find` keeps the forest shallow.
+        // computed by union-find over the edge stream, whose one walk also
+        // captures `edge_src` below. Pointing the larger root at the
+        // smaller keeps each set's root at its minimum element, so the
+        // ascending label scan below reproduces the DFS numbering; path
+        // halving in `find` keeps the forest shallow.
         fn find(parent: &mut [u32], mut v: u32) -> u32 {
             while parent[v as usize] != v {
                 let gp = parent[parent[v as usize] as usize];
@@ -106,7 +106,7 @@ impl<'a> DistributedGraph<'a> {
         let mut parent: Vec<u32> = (0..g.n() as u32).collect();
         // First endpoint of each edge in `g.edges()` order, captured during
         // the union walk so the provenance sweep below reads a flat array
-        // instead of chasing the per-node adjacency Vecs a second time.
+        // instead of filtering the CSR rows a second time.
         let mut edge_src: Vec<u32> = Vec::with_capacity(g.m());
         for (u, w) in g.edges() {
             edge_src.push(u as u32);
@@ -478,7 +478,7 @@ impl<'a> DistributedGraph<'a> {
     /// ball fits in a machine (`graph_words(ball) ≤ S`).
     ///
     /// The host-side computation sweeps per-thread flat
-    /// [`csmpc_graph::ball::BallWorkspace`]s over a CSR adjacency view and
+    /// [`csmpc_graph::ball::BallWorkspace`]s over the graph's CSR spine and
     /// is memoized in the process-wide [`crate::BallCache`], keyed by exact
     /// graph content — repetition loops re-running the same input (e.g.
     /// success-probability trials) share one computed set behind the
