@@ -220,8 +220,10 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Checks everything the service would otherwise trip over when it
-    /// builds the job's graph or cluster: the graph recipe, and a space
-    /// exponent `φ` that must be finite and lie in `(0, 1)`.
+    /// builds the job's graph or cluster: the graph recipe, a space
+    /// exponent `φ` that must be finite and lie in `(0, 1)`, and a
+    /// nonzero space floor on an empty graph (where `n^φ` gives machines
+    /// of 0 words).
     ///
     /// # Errors
     ///
@@ -234,6 +236,11 @@ impl JobSpec {
                 "invalid phi {}: the space exponent must be finite and lie in (0, 1)",
                 self.phi
             ));
+        }
+        if self.graph.nodes() == 0 && self.min_space == 0 {
+            return Err(
+                "invalid min_space 0: an empty graph needs a space floor of at least 1 word".into(),
+            );
         }
         Ok(())
     }

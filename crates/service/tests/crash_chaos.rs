@@ -419,6 +419,13 @@ fn invalid_specs() -> Vec<(JobSpec, &'static str)> {
         (with_phi(0.0), "invalid phi 0"),
         (with_phi(-0.5), "invalid phi -0.5"),
         (with_phi(1.0), "invalid phi 1"),
+        (
+            JobSpec {
+                min_space: 0,
+                ..spec(GraphSpec::Path { n: 0 })
+            },
+            "invalid min_space 0",
+        ),
     ]
 }
 
