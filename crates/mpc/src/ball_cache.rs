@@ -12,10 +12,10 @@
 //! lossy hash. A 64-bit FNV-1a fingerprint of that content provides the
 //! fast reject; on fingerprint match the key's graph is compared with the
 //! caller's field for field before an entry is reused, so a fault-mutated
-//! or otherwise edited graph can never be served stale balls. Charges are unaffected: callers
-//! charge the same rounds/words/space whether the set was computed or
-//! reused (the model's observables measure the simulated algorithm, which
-//! always "performs" the collection).
+//! or otherwise edited graph can never be served stale balls. Charges are
+//! unaffected: callers charge the same rounds/words/space whether the set
+//! was computed or reused (the model's observables measure the simulated
+//! algorithm, which always "performs" the collection).
 //!
 //! The cache is process-global, bounded (a shared [`Lru`]), and shared
 //! across threads; entries are immutable once inserted, so a hit in
