@@ -10,9 +10,10 @@
 //! variants.
 
 use csmpc_graph::rng::Seed;
+use csmpc_mpc::Stats;
 use csmpc_service::{
-    Counters, CrashPlan, FaultSpec, GraphSpec, JobService, JobSpec, Journal, JournalError,
-    Priority, RecoveryError, ServiceConfig, ServiceReport, Workload,
+    Counters, CrashPlan, FaultSpec, GraphSpec, JobId, JobService, JobSpec, Journal, JournalError,
+    JournalRecord, Priority, RecoveryError, ServiceConfig, ServiceReport, Workload,
 };
 use std::path::{Path, PathBuf};
 
@@ -465,5 +466,80 @@ fn invalid_specs_are_rejected_with_their_reason_and_recover_identically() {
             &format!("invalid specs, kill after {k}"),
         );
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Writes `records` by hand and asserts that recovery refuses the log as
+/// an impossible history at record `at` — an error, never a panic.
+fn assert_refused(name: &str, records: &[JournalRecord], at: usize) {
+    let path = tmp(name);
+    let mut journal = Journal::create(&path).unwrap();
+    for rec in records {
+        journal.append(rec).unwrap();
+    }
+    drop(journal);
+    let result = JobService::recover(config(), &path);
+    std::fs::remove_file(&path).ok();
+    match result {
+        Err(RecoveryError::Inconsistent { record, detail }) => {
+            assert_eq!(record, at, "{name}: {detail}");
+        }
+        Err(other) => panic!("{name}: expected an inconsistent history, got {other:?}"),
+        Ok(_) => panic!("{name}: an impossible history must refuse recovery"),
+    }
+}
+
+#[test]
+fn impossible_histories_refuse_recovery_at_the_offending_record() {
+    let submitted = |id| JournalRecord::Submitted {
+        id: JobId(id),
+        spec: mixed_batch()[0].clone(),
+    };
+    assert_refused("dense", &[submitted(0), submitted(2)], 1);
+    // Job 0 exists; job 1 was never submitted.
+    let unknown = JobId(1);
+    let strays = [
+        JournalRecord::Admitted {
+            id: unknown,
+            footprint: 64,
+        },
+        JournalRecord::Shed {
+            id: unknown,
+            footprint: 64,
+        },
+        JournalRecord::Rejected {
+            id: unknown,
+            reason: "over budget".to_string(),
+        },
+        JournalRecord::AttemptStarted {
+            id: unknown,
+            attempt: 1,
+        },
+        JournalRecord::AttemptFinished {
+            id: unknown,
+            attempt: 1,
+            deadline: false,
+            error: "attempt 1: boom".to_string(),
+        },
+        JournalRecord::Quarantined {
+            id: unknown,
+            attempts: 1,
+            shed: false,
+        },
+        JournalRecord::Completed {
+            id: unknown,
+            attempts: 1,
+            shed: false,
+            degraded: false,
+            digest: 7,
+            stats: Stats::default(),
+        },
+    ];
+    for (k, stray) in strays.into_iter().enumerate() {
+        let admitted = JournalRecord::Admitted {
+            id: JobId(0),
+            footprint: 64,
+        };
+        assert_refused(&format!("unknown_{k}"), &[submitted(0), admitted, stray], 2);
     }
 }

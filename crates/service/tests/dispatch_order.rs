@@ -9,7 +9,10 @@
 //! jobs that end in quarantine, so the virtual-clock fast-forward runs
 //! once only backing-off jobs are left. The write-ahead log records one
 //! `AttemptStarted` per dispatch; the `(id, attempt)` sequence read back
-//! from it is the dispatch order, pinned by count and digest.
+//! from it is the dispatch order, pinned by count and digest. The whole
+//! log is pinned too — record count plus a digest over every record's
+//! encoding — so the write side (which records, in which order, with
+//! which payloads) cannot drift while the dispatch order holds.
 
 use csmpc_graph::fnv::Fnv1a;
 use csmpc_graph::rng::{Seed, SplitMix64};
@@ -112,5 +115,16 @@ fn one_worker_dispatch_order_is_pinned() {
         (dispatches, digest.finish()),
         (1_249, 0x328c_4d67_3ec0_d4ab),
         "dispatch order changed"
+    );
+
+    let mut journal = Fnv1a::new();
+    for rec in &log.records {
+        let bytes = rec.encode();
+        journal.word(bytes.len() as u64).bytes(&bytes);
+    }
+    assert_eq!(
+        (log.records.len(), journal.finish()),
+        (4_550, 0x8ae8_ccad_802b_dacc),
+        "journal contents changed"
     );
 }
