@@ -54,26 +54,34 @@ impl AdmissionController {
         }
     }
 
-    /// Decides one submission with footprint `footprint_words`, booking
-    /// it on any admit.
-    pub fn decide(&mut self, footprint_words: usize, priority: Priority) -> AdmissionDecision {
+    /// The verdict on a submission with footprint `footprint_words`
+    /// against the current bookings, booking nothing.
+    pub(crate) fn judge(&self, footprint_words: usize, priority: Priority) -> AdmissionDecision {
         let after = self.booked_words.saturating_add(footprint_words);
         if after > self.capacity_words {
-            return AdmissionDecision::Reject {
+            AdmissionDecision::Reject {
                 reason: format!(
                     "aggregate space budget exceeded: job needs {footprint_words} words, \
                      {booked} already booked, capacity {cap}",
                     booked = self.booked_words,
                     cap = self.capacity_words,
                 ),
-            };
-        }
-        self.booked_words = after;
-        if after > self.shed_watermark && priority == Priority::Low {
+            }
+        } else if after > self.shed_watermark && priority == Priority::Low {
             AdmissionDecision::AdmitShed
         } else {
             AdmissionDecision::Admit
         }
+    }
+
+    /// Decides one submission with footprint `footprint_words`, booking
+    /// it on any admit.
+    pub fn decide(&mut self, footprint_words: usize, priority: Priority) -> AdmissionDecision {
+        let decision = self.judge(footprint_words, priority);
+        if !matches!(decision, AdmissionDecision::Reject { .. }) {
+            self.rebook(footprint_words);
+        }
+        decision
     }
 
     /// Returns a completed (or quarantined) job's reservation.
@@ -81,11 +89,12 @@ impl AdmissionController {
         self.booked_words = self.booked_words.saturating_sub(footprint_words);
     }
 
-    /// Re-books a reservation whose admission was already decided — the
-    /// journal-replay path ([`crate::recovery`]) restoring bookings for
-    /// jobs still live at the crash. Unconditional by design: the
-    /// original `decide` call is durable, so re-judging it against
-    /// capacity could only diverge from history.
+    /// Books a reservation whose admission was already decided, without
+    /// re-judging it against capacity: the decision is durable, so
+    /// re-judging could only diverge from history. The service books
+    /// here when it applies an `Admitted` or `Shed` journal record —
+    /// live, right after judging and appending it, and on replay
+    /// ([`crate::recovery`]) for every such record in the log.
     pub fn rebook(&mut self, footprint_words: usize) {
         self.booked_words = self.booked_words.saturating_add(footprint_words);
     }

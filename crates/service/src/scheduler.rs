@@ -20,6 +20,15 @@
 //! * Wall-clock time is recorded per job for observability
 //!   ([`JobOutcome::wall_ms`]) but — like [`csmpc_mpc::Stats`] phase
 //!   timings — is excluded from [`ServiceReport::fingerprint`].
+//!
+//! ## One state machine
+//!
+//! Every lifecycle transition is a [`JournalRecord`], and
+//! `SchedState::apply` is the only code that applies one. The live
+//! path builds a record, appends it to the journal when durability is
+//! armed (write-ahead), then applies it; [`crate::recovery`] applies the
+//! recovered records through the same function. So recovered state
+//! cannot drift from live state by a fix that lands in one copy only.
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::graph_store::{self, GraphStore, SharedGraph};
@@ -179,42 +188,334 @@ impl ServiceReport {
     }
 }
 
-/// One queued (admitted, not yet terminal) job.
-pub(crate) struct QueuedJob {
-    pub(crate) id: JobId,
+/// Where one job is in its lifecycle.
+pub(crate) enum Phase {
+    /// Submitted; its admission decision is not yet recorded.
+    Undecided,
+    /// Admitted and waiting in the queue for attempt [`Job::attempt`].
+    Queued,
+    /// Attempt [`Job::attempt`] is dispatched.
+    Running,
+    /// Terminal, with its outcome.
+    Done(Box<JobOutcome>),
+}
+
+/// One submitted job: its spec, its phase, and what its transitions so
+/// far have accumulated. Indexed by [`JobId`] in [`SchedState::jobs`].
+pub(crate) struct Job {
     pub(crate) spec: JobSpec,
-    pub(crate) shed: bool,
-    pub(crate) footprint: usize,
-    /// Attempt about to run, 1-based.
-    pub(crate) attempt: u32,
+    pub(crate) phase: Phase,
+    shed: bool,
+    footprint: usize,
+    /// The attempt queued or running, 1-based (0 until admitted).
+    attempt: u32,
     /// Virtual tick before which this job may not dispatch (backoff).
-    pub(crate) not_before: u64,
-    /// Submission sequence — the FIFO tiebreak.
-    pub(crate) seq: u64,
-    pub(crate) errors: Vec<String>,
-    pub(crate) started: Option<Instant>,
+    not_before: u64,
+    errors: Vec<String>,
+    /// Wall clock at first dispatch — live observability only.
+    started: Option<Instant>,
+}
+
+impl Job {
+    fn new(spec: JobSpec) -> Self {
+        Job {
+            spec,
+            phase: Phase::Undecided,
+            shed: false,
+            footprint: 0,
+            attempt: 0,
+            not_before: 0,
+            errors: Vec::new(),
+            started: None,
+        }
+    }
+
+    /// Parks the job in its terminal phase.
+    fn finish(
+        &mut self,
+        id: JobId,
+        state: JobState,
+        digest: u64,
+        stats: Option<Stats>,
+        reject_reason: Option<String>,
+    ) {
+        self.phase = Phase::Done(Box::new(JobOutcome {
+            id,
+            tenant: self.spec.tenant.clone(),
+            priority: self.spec.priority,
+            state,
+            shed: self.shed,
+            attempts: self.attempt,
+            digest,
+            stats,
+            reject_reason,
+            errors: std::mem::take(&mut self.errors),
+            wall_ms: 0.0,
+        }));
+    }
+
+    /// Why a record about `attempt` cannot apply in the job's phase.
+    fn refuse(&self, id: JobId, what: &str, attempt: u32) -> String {
+        let phase = match self.phase {
+            Phase::Undecided => "undecided".to_string(),
+            Phase::Queued => format!("queued for attempt {}", self.attempt),
+            Phase::Running => format!("running attempt {}", self.attempt),
+            Phase::Done(_) => "terminal".to_string(),
+        };
+        format!("{what} of attempt {attempt} while job {} is {phase}", id.0)
+    }
+}
+
+/// The job `id` names, or why the record naming it is impossible.
+fn known<'a>(jobs: &'a mut [Job], id: JobId, what: &str) -> Result<&'a mut Job, String> {
+    usize::try_from(id.0)
+        .ok()
+        .and_then(|i| jobs.get_mut(i))
+        .ok_or_else(|| format!("{what} unknown job {}", id.0))
 }
 
 pub(crate) struct SchedState {
-    pub(crate) queue: Vec<QueuedJob>,
-    pub(crate) running: usize,
+    /// Every submitted job, indexed by [`JobId`].
+    pub(crate) jobs: Vec<Job>,
+    /// The [`Phase::Queued`] jobs, in no particular order:
+    /// [`JobService::pick`]'s key is total.
+    pub(crate) queue: Vec<JobId>,
+    /// The [`Phase::Running`] jobs.
+    running: usize,
     /// Virtual time: one tick per completed attempt, fast-forwarded
     /// when everything queued is backing off.
-    pub(crate) clock: u64,
+    clock: u64,
     /// Dispatch counter feeding tenant fairness.
-    pub(crate) dispatches: u64,
+    dispatches: u64,
     /// Last dispatch sequence per tenant — the round-robin key.
-    pub(crate) last_served: BTreeMap<String, u64>,
-    pub(crate) outcomes: Vec<Option<JobOutcome>>,
-    pub(crate) counters: Counters,
-    pub(crate) admission: AdmissionController,
+    last_served: BTreeMap<String, u64>,
+    counters: Counters,
+    admission: AdmissionController,
     /// Write-ahead journal, when durability is armed: every lifecycle
-    /// transition is appended *before* it is applied in memory.
+    /// record is appended *before* it is applied in memory.
     pub(crate) journal: Option<Journal>,
     /// `true` once an armed [`CrashPlan`] has fired: the simulated
     /// process is dead, workers drain out, and only
     /// [`JobService::recover`](crate::recovery) can continue the batch.
-    pub(crate) crashed: bool,
+    crashed: bool,
+}
+
+impl SchedState {
+    pub(crate) fn new(cfg: &ServiceConfig, journal: Option<Journal>) -> Self {
+        SchedState {
+            jobs: Vec::new(),
+            queue: Vec::new(),
+            running: 0,
+            clock: 0,
+            dispatches: 0,
+            last_served: BTreeMap::new(),
+            counters: Counters::default(),
+            admission: AdmissionController::new(cfg.capacity_words, cfg.shed_fraction),
+            journal,
+            crashed: false,
+        }
+    }
+
+    fn job(&self, id: JobId) -> &Job {
+        &self.jobs[id.0 as usize]
+    }
+
+    /// Applies one lifecycle record. Apart from [`Self::requeue_in_flight`] —
+    /// the crash, which no record carries — this is the only code that
+    /// moves a job between phases, ticks the virtual clock, bumps
+    /// [`Counters`], stamps fairness, computes backoff, books or releases
+    /// admission, and builds a [`JobOutcome`]. The live scheduler calls it on each
+    /// record right after appending it; replay calls it on each recovered
+    /// record. It is pure in `(state, record)`: wall-clock stamps stay
+    /// with the live caller.
+    ///
+    /// Duplicates are judged by the job's phase, never by which records
+    /// were seen before: `Ok(false)` means the job already made this
+    /// transition — a retried write, the re-run of an attempt that was in
+    /// flight at a crash (`AttemptStarted { attempt: N }` while running
+    /// `N`), or the `Quarantined` that confirms a final failed attempt —
+    /// and nothing changed. `Err` names an impossible history.
+    pub(crate) fn apply(&mut self, rec: JournalRecord) -> Result<bool, String> {
+        match rec {
+            JournalRecord::Submitted { id, spec } => {
+                let next = self.jobs.len() as u64;
+                if id.0 > next {
+                    return Err(format!("submission id {} breaks the dense id space", id.0));
+                }
+                if id.0 < next {
+                    return Ok(false);
+                }
+                self.counters.submitted += 1;
+                self.jobs.push(Job::new(spec));
+            }
+            JournalRecord::Admitted { id, footprint } | JournalRecord::Shed { id, footprint } => {
+                let shed = matches!(rec, JournalRecord::Shed { .. });
+                let job = known(&mut self.jobs, id, "decision for")?;
+                if !matches!(job.phase, Phase::Undecided) {
+                    return Ok(false);
+                }
+                self.counters.admitted += 1;
+                self.counters.shed += u64::from(shed);
+                job.shed = shed;
+                job.footprint = footprint as usize;
+                job.attempt = 1;
+                job.phase = Phase::Queued;
+                self.admission.rebook(job.footprint);
+                self.queue.push(id);
+            }
+            JournalRecord::Rejected { id, reason } => {
+                let job = known(&mut self.jobs, id, "rejection of")?;
+                if !matches!(job.phase, Phase::Undecided) {
+                    return Ok(false);
+                }
+                self.counters.rejected += 1;
+                job.finish(id, JobState::Rejected, 0, None, Some(reason));
+            }
+            JournalRecord::AttemptStarted { id, attempt } => {
+                let job = known(&mut self.jobs, id, "attempt start for")?;
+                match job.phase {
+                    Phase::Running if job.attempt == attempt => return Ok(false),
+                    Phase::Queued if job.attempt == attempt => {}
+                    _ => return Err(job.refuse(id, "start", attempt)),
+                }
+                let at = self
+                    .queue
+                    .iter()
+                    .position(|&q| q == id)
+                    .expect("a queued job sits in the queue");
+                self.queue.swap_remove(at);
+                job.phase = Phase::Running;
+                self.running += 1;
+                self.dispatches += 1;
+                self.last_served
+                    .insert(job.spec.tenant.clone(), self.dispatches);
+            }
+            JournalRecord::AttemptFinished {
+                id,
+                attempt,
+                deadline,
+                error,
+            } => {
+                let job = known(&mut self.jobs, id, "attempt finish for")?;
+                match job.phase {
+                    Phase::Running if job.attempt == attempt => {}
+                    Phase::Queued if job.attempt > attempt => return Ok(false),
+                    Phase::Done(_) => return Ok(false),
+                    _ => return Err(job.refuse(id, "finish", attempt)),
+                }
+                self.running -= 1;
+                self.clock = self.clock.saturating_add(1);
+                self.counters.deadline_failures += u64::from(deadline);
+                job.errors.push(error);
+                if attempt >= job.spec.max_attempts {
+                    // Poison job: parked with its history; a following
+                    // Quarantined record only confirms this.
+                    self.counters.quarantined += 1;
+                    self.admission.release(job.footprint);
+                    job.finish(id, JobState::Quarantined, 0, None, None);
+                } else {
+                    // Bounded retry with saturating seeded backoff, paced
+                    // in virtual ticks; a tenant-chosen delay saturates
+                    // the clock arithmetic rather than wrapping it.
+                    let delay = job.spec.backoff.delay(job.spec.seed, attempt);
+                    self.counters.retries += 1;
+                    self.counters.backoff_ticks = self.counters.backoff_ticks.saturating_add(delay);
+                    job.attempt += 1;
+                    job.not_before = self.clock.saturating_add(delay);
+                    job.phase = Phase::Queued;
+                    self.queue.push(id);
+                }
+            }
+            JournalRecord::Quarantined { id, attempts, .. } => {
+                let job = known(&mut self.jobs, id, "quarantine of")?;
+                if !matches!(job.phase, Phase::Done(_)) {
+                    return Err(job.refuse(id, "quarantine", attempts));
+                }
+                return Ok(false);
+            }
+            JournalRecord::Completed {
+                id,
+                attempts,
+                degraded,
+                digest,
+                stats,
+                ..
+            } => {
+                let job = known(&mut self.jobs, id, "completion of")?;
+                match job.phase {
+                    Phase::Running if job.attempt == attempts => {}
+                    Phase::Done(_) => return Ok(false),
+                    _ => return Err(job.refuse(id, "completion", attempts)),
+                }
+                self.running -= 1;
+                self.clock = self.clock.saturating_add(1);
+                let state = if degraded {
+                    self.counters.degraded += 1;
+                    JobState::Degraded
+                } else {
+                    self.counters.completed += 1;
+                    JobState::Completed
+                };
+                self.admission.release(job.footprint);
+                job.finish(id, state, digest, Some(stats), None);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The one transition no record carries: the process that ran the
+    /// in-flight attempts died with their results, so every running job
+    /// goes back to the queue at the same attempt. Replay ends with it;
+    /// the re-run appends a second `AttemptStarted`, which a later replay
+    /// finds the job already running.
+    pub(crate) fn requeue_in_flight(&mut self) {
+        for (i, job) in self.jobs.iter_mut().enumerate() {
+            if matches!(job.phase, Phase::Running) {
+                job.phase = Phase::Queued;
+                self.queue.push(JobId(i as u64));
+            }
+        }
+        self.running = 0;
+    }
+
+    /// The admission record for submitted job `id` with footprint
+    /// `footprint` (or the reason its spec is refused), judged against
+    /// the current bookings. Judging books nothing: applying the record
+    /// does.
+    pub(crate) fn decision_record(
+        &self,
+        id: JobId,
+        footprint: Result<usize, String>,
+    ) -> JournalRecord {
+        let priority = self.job(id).spec.priority;
+        match footprint.map(|words| (self.admission.judge(words, priority), words as u64)) {
+            Err(reason) | Ok((AdmissionDecision::Reject { reason }, _)) => {
+                JournalRecord::Rejected { id, reason }
+            }
+            Ok((AdmissionDecision::AdmitShed, footprint)) => JournalRecord::Shed { id, footprint },
+            Ok((AdmissionDecision::Admit, footprint)) => JournalRecord::Admitted { id, footprint },
+        }
+    }
+
+    /// The live write-ahead step: appends `rec`, then applies it.
+    /// `false` (with the service marked crashed) when the append did not
+    /// persist — an armed [`CrashPlan`] fired, or real I/O failed — so
+    /// the log never lags memory. After a crash nothing persists or
+    /// mutates, exactly like a process killed between syscalls.
+    fn commit(&mut self, rec: JournalRecord) -> bool {
+        if self.crashed {
+            return false;
+        }
+        if let Some(j) = self.journal.as_mut() {
+            if j.append(&rec).is_err() {
+                self.crashed = true;
+                return false;
+            }
+        }
+        self.apply(rec)
+            .expect("the live scheduler records only possible histories");
+        true
+    }
 }
 
 /// The job service: submit a batch, then [`run`](JobService::run) it.
@@ -237,8 +538,8 @@ pub(crate) fn job_mpc_config(spec: &JobSpec, mode: ParallelismMode) -> MpcConfig
 /// The words a job would book, or why it is refused before admission:
 /// the spec is validated before its graph is built, so a malformed spec
 /// never reaches a generator. [`JobService::submit`] and recovery's
-/// re-derived decisions both go through here, so replay reaches the same
-/// verdict.
+/// re-derived decisions both go through here and through
+/// [`SchedState::decision_record`], so replay reaches the same verdict.
 pub(crate) fn job_footprint(
     spec: &JobSpec,
     store: &GraphStore,
@@ -249,19 +550,6 @@ pub(crate) fn job_footprint(
     let mcfg = job_mpc_config(spec, mode);
     let n = shared.graph.n();
     Ok(mcfg.machines_for(n, shared.words) * mcfg.local_space(n))
-}
-
-/// The admission verdict on a [`job_footprint`] result, with the footprint
-/// it books (0 for a refused spec, which books nothing).
-pub(crate) fn admission_decision(
-    admission: &mut AdmissionController,
-    footprint: Result<usize, String>,
-    priority: Priority,
-) -> (AdmissionDecision, usize) {
-    match footprint {
-        Ok(words) => (admission.decide(words, priority), words),
-        Err(reason) => (AdmissionDecision::Reject { reason }, 0),
-    }
 }
 
 struct AttemptSuccess {
@@ -355,28 +643,12 @@ impl JobService {
     }
 
     fn with_optional_journal(cfg: ServiceConfig, journal: Option<Journal>) -> Self {
-        let admission = AdmissionController::new(cfg.capacity_words, cfg.shed_fraction);
-        JobService {
-            cfg,
-            store: graph_store::global(),
-            state: Mutex::new(SchedState {
-                queue: Vec::new(),
-                running: 0,
-                clock: 0,
-                dispatches: 0,
-                last_served: BTreeMap::new(),
-                outcomes: Vec::new(),
-                counters: Counters::default(),
-                admission,
-                journal,
-                crashed: false,
-            }),
-            cvar: Condvar::new(),
-        }
+        let state = SchedState::new(&cfg, journal);
+        Self::from_replayed(cfg, state)
     }
 
-    /// Rebuilds a service around a state replayed from a journal
-    /// (the [`crate::recovery`] constructor).
+    /// A service around `state` — fresh, or replayed from a journal by
+    /// [`crate::recovery`].
     pub(crate) fn from_replayed(cfg: ServiceConfig, state: SchedState) -> Self {
         JobService {
             cfg,
@@ -418,25 +690,8 @@ impl JobService {
         self.state
             .lock()
             .expect("service state poisoned")
-            .outcomes
+            .jobs
             .len()
-    }
-
-    /// Appends `rec`, returning `false` (and marking the service
-    /// crashed) when the journal's armed crash plan fires. Real I/O
-    /// errors also read as a crash: the record did not persist, so
-    /// continuing would desynchronize the log from memory.
-    fn journal_append(state: &mut SchedState, rec: &JournalRecord) -> bool {
-        match state.journal.as_mut() {
-            None => true,
-            Some(j) => match j.append(rec) {
-                Ok(()) => true,
-                Err(_) => {
-                    state.crashed = true;
-                    false
-                }
-            },
-        }
     }
 
     /// Submits one job, deciding admission immediately (in submission
@@ -446,86 +701,12 @@ impl JobService {
     pub fn submit(&self, spec: JobSpec) -> JobId {
         let footprint = job_footprint(&spec, self.store, self.cfg.mode);
         let mut state = self.state.lock().expect("service state poisoned");
-        let id = JobId(state.outcomes.len() as u64);
-        let seq = id.0;
-        // Write-ahead: the submission persists before any in-memory
-        // effect. After a crash nothing mutates — the id is still handed
-        // back so callers index consistently, but the dead process
-        // records nothing, exactly like a kill between syscalls.
-        if state.crashed {
-            return id;
-        }
-        if !Self::journal_append(
-            &mut state,
-            &JournalRecord::Submitted {
-                id,
-                spec: spec.clone(),
-            },
-        ) {
-            return id;
-        }
-        state.counters.submitted += 1;
-        let (decision, footprint) =
-            admission_decision(&mut state.admission, footprint, spec.priority);
-        let decision_rec = match &decision {
-            AdmissionDecision::Reject { reason } => JournalRecord::Rejected {
-                id,
-                reason: reason.clone(),
-            },
-            AdmissionDecision::AdmitShed => JournalRecord::Shed {
-                id,
-                footprint: footprint as u64,
-            },
-            AdmissionDecision::Admit => JournalRecord::Admitted {
-                id,
-                footprint: footprint as u64,
-            },
-        };
-        if !Self::journal_append(&mut state, &decision_rec) {
-            // The submission persisted but its decision did not: the
-            // booking must not survive in memory either (replay will
-            // re-derive the decision from the log).
-            if !matches!(decision, AdmissionDecision::Reject { .. }) {
-                state.admission.release(footprint);
-            }
-            return id;
-        }
-        match decision {
-            AdmissionDecision::Reject { reason } => {
-                state.counters.rejected += 1;
-                state.outcomes.push(Some(JobOutcome {
-                    id,
-                    tenant: spec.tenant.clone(),
-                    priority: spec.priority,
-                    state: JobState::Rejected,
-                    shed: false,
-                    attempts: 0,
-                    digest: 0,
-                    stats: None,
-                    reject_reason: Some(reason),
-                    errors: Vec::new(),
-                    wall_ms: 0.0,
-                }));
-            }
-            decision => {
-                let shed = matches!(decision, AdmissionDecision::AdmitShed);
-                state.counters.admitted += 1;
-                if shed {
-                    state.counters.shed += 1;
-                }
-                state.outcomes.push(None);
-                state.queue.push(QueuedJob {
-                    id,
-                    spec,
-                    shed,
-                    footprint,
-                    attempt: 1,
-                    not_before: 0,
-                    seq,
-                    errors: Vec::new(),
-                    started: None,
-                });
-            }
+        // After a crash the id is still handed back so callers index
+        // consistently, but the dead process records nothing.
+        let id = JobId(state.jobs.len() as u64);
+        if state.commit(JournalRecord::Submitted { id, spec }) {
+            let decision = state.decision_record(id, footprint);
+            state.commit(decision);
         }
         id
     }
@@ -565,10 +746,13 @@ impl JobService {
             return None;
         }
         let outcomes: Vec<JobOutcome> = state
-            .outcomes
+            .jobs
             .drain(..)
             .enumerate()
-            .map(|(i, o)| o.unwrap_or_else(|| panic!("job {i} wedged without a terminal state")))
+            .map(|(i, job)| match job.phase {
+                Phase::Done(outcome) => *outcome,
+                _ => panic!("job {i} wedged without a terminal state"),
+            })
             .collect();
         let counters = state.counters;
         state.counters = Counters::default();
@@ -584,48 +768,37 @@ impl JobService {
         self.run()
     }
 
-    /// Picks the next dispatchable queue index: eligible (`not_before`
+    /// Picks the next dispatchable queued job: eligible (`not_before`
     /// reached), highest priority first, then least-recently-served
     /// tenant, then FIFO.
-    fn pick(state: &SchedState) -> Option<usize> {
+    fn pick(state: &SchedState) -> Option<JobId> {
         state
             .queue
             .iter()
-            .enumerate()
-            .filter(|(_, q)| q.not_before <= state.clock)
-            .min_by_key(|(_, q)| {
-                let served = state.last_served.get(&q.spec.tenant).copied().unwrap_or(0);
-                (Reverse(q.spec.priority), served, q.seq)
+            .filter(|&&id| state.job(id).not_before <= state.clock)
+            .min_by_key(|&&id| {
+                let spec = &state.job(id).spec;
+                let served = state.last_served.get(&spec.tenant).copied().unwrap_or(0);
+                (Reverse(spec.priority), served, id.0)
             })
-            .map(|(i, _)| i)
+            .copied()
     }
 
     fn worker_loop(&self) {
         loop {
             let mut state = self.state.lock().expect("service state poisoned");
-            let job = loop {
+            let dispatch = loop {
                 if state.crashed {
                     break None;
                 }
-                if let Some(idx) = Self::pick(&state) {
-                    // Write-ahead: the dispatch persists before any of
-                    // its in-memory effects (fairness stamp, dequeue).
-                    let (id, attempt) = (state.queue[idx].id, state.queue[idx].attempt);
-                    if !Self::journal_append(
-                        &mut state,
-                        &JournalRecord::AttemptStarted { id, attempt },
-                    ) {
+                if let Some(id) = Self::pick(&state) {
+                    let attempt = state.job(id).attempt;
+                    if !state.commit(JournalRecord::AttemptStarted { id, attempt }) {
                         break None;
                     }
-                    let mut job = state.queue.remove(idx);
-                    state.running += 1;
-                    state.dispatches += 1;
-                    let stamp = state.dispatches;
-                    state.last_served.insert(job.spec.tenant.clone(), stamp);
-                    if job.started.is_none() {
-                        job.started = Some(Instant::now());
-                    }
-                    break Some(job);
+                    let job = &mut state.jobs[id.0 as usize];
+                    job.started.get_or_insert_with(Instant::now);
+                    break Some((id, job.spec.clone(), attempt, job.shed));
                 }
                 if state.queue.is_empty() && state.running == 0 {
                     break None;
@@ -638,7 +811,7 @@ impl JobService {
                     let next = state
                         .queue
                         .iter()
-                        .map(|q| q.not_before)
+                        .map(|&id| state.job(id).not_before)
                         .min()
                         .expect("non-empty queue");
                     state.clock = state.clock.max(next);
@@ -646,7 +819,7 @@ impl JobService {
                 }
                 state = self.cvar.wait(state).expect("service state poisoned");
             };
-            let Some(mut job) = job else {
+            let Some((id, spec, attempt, shed)) = dispatch else {
                 // Drained: wake any peers still parked on the condvar so
                 // they observe the terminal state and exit too.
                 self.cvar.notify_all();
@@ -654,132 +827,46 @@ impl JobService {
             };
             drop(state);
 
-            let shared = self.store.get(&job.spec.graph);
-            let result = execute_attempt(&job.spec, &shared, job.attempt, job.shed, self.cfg.mode);
+            let shared = self.store.get(&spec.graph);
+            let result = execute_attempt(&spec, &shared, attempt, shed, self.cfg.mode);
 
             let mut state = self.state.lock().expect("service state poisoned");
-            state.running -= 1;
-            if state.crashed {
-                // The process died while this attempt was in flight: its
-                // result evaporates. Replay will re-run the attempt —
-                // bit-identically, because execution is pure in
-                // (spec, attempt, shed, mode).
-                self.cvar.notify_all();
-                continue;
-            }
-            match result {
-                Ok(success) => {
-                    // Write-ahead: Completed *is* the finish record for a
-                    // successful attempt, so a success can never be
-                    // half-persisted.
-                    let digest = labels_digest(&success.labels);
-                    if !Self::journal_append(
-                        &mut state,
-                        &JournalRecord::Completed {
-                            id: job.id,
-                            attempts: job.attempt,
-                            shed: job.shed,
-                            degraded: success.degraded,
-                            digest,
-                            stats: success.stats.clone(),
-                        },
-                    ) {
-                        self.cvar.notify_all();
-                        continue;
-                    }
-                    state.clock += 1;
-                    let terminal = if success.degraded {
-                        state.counters.degraded += 1;
-                        JobState::Degraded
-                    } else {
-                        state.counters.completed += 1;
-                        JobState::Completed
-                    };
-                    state.admission.release(job.footprint);
-                    let wall_ms = job
-                        .started
-                        .map(|t| t.elapsed().as_secs_f64() * 1e3)
-                        .unwrap_or(0.0);
-                    state.outcomes[job.id.0 as usize] = Some(JobOutcome {
-                        id: job.id,
-                        tenant: job.spec.tenant.clone(),
-                        priority: job.spec.priority,
-                        state: terminal,
-                        shed: job.shed,
-                        attempts: job.attempt,
-                        digest,
-                        stats: Some(success.stats),
-                        reject_reason: None,
-                        errors: job.errors,
-                        wall_ms,
-                    });
-                }
-                Err(e) => {
-                    let deadline = matches!(e, MpcError::RoundLimitExceeded { .. });
-                    let error = format!("attempt {}: {e}", job.attempt);
-                    if !Self::journal_append(
-                        &mut state,
-                        &JournalRecord::AttemptFinished {
-                            id: job.id,
-                            attempt: job.attempt,
-                            deadline,
-                            error: error.clone(),
-                        },
-                    ) {
-                        self.cvar.notify_all();
-                        continue;
-                    }
-                    state.clock += 1;
-                    if deadline {
-                        state.counters.deadline_failures += 1;
-                    }
-                    job.errors.push(error);
-                    if job.attempt >= job.spec.max_attempts {
-                        // Poison job: park it with its history; the
-                        // queue keeps draining. The Quarantined record is
-                        // redundant with the final AttemptFinished (replay
-                        // derives the same terminal from either), so a
-                        // crash between the two appends loses nothing.
-                        if !Self::journal_append(
-                            &mut state,
-                            &JournalRecord::Quarantined {
-                                id: job.id,
-                                attempts: job.attempt,
-                                shed: job.shed,
-                            },
-                        ) {
-                            self.cvar.notify_all();
-                            continue;
-                        }
-                        state.counters.quarantined += 1;
-                        state.admission.release(job.footprint);
-                        let wall_ms = job
-                            .started
-                            .map(|t| t.elapsed().as_secs_f64() * 1e3)
-                            .unwrap_or(0.0);
-                        state.outcomes[job.id.0 as usize] = Some(JobOutcome {
-                            id: job.id,
-                            tenant: job.spec.tenant.clone(),
-                            priority: job.spec.priority,
-                            state: JobState::Quarantined,
-                            shed: job.shed,
-                            attempts: job.attempt,
-                            digest: 0,
-                            stats: None,
-                            reject_reason: None,
-                            errors: job.errors,
-                            wall_ms,
+            // If the process died while this attempt was in flight, its
+            // result evaporates and commit records nothing. Replay will
+            // re-run the attempt — bit-identically, because execution is
+            // pure in (spec, attempt, shed, mode).
+            let rec = match result {
+                // Completed *is* the finish record for a successful
+                // attempt, so a success can never be half-persisted.
+                Ok(success) => JournalRecord::Completed {
+                    id,
+                    attempts: attempt,
+                    shed,
+                    degraded: success.degraded,
+                    digest: labels_digest(&success.labels),
+                    stats: success.stats,
+                },
+                Err(e) => JournalRecord::AttemptFinished {
+                    id,
+                    attempt,
+                    deadline: matches!(e, MpcError::RoundLimitExceeded { .. }),
+                    error: format!("attempt {attempt}: {e}"),
+                },
+            };
+            let failed = matches!(rec, JournalRecord::AttemptFinished { .. });
+            if state.commit(rec) {
+                let job = &mut state.jobs[id.0 as usize];
+                if let Phase::Done(outcome) = &mut job.phase {
+                    outcome.wall_ms = job.started.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
+                    if failed {
+                        // Redundant with the final AttemptFinished, which
+                        // already parked the job, so a crash between the
+                        // two appends loses nothing.
+                        state.commit(JournalRecord::Quarantined {
+                            id,
+                            attempts: attempt,
+                            shed,
                         });
-                    } else {
-                        // Bounded retry with saturating seeded backoff,
-                        // paced in virtual ticks.
-                        let retry = job.attempt;
-                        let delay = job.spec.backoff.delay(job.spec.seed, retry);
-                        state.counters.retries += 1;
-                        state.counters.backoff_ticks += delay;
-                        job.attempt += 1;
-                        job.not_before = state.clock + delay;
-                        state.queue.push(job);
                     }
                 }
             }

@@ -12,8 +12,8 @@
 use csmpc_graph::rng::Seed;
 use csmpc_mpc::Stats;
 use csmpc_service::{
-    Counters, CrashPlan, FaultSpec, GraphSpec, JobId, JobService, JobSpec, Journal, JournalError,
-    JournalRecord, Priority, RecoveryError, ServiceConfig, ServiceReport, Workload,
+    BackoffPolicy, Counters, CrashPlan, FaultSpec, GraphSpec, JobId, JobService, JobSpec, Journal,
+    JournalError, JournalRecord, Priority, RecoveryError, ServiceConfig, ServiceReport, Workload,
 };
 use std::path::{Path, PathBuf};
 
@@ -541,5 +541,136 @@ fn impossible_histories_refuse_recovery_at_the_offending_record() {
             footprint: 64,
         };
         assert_refused(&format!("unknown_{k}"), &[submitted(0), admitted, stray], 2);
+    }
+}
+
+#[test]
+fn saturated_backoff_quarantines_and_recovers_identically() {
+    // A tenant-chosen backoff at the top of the tick range: every retry
+    // delay is u64::MAX, so the virtual clock, the job's eligibility
+    // gate and the backoff counter must all saturate.
+    let mut poison = JobSpec::basic(
+        "umbrella",
+        Workload::LubyMis,
+        GraphSpec::Cycle { n: 8 },
+        Seed(41),
+    );
+    poison.deadline_rounds = Some(1);
+    poison.max_attempts = 3;
+    poison.backoff = BackoffPolicy {
+        base: u64::MAX,
+        cap: u64::MAX,
+    };
+    let mut specs = mixed_batch();
+    specs.truncate(2);
+    specs.push(poison);
+    let cfg = config();
+    let reference = reference_report(&cfg, &specs);
+    let q = &reference.outcomes[2];
+    assert_eq!(q.state, csmpc_service::JobState::Quarantined, "{q:?}");
+    assert_eq!(q.attempts, 3);
+    assert_eq!(reference.counters.retries, 2);
+    assert_eq!(reference.counters.backoff_ticks, u64::MAX);
+    let one = JobService::new(ServiceConfig {
+        workers: 1,
+        ..cfg.clone()
+    })
+    .run_batch(specs.clone());
+    assert_reports_match(&reference, &one, "one worker vs three");
+    // Kill points sweep the whole log, so some land between the poison
+    // job's failed attempts, while it waits out a saturated backoff.
+    for k in 1..=12 {
+        let path = tmp(&format!("saturated_{k}"));
+        let (report, recoveries) = run_with_crash(&cfg, &specs, CrashPlan::kill_after(k), &path);
+        assert!(recoveries >= 1, "kill point {k} fired before the log ended");
+        assert_reports_match(&reference, &report, &format!("saturated, kill after {k}"));
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn records_out_of_phase_refuse_recovery() {
+    // Each history names a known job, but a record arrives in a phase
+    // the scheduler never writes it from.
+    let job = JobId(0);
+    let submitted = JournalRecord::Submitted {
+        id: job,
+        spec: mixed_batch()[0].clone(),
+    };
+    let admitted = JournalRecord::Admitted {
+        id: job,
+        footprint: 64,
+    };
+    let started = |attempt| JournalRecord::AttemptStarted { id: job, attempt };
+    let failed = |attempt| JournalRecord::AttemptFinished {
+        id: job,
+        attempt,
+        deadline: false,
+        error: format!("attempt {attempt}: boom"),
+    };
+    let completed = |attempts| JournalRecord::Completed {
+        id: job,
+        attempts,
+        shed: false,
+        degraded: false,
+        digest: 7,
+        stats: Stats::default(),
+    };
+    let quarantined = JournalRecord::Quarantined {
+        id: job,
+        attempts: 1,
+        shed: false,
+    };
+    let histories = [
+        ("start_undecided", vec![submitted.clone(), started(1)]),
+        (
+            "start_wrong_attempt",
+            vec![submitted.clone(), admitted.clone(), started(2)],
+        ),
+        (
+            "finish_unstarted",
+            vec![submitted.clone(), admitted.clone(), failed(1)],
+        ),
+        (
+            "complete_unstarted",
+            vec![submitted.clone(), admitted.clone(), completed(1)],
+        ),
+        (
+            "complete_wrong_attempt",
+            vec![
+                submitted.clone(),
+                admitted.clone(),
+                started(1),
+                completed(2),
+            ],
+        ),
+        (
+            "quarantine_live_job",
+            vec![submitted.clone(), admitted.clone(), started(1), quarantined],
+        ),
+        (
+            "complete_after_failure",
+            vec![
+                submitted.clone(),
+                admitted.clone(),
+                started(1),
+                failed(1),
+                completed(1),
+            ],
+        ),
+        (
+            "start_after_terminal",
+            vec![
+                submitted.clone(),
+                admitted.clone(),
+                started(1),
+                completed(1),
+                started(1),
+            ],
+        ),
+    ];
+    for (name, records) in histories {
+        let at = records.len() - 1;
+        assert_refused(name, &records, at);
     }
 }
