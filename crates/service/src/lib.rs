@@ -41,10 +41,12 @@
 //! transition into an append-only, checksummed binary log
 //! ([`Journal`]); after a crash (simulated deterministically by a
 //! seeded [`CrashPlan`]), [`JobService::recover`] truncates any torn
-//! tail, replays the clean prefix into reconstructed scheduler state,
-//! and resumes — producing a [`ServiceReport`] whose fingerprint is
-//! bit-identical to an uninterrupted run, precisely because attempts
-//! are pure and every decision feeding them is durable. Replay work is
+//! tail, applies the clean prefix through the same record-transition
+//! function the live scheduler applies after each append, and resumes
+//! — producing a [`ServiceReport`] whose fingerprint is bit-identical
+//! to an uninterrupted run, precisely because attempts are pure, every
+//! decision feeding them is durable, and live and replayed state share
+//! one state machine. Replay work is
 //! charged into a standalone ledger ([`RecoveryInfo::replay_stats`]):
 //! recovery is never free, here no more than inside a run.
 //!
