@@ -27,6 +27,15 @@ cargo test -q -p csmpc-mpc --test chaos
 echo "==> supervision suite (transport faults, speculation, quarantine, backoff)"
 cargo test -q -p csmpc-mpc --test supervision
 
+echo "==> job-service durability suites (crash recovery, journal pins, codec, determinism)"
+# Live scheduling and journal replay share one record-transition function;
+# these suites pin what it must preserve: every kill point, torn tail and
+# duplicated frame recovers to the uninterrupted report, refused histories
+# stay refused, the one-worker journal is pinned byte for byte, and the
+# codec survives every truncation and bit flip.
+cargo test -q -p csmpc-service --test crash_chaos --test dispatch_order \
+    --test journal_prop --test determinism
+
 echo "==> engine golden ledgers (both fault layers, pinned digests)"
 # Pins the exact engine's and the accounted driver's ledgers, recovery and
 # supervision logs, taint sets and provenance over a fixed plan x policy x
