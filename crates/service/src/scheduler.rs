@@ -27,8 +27,8 @@
 //! `SchedState::apply` is the only code that applies one. The live
 //! path builds a record, appends it to the journal when durability is
 //! armed (write-ahead), then applies it; [`crate::recovery`] applies the
-//! recovered records through the same function. So recovered state
-//! cannot drift from live state by a fix that lands in one copy only.
+//! recovered records through the same function, so there is one copy
+//! of the lifecycle for a fix to land in.
 
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::graph_store::{self, GraphStore, SharedGraph};
@@ -320,14 +320,14 @@ impl SchedState {
         &self.jobs[id.0 as usize]
     }
 
-    /// Applies one lifecycle record. Apart from [`Self::requeue_in_flight`] —
-    /// the crash, which no record carries — this is the only code that
-    /// moves a job between phases, ticks the virtual clock, bumps
-    /// [`Counters`], stamps fairness, computes backoff, books or releases
-    /// admission, and builds a [`JobOutcome`]. The live scheduler calls it on each
-    /// record right after appending it; replay calls it on each recovered
-    /// record. It is pure in `(state, record)`: wall-clock stamps stay
-    /// with the live caller.
+    /// Applies one lifecycle record. Apart from
+    /// [`Self::requeue_in_flight`] — the crash, which no record carries —
+    /// this is the only code that moves a job between phases, ticks the
+    /// virtual clock, bumps [`Counters`], stamps fairness, computes
+    /// backoff, books or releases admission, and builds a [`JobOutcome`].
+    /// The live scheduler calls it on each record right after appending
+    /// it; replay calls it on each recovered record. It is pure in
+    /// `(state, record)`: wall-clock stamps stay with the live caller.
     ///
     /// Duplicates are judged by the job's phase, never by which records
     /// were seen before: `Ok(false)` means the job already made this
