@@ -52,8 +52,9 @@ pub enum RecoveryError {
     /// The journal itself could not be read, or is interior-corrupt.
     Journal(JournalError),
     /// The log decoded cleanly but describes an impossible history
-    /// (e.g. an attempt for a job that was never submitted). This means
-    /// a scheduler/journal bug, not disk damage.
+    /// (e.g. an attempt for a job that was never submitted, or one that
+    /// finishes before it started). This means a scheduler/journal bug,
+    /// not disk damage.
     Inconsistent {
         /// Zero-based index of the offending record.
         record: usize,
@@ -93,8 +94,10 @@ impl From<JournalError> for RecoveryError {
 pub struct RecoveryInfo {
     /// Records folded from the clean prefix.
     pub records_replayed: u64,
-    /// Records ignored as idempotent duplicates (retried writes that
-    /// were in fact durable the first time).
+    /// Records ignored as idempotent duplicates: retried writes that
+    /// were in fact durable the first time, the re-run start of an
+    /// attempt in flight at a crash, and the `Quarantined` that confirms
+    /// a final failed attempt.
     pub duplicates_ignored: u64,
     /// Torn-tail bytes truncated by [`Journal::open_for_recovery`].
     pub torn_bytes_truncated: u64,

@@ -577,9 +577,11 @@ fn saturated_backoff_quarantines_and_recovers_identically() {
     })
     .run_batch(specs.clone());
     assert_reports_match(&reference, &one, "one worker vs three");
-    // Kill points sweep the whole log, so some land between the poison
-    // job's failed attempts, while it waits out a saturated backoff.
-    for k in 1..=12 {
+    // The uninterrupted log holds 17 records (6 admission, 4 for the
+    // healthy jobs, 7 for the poison job), so kill points 1..=16 sweep
+    // all of it, some landing between the poison job's failed attempts
+    // while it waits out a saturated backoff.
+    for k in 1..=16 {
         let path = tmp(&format!("saturated_{k}"));
         let (report, recoveries) = run_with_crash(&cfg, &specs, CrashPlan::kill_after(k), &path);
         assert!(recoveries >= 1, "kill point {k} fired before the log ended");
