@@ -1,7 +1,11 @@
-//! Differential test: `DistributedGraph::cc_labels` against the
-//! name-map pointer-jumping loop it grew out of.
+//! Differential tests for both cc-labels paths.
 //!
-//! The oracle below keeps that loop verbatim: labels start as node names,
+//! `DistributedGraph::cc_labels` is checked against the name-map
+//! pointer-jumping loop it grew out of, and both it and `scale::cc_labels`
+//! against the three-buffer rank-space sweep the shared `hook_jump` ran
+//! before its jump was fused in place.
+//!
+//! The name-map oracle keeps that loop verbatim: labels start as node names,
 //! the hook takes the minimum over the closed neighborhood, and the jump
 //! resolves a label through a `BTreeMap` from name to node. Built by
 //! `collect`, the map keeps the *last* node carrying each name, so graphs
@@ -11,10 +15,10 @@
 //! oracle on labels, iteration count and the whole `Stats` ledger.
 
 use csmpc_graph::rng::{Seed, SplitMix64};
-use csmpc_graph::{generators, Graph, GraphBuilder, NodeName};
+use csmpc_graph::{generators, CsrAdjacency, Graph, GraphBuilder, NodeName, StreamFamily};
 use csmpc_mpc::{
-    graph_words, Cluster, DistributedGraph, FaultPlan, MpcConfig, MpcError, ParallelismMode,
-    RecoveryPolicy,
+    graph_words, scale, Cluster, DistributedGraph, FaultPlan, MpcConfig, MpcError, ParallelismMode,
+    RecoveryPolicy, ScaleWorkspace,
 };
 use std::collections::BTreeMap;
 
@@ -52,6 +56,71 @@ fn oracle_cc_labels(g: &Graph, cluster: &mut Cluster) -> Result<(Vec<u64>, usize
         }
         label = jumped;
     }
+}
+
+/// The three-buffer rank-space sweep: each iteration hooks `label` into
+/// `next`, jumps into a separate `jumped` buffer through the node
+/// `node_of(next[v])` names, reading `label` there as well as `next`, and
+/// stops when `jumped == label`. Same charges as the primitives.
+fn three_buffer_sweep<F>(
+    cluster: &mut Cluster,
+    csr: &CsrAdjacency,
+    mut label: Vec<u64>,
+    node_of: F,
+) -> Result<(Vec<u64>, usize), MpcError>
+where
+    F: Fn(u64) -> usize,
+{
+    let n = csr.n();
+    let d = cluster
+        .config()
+        .tree_depth(cluster.input_n(), cluster.num_machines());
+    let mut iterations = 0usize;
+    loop {
+        iterations += 1;
+        cluster.advance_rounds(2 * d)?;
+        let next: Vec<u64> = (0..n)
+            .map(|v| {
+                csr.neighbors(v)
+                    .iter()
+                    .fold(label[v], |nv, &w| nv.min(label[w as usize]))
+            })
+            .collect();
+        let jumped: Vec<u64> = (0..n)
+            .map(|v| {
+                let t = node_of(next[v]);
+                next[v].min(label[t]).min(next[t])
+            })
+            .collect();
+        if jumped == label {
+            return Ok((label, iterations));
+        }
+        label = jumped;
+    }
+}
+
+/// `DistributedGraph::cc_labels` through [`three_buffer_sweep`]: labels
+/// are ranks of the sorted distinct names, and a rank points at the last
+/// node carrying its name.
+fn rank_oracle_cc_labels(g: &Graph, cluster: &mut Cluster) -> Result<(Vec<u64>, usize), MpcError> {
+    let names: Vec<u64> = g
+        .names()
+        .iter()
+        .map(|nm| nm.0)
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let rank = |v: usize| names.binary_search(&g.name(v).0).expect("a node's name") as u64;
+    let mut node_of = vec![0usize; names.len()];
+    for v in 0..g.n() {
+        node_of[rank(v) as usize] = v;
+    }
+    let label = (0..g.n()).map(rank).collect();
+    let (ranks, iterations) = three_buffer_sweep(cluster, g.csr(), label, |r| node_of[r as usize])?;
+    Ok((
+        ranks.iter().map(|&r| names[r as usize]).collect(),
+        iterations,
+    ))
 }
 
 /// A random topology (sparse G(n, p) or a random forest, so several
@@ -124,6 +193,8 @@ fn cc_labels_matches_the_name_map_oracle() {
         duplicated += usize::from(names.len() < g.n());
         let crash = case % 4 == 3;
         for mode in [ParallelismMode::Sequential, ParallelismMode::Parallel] {
+            let mut rank_cl = cluster_for(&g, mode);
+            DistributedGraph::distribute(&g, &mut rank_cl).expect("small inputs fit");
             let mut got_cl = cluster_for(&g, mode);
             let dg = DistributedGraph::distribute(&g, &mut got_cl).expect("small inputs fit");
             let mut want_cl = cluster_for(&g, mode);
@@ -131,10 +202,23 @@ fn cc_labels_matches_the_name_map_oracle() {
             if crash {
                 arm_crash(&mut got_cl, case);
                 arm_crash(&mut want_cl, case);
+                arm_crash(&mut rank_cl, case);
             }
             let got = dg.cc_labels(&mut got_cl);
             let want = oracle_cc_labels(&g, &mut want_cl);
             assert_eq!(got, want, "case {case} ({mode:?}): labels or iterations");
+            let by_rank = rank_oracle_cc_labels(&g, &mut rank_cl);
+            assert_eq!(got, by_rank, "case {case} ({mode:?}): three-buffer sweep");
+            assert_eq!(
+                got_cl.stats().model_words(),
+                rank_cl.stats().model_words(),
+                "case {case} ({mode:?}): three-buffer Stats ledger"
+            );
+            assert_eq!(
+                got_cl.recovery_log(),
+                rank_cl.recovery_log(),
+                "case {case} ({mode:?}): three-buffer recovery log"
+            );
             assert_eq!(
                 got_cl.stats().model_words(),
                 want_cl.stats().model_words(),
@@ -153,4 +237,76 @@ fn cc_labels_matches_the_name_map_oracle() {
         "only {duplicated} graphs with duplicate names"
     );
     assert!(recoveries > 50, "only {recoveries} crash recoveries");
+}
+
+/// Every [`StreamFamily`] member at a few sizes, so both the identity and
+/// the random-tree ingest paths are covered.
+fn stream_families() -> Vec<StreamFamily> {
+    let mut out = Vec::new();
+    for n in [1usize, 2, 17, 160] {
+        out.push(StreamFamily::Path { n });
+        out.push(StreamFamily::Star { leaves: n });
+        for s in [3u64, 0xbeef] {
+            out.push(StreamFamily::RandomTree { n, seed: Seed(s) });
+        }
+    }
+    for n in [3usize, 8, 97] {
+        out.push(StreamFamily::Cycle { n });
+    }
+    for n in [6usize, 40, 150] {
+        out.push(StreamFamily::TwoCycles { n });
+    }
+    for dim in [0u32, 1, 4, 7] {
+        out.push(StreamFamily::Hypercube { dim });
+    }
+    out
+}
+
+#[test]
+fn scale_cc_labels_matches_the_three_buffer_sweep() {
+    let mut recoveries = 0usize;
+    for (case, family) in stream_families().into_iter().enumerate() {
+        let words = 2 * family.n() + 2 * family.m();
+        for crash in [false, true] {
+            for mode in [ParallelismMode::Sequential, ParallelismMode::Parallel] {
+                let cfg = MpcConfig {
+                    parallelism: mode,
+                    ..MpcConfig::with_phi(0.5)
+                };
+                let mut got_cl = Cluster::new(cfg, family.n(), words, Seed(7));
+                let mut want_cl = Cluster::new(cfg, family.n(), words, Seed(7));
+                let csr = scale::ingest(family, &mut got_cl).expect("small inputs fit");
+                scale::ingest(family, &mut want_cl).expect("small inputs fit");
+                if crash {
+                    arm_crash(&mut got_cl, case as u64);
+                    arm_crash(&mut want_cl, case as u64);
+                }
+                // A workspace holding another family's output must not leak
+                // into this run.
+                let mut ws = ScaleWorkspace::new();
+                ws.label = vec![u64::MAX; 3];
+                let got = scale::cc_labels(&mut got_cl, &csr, &mut ws).map(|i| (ws.label, i));
+                let identity = (0..csr.n() as u64).collect();
+                let want = three_buffer_sweep(&mut want_cl, &csr, identity, |r| r as usize);
+                let what = format!(
+                    "{} n={} crash={crash} ({mode:?})",
+                    family.name(),
+                    family.n()
+                );
+                assert_eq!(got, want, "{what}: labels or iterations");
+                assert_eq!(
+                    got_cl.stats().model_words(),
+                    want_cl.stats().model_words(),
+                    "{what}: Stats ledger"
+                );
+                assert_eq!(
+                    got_cl.recovery_log(),
+                    want_cl.recovery_log(),
+                    "{what}: recovery log"
+                );
+                recoveries += got_cl.recovery_log().len();
+            }
+        }
+    }
+    assert!(recoveries > 20, "only {recoveries} crash recoveries");
 }
