@@ -89,8 +89,10 @@ impl CsrAdjacency {
     /// validation).
     ///
     /// Two passes over the (cheaply cloneable) stream: pass 1 counts
-    /// degrees, pass 2 scatters and sorts exactly as
-    /// [`CsrAdjacency::from_degrees`] does. The result is bit-identical to
+    /// degrees, pass 2 scatters both endpoints of every edge, and rows are
+    /// then sorted ascending in parallel over contiguous row blocks. The
+    /// sort output is a pure per-row function, so the worker count cannot
+    /// affect the bytes produced: the result is bit-identical to
     /// [`Graph::csr`](crate::Graph::csr) of the graph with the same edge
     /// set.
     ///
@@ -116,41 +118,12 @@ impl CsrAdjacency {
         Self::scatter_sorted(counts, edges)
     }
 
-    /// Builds the CSR adjacency from known node degrees and one pass over
-    /// the undirected edge stream, for streams whose degrees are known up
-    /// front (a Prüfer sequence's occurrence counts give a random tree's).
-    ///
-    /// The degrees are prefix-summed into `offsets`, both endpoints of
-    /// every edge are scattered through per-node cursors, and rows are
-    /// then sorted ascending in parallel over contiguous row blocks,
-    /// making the result bit-identical to
-    /// [`Graph::csr`](crate::Graph::csr) of the graph with the same edge
-    /// set. The sort output is a pure per-row function, so the worker
-    /// count cannot affect the bytes produced.
-    ///
-    /// The stream must describe a simple undirected graph on nodes
-    /// `0..degrees.len()` whose degree sequence is exactly `degrees`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range or the directed edge count
-    /// exceeds `u32::MAX`; debug builds also panic when a node receives
-    /// more edges than its degree.
-    #[must_use]
-    pub fn from_degrees<I>(degrees: &[u32], edges: I) -> Self
-    where
-        I: Iterator<Item = (u32, u32)>,
-    {
-        let mut counts = Vec::with_capacity(degrees.len() + 1);
-        counts.extend_from_slice(degrees);
-        counts.push(0);
-        Self::scatter_sorted(counts, edges)
-    }
-
-    /// The shared tail of [`CsrAdjacency::from_edges`] and
-    /// [`CsrAdjacency::from_degrees`]: scatters the edges, then sorts
-    /// every row in parallel.
-    fn scatter_sorted<I>(counts: Vec<u32>, edges: I) -> Self
+    /// The shared tail of [`CsrAdjacency::from_edges`] and the random-tree
+    /// ingest, whose degrees are the Prüfer occurrence counts: scatters the
+    /// edges, then sorts every row in parallel. `counts` holds the `n`
+    /// degrees and a trailing 0, and `edges` must describe a simple
+    /// undirected graph with exactly that degree sequence.
+    pub(crate) fn scatter_sorted<I>(counts: Vec<u32>, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32)>,
     {
@@ -184,36 +157,42 @@ impl CsrAdjacency {
         csr
     }
 
-    /// `counts[v]` is node `v`'s degree (`counts[n]` is 0). Prefix-scans
-    /// the counts into offsets in place and scatters both endpoints of
-    /// every edge through per-node cursors, leaving each row in stream
-    /// order.
+    /// `counts[v]` is node `v`'s degree (`counts[n]` is 0). Prefix-sums the
+    /// counts in place into row *ends* and places both endpoints of every
+    /// edge by decrementing its row's end, so each row fills from the back
+    /// and, once every edge is placed, `offsets[v]` is where row `v`
+    /// starts. No cursor array is needed; rows come out in reverse stream
+    /// order, which every caller sorts away.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n` or the directed edge count exceeds
+    /// `u32::MAX`. Debug builds also panic when the edges overfill node
+    /// 0's row or leave the offsets out of order, which most degree
+    /// mismatches do.
     fn scatter<I>(mut offsets: Vec<u32>, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32)>,
     {
         let n = offsets.len() - 1;
-        // Exclusive prefix scan: offsets[v] = directed edges of nodes < v.
+        // Inclusive prefix sum: offsets[v] = directed edges of nodes <= v.
         let mut acc: u64 = 0;
         for slot in &mut offsets {
-            let d = u64::from(*slot);
+            acc += u64::from(*slot);
             *slot = u32::try_from(acc).expect("directed edge count fits u32");
-            acc += d;
         }
-        let total = offsets[n] as usize;
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; total];
+        let mut targets = vec![0u32; offsets[n] as usize];
+        let ends = &mut offsets[..n];
         for (u, v) in edges {
-            let (ui, vi) = (u as usize, v as usize);
-            debug_assert!(
-                cursor[ui] < offsets[ui + 1] && cursor[vi] < offsets[vi + 1],
-                "edge ({u}, {v}) exceeds its endpoints' degrees"
-            );
-            targets[cursor[ui] as usize] = v;
-            cursor[ui] += 1;
-            targets[cursor[vi] as usize] = u;
-            cursor[vi] += 1;
+            ends[u as usize] -= 1;
+            targets[ends[u as usize] as usize] = v;
+            ends[v as usize] -= 1;
+            targets[ends[v as usize] as usize] = u;
         }
+        debug_assert!(
+            offsets.first() == Some(&0) && offsets.windows(2).all(|w| w[0] <= w[1]),
+            "the edges do not match the degrees"
+        );
         CsrAdjacency { offsets, targets }
     }
 

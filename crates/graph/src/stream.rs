@@ -16,7 +16,7 @@
 use crate::csr::CsrAdjacency;
 use crate::generators;
 use crate::graph::Graph;
-use crate::rng::{Seed, SplitMix64};
+use crate::rng::{FastRange, Seed, SplitMix64};
 
 /// A seeded graph-family spec that can stream its edges.
 ///
@@ -126,11 +126,16 @@ impl StreamFamily {
     /// Builds the CSR adjacency straight from the stream — bit-identical
     /// to `self.materialize().csr()`, without the
     /// intermediate graph. A random tree is decoded once: its degrees are
-    /// the Prüfer occurrence counts, known before the decode starts.
+    /// the Prüfer occurrence counts, known before the decode starts, and
+    /// are copied once, into what become the CSR offsets (the decode
+    /// consumes its own copy).
     #[must_use]
     pub fn stream_csr(&self) -> CsrAdjacency {
         match self.edges() {
-            EdgeStream::Tree(tree) => CsrAdjacency::from_degrees(&tree.deg.clone(), tree),
+            EdgeStream::Tree(tree) => {
+                let counts = tree.deg.iter().copied().chain([0]).collect();
+                CsrAdjacency::scatter_sorted(counts, tree)
+            }
             edges => CsrAdjacency::from_edges(self.n(), edges),
         }
     }
@@ -299,7 +304,9 @@ impl TreeEdges {
             };
         }
         let mut rng = SplitMix64::new(seed);
-        let prufer: Vec<u32> = (0..n - 2).map(|_| rng.index(n) as u32).collect();
+        // Bit-identical to `rng.index(n)`, without a division per draw.
+        let draw = FastRange::index(n);
+        let prufer: Vec<u32> = (0..n - 2).map(|_| draw.sample(&mut rng) as u32).collect();
         let mut deg = vec![1u32; n];
         for &x in &prufer {
             deg[x as usize] += 1;

@@ -1,6 +1,6 @@
 //! Property tests: the streaming ingestion path
-//! (`StreamFamily::stream_csr`, i.e. `CsrAdjacency::from_edges`, or
-//! `CsrAdjacency::from_degrees` for random trees) is bit-identical to the
+//! (`StreamFamily::stream_csr`, i.e. `CsrAdjacency::from_edges`, or one
+//! scatter from the Prüfer degrees for random trees) is bit-identical to the
 //! materialized `Graph`'s CSR spine (`Graph::csr`) for every seeded
 //! family, at arbitrary sizes and seeds. Random trees are checked against
 //! an independent min-heap Prüfer decoder kept here as the oracle, since

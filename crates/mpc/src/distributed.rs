@@ -553,19 +553,18 @@ impl<'a> DistributedGraph<'a> {
         }
         let csr = self.g.csr();
         let rank_node = |r: u64| node_of[r as usize];
-        let (mut next, mut jumped) = (Vec::new(), Vec::new());
+        let mut next = Vec::new();
         let mut iterations = 0usize;
         let mut sweep_ns = 0u64;
         loop {
             iterations += 1;
             cluster.advance_rounds(2 * d)?;
             let timer = PhaseTimer::start();
-            hook_jump(mode, csr, &label, &mut next, &mut jumped, rank_node);
+            let changed = hook_jump(mode, csr, &mut label, &mut next, rank_node);
             sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-            if jumped == label {
+            if !changed {
                 break;
             }
-            std::mem::swap(&mut label, &mut jumped);
         }
         cluster.record_phase(&PhaseTimes {
             step_ns: sweep_ns,

@@ -109,8 +109,8 @@ impl PhaseTimer {
     }
 }
 
-/// Process-wide allocation counter, available behind the `alloc-count`
-/// feature. A binary opts in by installing the allocator:
+/// Process-wide allocation and live-byte counters, available behind the
+/// `alloc-count` feature. A binary opts in by installing the allocator:
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -119,29 +119,39 @@ impl PhaseTimer {
 /// ```
 ///
 /// and then reads deltas of
-/// [`allocations`](counting_alloc::allocations) around a workload.
+/// [`allocations`](counting_alloc::allocations) around a workload, or the
+/// high-water mark of [`live_bytes`](counting_alloc::live_bytes) since
+/// [`reset_peak`](counting_alloc::reset_peak) through
+/// [`peak_bytes`](counting_alloc::peak_bytes).
 #[cfg(feature = "alloc-count")]
 pub mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+    static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
-    /// Pass-through system allocator that counts every allocation.
+    /// Pass-through system allocator that counts every allocation and the
+    /// bytes held.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct CountingAllocator;
 
-    // SAFETY: delegates directly to `System`; the counter has no effect on
-    // the returned memory.
+    // SAFETY: delegates directly to `System`; the counters have no effect
+    // on the returned memory.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            let size = layout.size() as u64;
+            let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
             // SAFETY: forwarded verbatim; caller upholds `GlobalAlloc`'s
             // contract for `layout`.
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
             // SAFETY: forwarded verbatim; `ptr` was produced by the same
             // `System` allocator with this `layout`.
             unsafe { System.dealloc(ptr, layout) }
@@ -152,6 +162,24 @@ pub mod counting_alloc {
     #[must_use]
     pub fn allocations() -> u64 {
         ALLOCATIONS.load(Ordering::Relaxed)
+    }
+
+    /// Heap bytes allocated and not yet freed, process-wide.
+    #[must_use]
+    pub fn live_bytes() -> u64 {
+        LIVE_BYTES.load(Ordering::Relaxed)
+    }
+
+    /// The most [`live_bytes`] seen since the last [`reset_peak`] (or
+    /// since start-up).
+    #[must_use]
+    pub fn peak_bytes() -> u64 {
+        PEAK_BYTES.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the high-water mark at the current [`live_bytes`].
+    pub fn reset_peak() {
+        PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
     }
 }
 

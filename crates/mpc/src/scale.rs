@@ -15,6 +15,13 @@
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
 //!
+//! Memory: a warm workspace holds 29 bytes per vertex (`label` and the
+//! hook's `next` at 8 bytes each, `state` 1, `color`, `active` and
+//! `results` 4 each). The cc jump writes `label` in place and reports
+//! whether anything changed, so the convergence check is part of the
+//! sweep; Luby and Jones–Plassmann priorities are mixed inline at each
+//! use rather than stored.
+//!
 //! Steady-state contract: after the first repetition at a fixed topology
 //! has warmed the workspace, further repetitions allocate **nothing** on
 //! the hot path in [`crate::ParallelismMode::Sequential`] (ci.sh enforces this
@@ -40,7 +47,7 @@ use crate::cluster::{Cluster, MpcError};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{CsrAdjacency, StreamFamily};
-use csmpc_parallel::{par_map_range_into, ParallelismMode};
+use csmpc_parallel::{par_map_range_into, par_update_any, ParallelismMode};
 
 /// Sentinel for a vertex not yet colored by [`ball_coloring`].
 const UNCOLORED: u32 = u32::MAX;
@@ -51,18 +58,17 @@ const UNCOLORED: u32 = u32::MAX;
 /// second run at the same topology performs no heap allocation on the
 /// sweep path ([`crate::ParallelismMode::Sequential`]). One workspace serves all
 /// three workloads — they share buffers, so results live in the workspace
-/// only until the next call.
+/// only until the next call. Warm, it holds 29 bytes per vertex: two `u64`
+/// label buffers, the `u8` MIS state and three `u32` arrays (colors,
+/// frontier, sweep results). Coloring priorities are mixed inline, and the
+/// cc jump updates `label` in place, so neither needs a buffer.
 #[derive(Debug, Default)]
 pub struct ScaleWorkspace {
     /// Component labels ([`cc_labels`] output: minimum node index in the
     /// component).
     pub label: Vec<u64>,
-    /// Double buffer: min-over-neighborhood sweep output.
+    /// The hook's output: minimum label over each closed neighborhood.
     next: Vec<u64>,
-    /// Double buffer: pointer-jump sweep output.
-    jumped: Vec<u64>,
-    /// Per-vertex seeded Jones–Plassmann priorities.
-    priority: Vec<u64>,
     /// MIS state ([`luby_mis`] output): 0 undecided, 1 in the MIS, 2 out.
     pub state: Vec<u8>,
     /// Vertex colors ([`ball_coloring`] output).
@@ -129,34 +135,38 @@ pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacenc
 ///
 /// Labels are *ranks*: `node_of(r)` is the node a label `r` points at.
 /// The hook writes into `next` the minimum of `label` over every closed
-/// neighborhood; the jump writes into `jumped` the minimum of `next[v]`
-/// and the previous and hooked labels of the node `next[v]` names, so each
-/// iteration doubles the reach. Both are pure per-vertex maps over
-/// `label`, bit-identical in every [`ParallelismMode`]. The caller charges
-/// the iteration and checks convergence (`jumped == label`).
+/// neighborhood, so `next[t] ≤ label[t]` at every node. The jump then
+/// writes `min(next[v], next[t])` for `t = node_of(next[v])` straight
+/// into `label`: it reads no other vertex's `label`, so the update is in
+/// place, and each iteration doubles the reach. Both are pure per-vertex
+/// maps, bit-identical in every [`ParallelismMode`]. Returns whether any
+/// label changed; the caller charges the iteration and stops when none
+/// did.
 pub(crate) fn hook_jump<F>(
     mode: ParallelismMode,
     csr: &CsrAdjacency,
-    label: &[u64],
+    label: &mut [u64],
     next: &mut Vec<u64>,
-    jumped: &mut Vec<u64>,
     node_of: F,
-) where
+) -> bool
+where
     F: Fn(u64) -> usize + Sync,
 {
-    let n = csr.n();
-    par_map_range_into(mode, n, next, |v| {
-        let mut nv = label[v];
+    let lab: &[u64] = label;
+    par_map_range_into(mode, csr.n(), next, |v| {
+        let mut nv = lab[v];
         for &w in csr.neighbors(v) {
-            nv = nv.min(label[w as usize]);
+            nv = nv.min(lab[w as usize]);
         }
         nv
     });
-    let next_s: &[u64] = next;
-    par_map_range_into(mode, n, jumped, |v| {
-        let t = node_of(next_s[v]);
-        next_s[v].min(label[t]).min(next_s[t])
-    });
+    let next: &[u64] = next;
+    par_update_any(mode, label, |v, lv| {
+        let jumped = next[v].min(next[node_of(next[v])]);
+        let changed = jumped != *lv;
+        *lv = jumped;
+        changed
+    })
 }
 
 /// Connected-component labels by pointer jumping, the scale analogue of
@@ -179,33 +189,22 @@ pub fn cc_labels(
     let n = csr.n();
     let mode = cluster.config().parallelism;
     let d = depth(cluster);
-    let ScaleWorkspace {
-        label,
-        next,
-        jumped,
-        ..
-    } = ws;
+    let ScaleWorkspace { label, next, .. } = ws;
     par_map_range_into(mode, n, label, |v| v as u64);
     let mut iterations = 0usize;
     let mut sweep_ns = 0u64;
-    let mut merge_ns = 0u64;
     loop {
         iterations += 1;
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
-        hook_jump(mode, csr, label, next, jumped, |r| r as usize);
+        let changed = hook_jump(mode, csr, label, next, |r| r as usize);
         sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-        let converge_timer = PhaseTimer::start();
-        let converged = jumped == label;
-        merge_ns = merge_ns.saturating_add(converge_timer.elapsed_ns());
-        if converged {
+        if !changed {
             break;
         }
-        std::mem::swap(label, jumped);
     }
     cluster.record_phase(&PhaseTimes {
         step_ns: sweep_ns,
-        merge_ns,
         ..PhaseTimes::default()
     });
     Ok(iterations)
@@ -376,15 +375,12 @@ pub fn ball_coloring(
     let mode = cluster.config().parallelism;
     let d = depth(cluster);
     let ScaleWorkspace {
-        priority,
         color,
         active,
         results,
         ..
     } = ws;
-    par_map_range_into(mode, n, priority, |v| {
-        mix(seed.0, 0x636f_6c6f_7269_6e67, v as u64)
-    });
+    let priority = |v: u64| mix(seed.0, 0x636f_6c6f_7269_6e67, v);
     par_map_range_into(mode, n, color, |_| UNCOLORED);
     active.clear();
     active.extend(0..n as u32);
@@ -396,13 +392,11 @@ pub fn ball_coloring(
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
         {
-            let pr: &[u64] = priority;
             let col: &[u32] = color;
             sweep_frontier(mode, active, results, |v| {
-                let pv = (pr[v], v as u32);
+                let pv = (priority(v as u64), v as u32);
                 for &w in csr.neighbors(v) {
-                    let wi = w as usize;
-                    if col[wi] == UNCOLORED && (pr[wi], w) > pv {
+                    if col[w as usize] == UNCOLORED && (priority(u64::from(w)), w) > pv {
                         return UNCOLORED;
                     }
                 }

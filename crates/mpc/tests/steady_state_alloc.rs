@@ -4,16 +4,21 @@
 //!   per round once its arena buffers are warm — the only per-round
 //!   allocations left are the ones the machine program itself makes;
 //! * the scale workloads allocate **nothing** on a repetition at a fixed
-//!   topology once the workspace is warm.
+//!   topology once the workspace is warm;
+//! * a warm stream→labels pass of each scale kernel holds at most a set
+//!   number of heap bytes per vertex at its high-water mark (the memory
+//!   gate).
 //!
 //! Run with `cargo test -p csmpc-mpc --features alloc-count --test
-//! steady_state_alloc`. Both measurements live in one `#[test]` so the
-//! process-wide counter is never read while another test thread runs.
+//! steady_state_alloc`. Every measurement lives in one `#[test]` so the
+//! process-wide counters are never read while another test thread runs.
 #![cfg(feature = "alloc-count")]
 
 use csmpc_graph::rng::Seed;
 use csmpc_graph::StreamFamily;
-use csmpc_mpc::phase::counting_alloc::{allocations, CountingAllocator};
+use csmpc_mpc::phase::counting_alloc::{
+    allocations, live_bytes, peak_bytes, reset_peak, CountingAllocator,
+};
 use csmpc_mpc::{scale, Cluster, MachineProgram, Message, MpcConfig, MpcError, ParallelismMode};
 
 #[global_allocator]
@@ -63,6 +68,20 @@ fn engine_allocs(rounds: usize) -> (u64, usize) {
         .unwrap_err();
     assert!(matches!(err, MpcError::RoundLimitExceeded { .. }));
     (allocations() - before, m)
+}
+
+/// One stream→labels pass as `perfbench scale-1m` runs it, sequentially:
+/// a fresh cluster, the ingest, then `kernel` (0 cc, 1 MIS, 2 coloring)
+/// over a caller-held workspace.
+fn stream_to_labels(kernel: usize, family: StreamFamily, ws: &mut scale::ScaleWorkspace) {
+    let words = 2 * family.n() + 2 * family.m();
+    let mut cluster = sequential_cluster(family.n(), words);
+    let csr = scale::ingest(family, &mut cluster).unwrap();
+    match kernel {
+        0 => drop(scale::cc_labels(&mut cluster, &csr, ws).unwrap()),
+        1 => drop(scale::luby_mis(&mut cluster, &csr, Seed(3), ws).unwrap()),
+        _ => drop(scale::ball_coloring(&mut cluster, &csr, Seed(5), ws).unwrap()),
+    }
 }
 
 #[test]
@@ -146,4 +165,42 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
         0,
         "a warm RouteArena scatter cycle must be allocation-free"
     );
+
+    // Memory gate: the heap high-water mark of a warm pass, in bytes per
+    // vertex, counting the workspace (29 B/v warm), the CSR the ingest
+    // builds (12 B/v at average degree 2) and the ingest's temporaries (a
+    // random tree's Prüfer sequence and decode degrees, 8 B/v). The
+    // kernels and families are perfbench's scale-1m trio at n = 2^16.
+    // Measured 42.5, 42.5 and 50.5 B/v; each bound is that plus under 10%.
+    // A workspace that kept per-vertex priority and jump buffers (45 B/v)
+    // and an ingest that copied the degrees twice read 62.5, 62.5 and
+    // 74.5.
+    const N: usize = 1 << 16;
+    let trio = [
+        (StreamFamily::TwoCycles { n: N }, 46.0),
+        (StreamFamily::Cycle { n: N }, 46.0),
+        (
+            StreamFamily::RandomTree {
+                n: N,
+                seed: Seed(21),
+            },
+            55.0,
+        ),
+    ];
+    let base = live_bytes();
+    let mut ws = scale::ScaleWorkspace::new();
+    for (kernel, &(family, _)) in trio.iter().enumerate() {
+        stream_to_labels(kernel, family, &mut ws);
+    }
+    for (kernel, &(family, bound)) in trio.iter().enumerate() {
+        reset_peak();
+        stream_to_labels(kernel, family, &mut ws);
+        let per_vertex = (peak_bytes() - base) as f64 / N as f64;
+        assert!(
+            per_vertex <= bound,
+            "a warm pass of kernel {kernel} on {} peaked at {per_vertex:.2} B/vertex \
+             (bound {bound})",
+            family.name()
+        );
+    }
 }

@@ -172,6 +172,36 @@ where
     }
 }
 
+/// Updates every item in place with `f(i, &mut items[i])` and returns
+/// whether `f` returned `true` for any of them. `f` runs on every item (no
+/// short-circuit), so its writes do not depend on the answer.
+///
+/// In parallel mode the slice is split into contiguous blocks, each block
+/// yields one flag, and the flags are collected in block order and or-ed
+/// afterwards: no `reduce`, no atomics, no per-item flag buffer. Sequential
+/// mode allocates nothing.
+pub fn par_update_any<T, F>(mode: ParallelismMode, items: &mut [T], f: F) -> bool
+where
+    T: Send,
+    F: Fn(usize, &mut T) -> bool + Sync,
+{
+    let update = |base: usize, block: &mut [T]| {
+        let mut any = false;
+        for (i, item) in block.iter_mut().enumerate() {
+            any |= f(base + i, item);
+        }
+        any
+    };
+    if mode.is_parallel() && items.len() >= INLINE_CUTOFF {
+        let width = items.len().div_ceil(4 * rayon::current_num_threads());
+        let mut blocks: Vec<&mut [T]> = items.chunks_mut(width).collect();
+        let flags = par_map_mut(mode, &mut blocks, |b, block| update(b * width, block));
+        flags.contains(&true)
+    } else {
+        update(0, items)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +271,27 @@ mod tests {
         });
         assert_eq!(a, b);
         assert_eq!(ra, rb);
+    }
+
+    #[test]
+    fn modes_agree_on_par_update_any() {
+        for n in [0usize, 3, 5, 1000] {
+            let mut seen = Vec::new();
+            for mode in [ParallelismMode::Sequential, ParallelismMode::Parallel] {
+                for hit in [None, Some(0), Some(n.saturating_sub(1))] {
+                    let mut items: Vec<u64> = (0..n as u64).collect();
+                    let any = par_update_any(mode, &mut items, |i, x| {
+                        *x = *x * 2 + i as u64;
+                        Some(i) == hit
+                    });
+                    assert_eq!(any, n > 0 && hit.is_some(), "n={n} hit={hit:?}");
+                    seen.push((hit, items));
+                }
+            }
+            let (seq, par) = seen.split_at(3);
+            assert_eq!(seq, par, "n={n}");
+            assert!(seq[0].1.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
+        }
     }
 
     #[test]
