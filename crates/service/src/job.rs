@@ -103,7 +103,8 @@ impl GraphSpec {
     /// # Errors
     ///
     /// Why [`GraphSpec::build`] would panic: a cycle on fewer than 3
-    /// nodes, or two cycles on an odd or fewer-than-6 node count.
+    /// nodes, two cycles on an odd or fewer-than-6 node count, or more
+    /// directed edges (`2m`) than the CSR's `u32` offsets can index.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             GraphSpec::Cycle { n } if n < 3 => Err(format!(
@@ -111,6 +112,11 @@ impl GraphSpec {
             )),
             GraphSpec::TwoCycles { n } if n < 6 || n % 2 == 1 => Err(format!(
                 "invalid graph: two cycles need an even node count of at least 6, got {n}"
+            )),
+            _ if self.edges() > (u32::MAX / 2) as usize => Err(format!(
+                "invalid graph: {} edges need more than the {} directed edge slots a CSR can index",
+                self.edges(),
+                u32::MAX
             )),
             _ => Ok(()),
         }
@@ -125,6 +131,22 @@ impl GraphSpec {
             | GraphSpec::TwoCycles { n }
             | GraphSpec::RandomTree { n, .. } => n,
         }
+    }
+
+    /// Undirected edge count without building the graph.
+    #[must_use]
+    pub fn edges(&self) -> usize {
+        match *self {
+            GraphSpec::Cycle { n } | GraphSpec::TwoCycles { n } => n,
+            GraphSpec::Path { n } | GraphSpec::RandomTree { n, .. } => n.saturating_sub(1),
+        }
+    }
+
+    /// `graph_words` of the built graph (`2n + 2m`) without building it,
+    /// or `None` if that overflows `usize`.
+    #[must_use]
+    pub fn words(&self) -> Option<usize> {
+        self.nodes().checked_add(self.edges())?.checked_mul(2)
     }
 }
 

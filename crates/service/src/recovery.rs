@@ -38,7 +38,6 @@
 //! folded into any per-job ledger, which are fingerprint-covered and
 //! must stay bit-identical to the uninterrupted run.
 
-use crate::graph_store;
 use crate::job::JobId;
 use crate::journal::{Journal, JournalError, RecoveredLog, FRAME_HEADER};
 use crate::scheduler::{job_footprint, JobService, Phase, SchedState, ServiceConfig};
@@ -175,14 +174,13 @@ pub(crate) fn replay_journal(
     // reproduces the lost verdict exactly — and journaling it makes the
     // log self-contained for a crash *during* recovery.
     let mut rederived_admissions: u64 = 0;
-    let store = graph_store::global();
     for i in 0..state.jobs.len() {
         let job = &state.jobs[i];
         if !matches!(job.phase, Phase::Undecided) {
             continue;
         }
         let id = JobId(i as u64);
-        let rec = state.decision_record(id, job_footprint(&job.spec, store, cfg.mode));
+        let rec = state.decision_record(id, job_footprint(&job.spec, cfg.mode));
         journal.append(&rec)?;
         state
             .apply(rec)

@@ -535,21 +535,20 @@ pub(crate) fn job_mpc_config(spec: &JobSpec, mode: ParallelismMode) -> MpcConfig
     }
 }
 
-/// The words a job would book, or why it is refused before admission:
-/// the spec is validated before its graph is built, so a malformed spec
-/// never reaches a generator. [`JobService::submit`] and recovery's
-/// re-derived decisions both go through here and through
-/// [`SchedState::decision_record`], so replay reaches the same verdict.
-pub(crate) fn job_footprint(
-    spec: &JobSpec,
-    store: &GraphStore,
-    mode: ParallelismMode,
-) -> Result<usize, String> {
+/// The words a job would book, or why it is refused before admission.
+/// The footprint is closed-form in the spec's node and edge counts, so
+/// admission builds no graph: a spec it refuses never reaches a
+/// generator. [`JobService::submit`] and recovery's re-derived decisions
+/// both go through here and through [`SchedState::decision_record`], so
+/// replay reaches the same verdict.
+pub(crate) fn job_footprint(spec: &JobSpec, mode: ParallelismMode) -> Result<usize, String> {
     spec.validate()?;
-    let shared = store.get(&spec.graph);
+    let n = spec.graph.nodes();
     let mcfg = job_mpc_config(spec, mode);
-    let n = shared.graph.n();
-    Ok(mcfg.machines_for(n, shared.words) * mcfg.local_space(n))
+    spec.graph
+        .words()
+        .and_then(|words| mcfg.machines_for(n, words).checked_mul(mcfg.local_space(n)))
+        .ok_or_else(|| format!("invalid graph: the footprint of {n} nodes overflows"))
 }
 
 struct AttemptSuccess {
@@ -699,7 +698,7 @@ impl JobService {
     /// jobs over the space budget — get a terminal outcome with the
     /// reason; admitted jobs are queued — possibly on the shedding rung.
     pub fn submit(&self, spec: JobSpec) -> JobId {
-        let footprint = job_footprint(&spec, self.store, self.cfg.mode);
+        let footprint = job_footprint(&spec, self.cfg.mode);
         let mut state = self.state.lock().expect("service state poisoned");
         // After a crash the id is still handed back so callers index
         // consistently, but the dead process records nothing.
