@@ -86,10 +86,13 @@ echo "==> scale-equivalence suite (frontier kernels vs full-sweep oracles)"
 # on real worker threads even on single-core runners.
 RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence
 
-echo "==> steady-state allocation suite (alloc-count build)"
+echo "==> steady-state allocation suite + scale memory gate (alloc-count build)"
 # The counting-allocator test behind the alloc-count feature: warm engine
 # rounds and warm scale repetitions (cycle and random tree) allocate
-# nothing. Compiled out of the plain workspace test run.
+# nothing, and the memory gate bounds the heap high-water mark of a warm
+# stream->labels pass of each scale kernel at n = 2^16 in bytes per
+# vertex (workspace + CSR + ingest temporaries). Compiled out of the
+# plain workspace test run.
 cargo test -q -p csmpc-mpc --features alloc-count --test steady_state_alloc
 
 echo "==> perfbench self-tests (metric lists match BENCHMARK.json)"

@@ -159,17 +159,11 @@ impl CsrAdjacency {
 
     /// `counts[v]` is node `v`'s degree (`counts[n]` is 0). Prefix-sums the
     /// counts in place into row *ends* and places both endpoints of every
-    /// edge by decrementing its row's end, so each row fills from the back
-    /// and, once every edge is placed, `offsets[v]` is where row `v`
-    /// starts. No cursor array is needed; rows come out in reverse stream
-    /// order, which every caller sorts away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is `>= n` or the directed edge count exceeds
-    /// `u32::MAX`. Debug builds also panic when the edges overfill node
-    /// 0's row or leave the offsets out of order, which most degree
-    /// mismatches do.
+    /// edge by decrementing its row's end, so once every edge is placed
+    /// `offsets[v]` is where row `v` starts: no cursor array. Rows come
+    /// out in reverse stream order, which every caller sorts away. Panics
+    /// on an endpoint `>= n`; debug builds also catch most degree
+    /// mismatches.
     fn scatter<I>(mut offsets: Vec<u32>, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32)>,

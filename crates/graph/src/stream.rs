@@ -126,9 +126,7 @@ impl StreamFamily {
     /// Builds the CSR adjacency straight from the stream — bit-identical
     /// to `self.materialize().csr()`, without the
     /// intermediate graph. A random tree is decoded once: its degrees are
-    /// the Prüfer occurrence counts, known before the decode starts, and
-    /// are copied once, into what become the CSR offsets (the decode
-    /// consumes its own copy).
+    /// the Prüfer occurrence counts, copied once, into the CSR offsets.
     #[must_use]
     pub fn stream_csr(&self) -> CsrAdjacency {
         match self.edges() {

@@ -15,9 +15,11 @@
 //! carry conformance suppressions — replayability (Definition 9) concerns
 //! the simulated execution, not how long the host took to run it.
 //!
-//! With the `alloc-count` feature a process-wide allocation counter is
-//! also available (the `counting_alloc` module); the `perf` binary installs it
-//! to report allocations per workload.
+//! With the `alloc-count` feature process-wide allocation and live-byte
+//! counters are also available (the `counting_alloc` module); the `perf`
+//! binary installs them to report allocations per workload, and the
+//! steady-state test reads the live-byte high-water mark for its memory
+//! gate.
 
 use std::fmt;
 // Wall-clock handle for phase attribution; see the module docs for why
@@ -39,10 +41,13 @@ pub struct PhaseTimes {
     /// Inbox receive-cap enforcement and reorder-fault application.
     pub intake_ns: u64,
     /// Per-machine round callbacks — and, on the accounted layer, the
-    /// per-vertex sweeps (ball collection, label updates).
+    /// per-vertex sweeps (ball collection, label updates). On the scale
+    /// path this includes each kernel's convergence check, which the
+    /// sweep itself answers.
     pub step_ns: u64,
     /// Send caps, storage charges, ledger-delta absorption, component-tag
-    /// propagation, transport coins, and outbox staging.
+    /// propagation, transport coins, and outbox staging. The scale
+    /// kernels record 0 here.
     pub merge_ns: u64,
     /// Checkpoint capture and restore.
     pub checkpoint_ns: u64,

@@ -14,13 +14,9 @@
 //! identity rank map, on the materialized path over name ranks. [`luby_mis`] and
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
-//!
-//! Memory: a warm workspace holds 29 bytes per vertex (`label` and the
-//! hook's `next` at 8 bytes each, `state` 1, `color`, `active` and
-//! `results` 4 each). The cc jump writes `label` in place and reports
-//! whether anything changed, so the convergence check is part of the
-//! sweep; Luby and Jones–Plassmann priorities are mixed inline at each
-//! use rather than stored.
+//! The workspace holds 29 bytes per vertex at rest: priorities are mixed
+//! inline, and the cc jump updates `label` in place and answers the
+//! convergence check itself.
 //!
 //! Steady-state contract: after the first repetition at a fixed topology
 //! has warmed the workspace, further repetitions allocate **nothing** on
@@ -58,10 +54,9 @@ const UNCOLORED: u32 = u32::MAX;
 /// second run at the same topology performs no heap allocation on the
 /// sweep path ([`crate::ParallelismMode::Sequential`]). One workspace serves all
 /// three workloads — they share buffers, so results live in the workspace
-/// only until the next call. Warm, it holds 29 bytes per vertex: two `u64`
-/// label buffers, the `u8` MIS state and three `u32` arrays (colors,
-/// frontier, sweep results). Coloring priorities are mixed inline, and the
-/// cc jump updates `label` in place, so neither needs a buffer.
+/// only until the next call. Warm, it holds 29 bytes per vertex: `label`
+/// and `next` (`u64`), `state` (`u8`), and `color`, `active` and
+/// `results` (`u32`).
 #[derive(Debug, Default)]
 pub struct ScaleWorkspace {
     /// Component labels ([`cc_labels`] output: minimum node index in the

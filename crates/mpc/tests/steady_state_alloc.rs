@@ -171,10 +171,8 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
     // builds (12 B/v at average degree 2) and the ingest's temporaries (a
     // random tree's Prüfer sequence and decode degrees, 8 B/v). The
     // kernels and families are perfbench's scale-1m trio at n = 2^16.
-    // Measured 42.5, 42.5 and 50.5 B/v; each bound is that plus under 10%.
-    // A workspace that kept per-vertex priority and jump buffers (45 B/v)
-    // and an ingest that copied the degrees twice read 62.5, 62.5 and
-    // 74.5.
+    // Measured 42.5, 42.5 and 50.5 B/v; each bound is that plus under 10%
+    // and less than one more 4-byte per-vertex buffer.
     const N: usize = 1 << 16;
     let trio = [
         (StreamFamily::TwoCycles { n: N }, 46.0),
@@ -184,7 +182,7 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
                 n: N,
                 seed: Seed(21),
             },
-            55.0,
+            54.0,
         ),
     ];
     let base = live_bytes();
