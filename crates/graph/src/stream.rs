@@ -61,26 +61,52 @@ pub enum StreamFamily {
 
 impl StreamFamily {
     /// Node count of the described graph.
+    ///
+    /// # Panics
+    ///
+    /// If the count overflows `usize` (see [`StreamFamily::checked_n`]).
     #[must_use]
     pub fn n(&self) -> usize {
+        self.checked_n().expect("node count overflows usize")
+    }
+
+    /// Undirected edge count of the described graph.
+    ///
+    /// # Panics
+    ///
+    /// If the count overflows `usize` (see [`StreamFamily::checked_m`]).
+    #[must_use]
+    pub fn m(&self) -> usize {
+        self.checked_m().expect("edge count overflows usize")
+    }
+
+    /// Node count in closed form, or `None` if it overflows `usize`.
+    #[must_use]
+    pub fn checked_n(&self) -> Option<usize> {
         match *self {
             StreamFamily::Path { n }
             | StreamFamily::Cycle { n }
             | StreamFamily::TwoCycles { n }
-            | StreamFamily::RandomTree { n, .. } => n,
-            StreamFamily::Star { leaves } => leaves + 1,
-            StreamFamily::Hypercube { dim } => 1usize << dim,
+            | StreamFamily::RandomTree { n, .. } => Some(n),
+            StreamFamily::Star { leaves } => leaves.checked_add(1),
+            StreamFamily::Hypercube { dim } => 1usize.checked_shl(dim),
         }
     }
 
-    /// Undirected edge count of the described graph.
+    /// Undirected edge count in closed form, or `None` if it overflows
+    /// `usize`.
     #[must_use]
-    pub fn m(&self) -> usize {
+    pub fn checked_m(&self) -> Option<usize> {
         match *self {
-            StreamFamily::Path { n } | StreamFamily::RandomTree { n, .. } => n.saturating_sub(1),
-            StreamFamily::Cycle { n } | StreamFamily::TwoCycles { n } => n,
-            StreamFamily::Star { leaves } => leaves,
-            StreamFamily::Hypercube { dim } => (dim as usize) << (dim.saturating_sub(1)),
+            StreamFamily::Path { n } | StreamFamily::RandomTree { n, .. } => {
+                Some(n.saturating_sub(1))
+            }
+            StreamFamily::Cycle { n } | StreamFamily::TwoCycles { n } => Some(n),
+            StreamFamily::Star { leaves } => Some(leaves),
+            StreamFamily::Hypercube { dim: 0 } => Some(0),
+            StreamFamily::Hypercube { dim } => {
+                1usize.checked_shl(dim - 1)?.checked_mul(dim as usize)
+            }
         }
     }
 

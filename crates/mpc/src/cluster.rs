@@ -226,6 +226,12 @@ pub enum MpcError {
         /// Value of the round counter when the crash struck.
         round: usize,
     },
+    /// An input is larger than the model's word-indexed structures can
+    /// address; it was refused before anything was built.
+    InputTooLarge {
+        /// What does not fit, and the limit it exceeds.
+        reason: String,
+    },
 }
 
 impl fmt::Display for MpcError {
@@ -268,6 +274,7 @@ impl fmt::Display for MpcError {
                     "machine {machine} failed in round {round} beyond recovery"
                 )
             }
+            MpcError::InputTooLarge { reason } => write!(f, "input too large: {reason}"),
         }
     }
 }

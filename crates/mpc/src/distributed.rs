@@ -520,7 +520,7 @@ impl<'a> DistributedGraph<'a> {
     /// iteration doubles the reach. Charges `2d` rounds per measured
     /// iteration and returns `(labels, iterations)`.
     ///
-    /// The sweep is `scale::hook_jump`, run in dense name-rank
+    /// The sweep is `scale::hook_jump`, run in dense `u32` name-rank
     /// space: pointer jumping reads only the order of names, so labels are
     /// ranks of the sorted distinct names while it runs and are mapped
     /// back to names at the end. Equal names share a rank, and a rank
@@ -539,21 +539,22 @@ impl<'a> DistributedGraph<'a> {
         sorted.sort_unstable();
         // rank → name and rank → node; `label` starts as every node's rank.
         let mut names: Vec<u64> = Vec::with_capacity(n);
-        let mut node_of: Vec<usize> = Vec::with_capacity(n);
+        let mut node_of: Vec<u32> = Vec::with_capacity(n);
         let mut label = vec![0u64; n];
         for (name, v) in sorted {
+            let node = u32::try_from(v).expect("a CSR indexes its nodes with u32");
             if names.last() != Some(&name) {
                 names.push(name);
-                node_of.push(v);
+                node_of.push(node);
             }
             let rank = names.len() - 1;
             // Ascending `v` within a name: the last node carrying it wins.
-            node_of[rank] = v;
+            node_of[rank] = node;
             label[v] = rank as u64;
         }
         let csr = self.g.csr();
-        let rank_node = |r: u64| node_of[r as usize];
-        let mut next = Vec::new();
+        let rank_node = |r: u32| node_of[r as usize] as usize;
+        let mut next: Vec<u32> = Vec::new();
         let mut iterations = 0usize;
         let mut sweep_ns = 0u64;
         loop {

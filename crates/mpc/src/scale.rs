@@ -14,9 +14,10 @@
 //! identity rank map, on the materialized path over name ranks. [`luby_mis`] and
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
-//! The workspace holds 29 bytes per vertex at rest: priorities are mixed
-//! inline, and the cc jump updates `label` in place and answers the
-//! convergence check itself.
+//! The workspace holds 21 bytes per vertex at rest: priorities are mixed
+//! inline, the cc hook writes its `u32` ranks into the frontier kernels'
+//! result buffer, and the cc jump updates `label` in place and answers
+//! the convergence check itself.
 //!
 //! Steady-state contract: after the first repetition at a fixed topology
 //! has warmed the workspace, further repetitions allocate **nothing** on
@@ -54,23 +55,21 @@ const UNCOLORED: u32 = u32::MAX;
 /// second run at the same topology performs no heap allocation on the
 /// sweep path ([`crate::ParallelismMode::Sequential`]). One workspace serves all
 /// three workloads — they share buffers, so results live in the workspace
-/// only until the next call. Warm, it holds 29 bytes per vertex: `label`
-/// and `next` (`u64`), `state` (`u8`), and `color`, `active` and
-/// `results` (`u32`).
+/// only until the next call. Warm, it holds 21 bytes per vertex: `label`
+/// (`u64`), `state` (`u8`), and `color`, `active` and `results` (`u32`).
 #[derive(Debug, Default)]
 pub struct ScaleWorkspace {
     /// Component labels ([`cc_labels`] output: minimum node index in the
     /// component).
     pub label: Vec<u64>,
-    /// The hook's output: minimum label over each closed neighborhood.
-    next: Vec<u64>,
     /// MIS state ([`luby_mis`] output): 0 undecided, 1 in the MIS, 2 out.
     pub state: Vec<u8>,
     /// Vertex colors ([`ball_coloring`] output).
     pub color: Vec<u32>,
     /// The frontier: still-undecided vertices, ascending.
     active: Vec<u32>,
-    /// Per-round sweep results, one per `active` entry, in list order.
+    /// Per-round sweep results, one per `active` entry, in list order;
+    /// [`cc_labels`] uses it as the hook's output.
     results: Vec<u32>,
 }
 
@@ -109,12 +108,16 @@ fn depth(cluster: &Cluster) -> usize {
 ///
 /// # Errors
 ///
-/// [`MpcError::SpaceExceeded`] if a machine's share of the input does not
-/// fit in `S`; [`MpcError::MachineFailed`] from an armed fault plan.
+/// [`MpcError::InputTooLarge`], before anything is allocated, if the
+/// node count or the directed edge count `2m` does not fit the `u32`
+/// rank space; [`MpcError::SpaceExceeded`] if a machine's share of the
+/// input does not fit in `S`; [`MpcError::MachineFailed`] from an armed
+/// fault plan.
 pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacency, MpcError> {
+    let (n, m) = rank_space(family)?;
     let timer = PhaseTimer::start();
     let csr = family.stream_csr();
-    let words = 2 * family.n() + 2 * family.m();
+    let words = 2 * n + 2 * m;
     cluster.advance_rounds(1)?;
     let per_machine = words.div_ceil(cluster.num_machines().max(1));
     cluster.charge_words(per_machine, words as u64);
@@ -126,38 +129,73 @@ pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacenc
     Ok(csr)
 }
 
+/// `family`'s node and edge counts, in closed form, if every node index
+/// and label fits a `u32` rank and the CSR's `u32` offsets can index all
+/// `2m` directed edges.
+fn rank_space(family: StreamFamily) -> Result<(usize, usize), MpcError> {
+    let limit = u32::MAX as usize;
+    let reason = match (family.checked_n(), family.checked_m()) {
+        (Some(n), Some(m)) if n <= limit && m <= limit / 2 => return Ok((n, m)),
+        (Some(n), _) if n > limit => {
+            format!("{n} nodes, more than the {limit} a u32 rank can name")
+        }
+        (None, _) => "more nodes than usize can count".to_string(),
+        (_, Some(m)) => {
+            format!("{m} edges, more than the {limit} directed edge slots a CSR can index")
+        }
+        (_, None) => "more edges than usize can count".to_string(),
+    };
+    Err(MpcError::InputTooLarge {
+        reason: format!("{} input has {reason}", family.name()),
+    })
+}
+
 /// One pointer-jumping iteration, the sweep behind every cc-labels path.
 ///
-/// Labels are *ranks*: `node_of(r)` is the node a label `r` points at.
-/// The hook writes into `next` the minimum of `label` over every closed
-/// neighborhood, so `next[t] ≤ label[t]` at every node. The jump then
-/// writes `min(next[v], next[t])` for `t = node_of(next[v])` straight
-/// into `label`: it reads no other vertex's `label`, so the update is in
-/// place, and each iteration doubles the reach. Both are pure per-vertex
-/// maps, bit-identical in every [`ParallelismMode`]. Returns whether any
-/// label changed; the caller charges the iteration and stops when none
-/// did.
+/// Labels are *ranks* below `n`, so they fit a `u32`: `node_of(r)` is the
+/// node a label `r` points at. The hook writes into `next` the minimum of
+/// `label` over every closed neighborhood, so `next[t] ≤ label[t]` at
+/// every node. The jump then writes `min(next[v], next[t])` for
+/// `t = node_of(next[v])` straight into `label`: it reads no other
+/// vertex's `label`, so the update is in place, and each iteration
+/// doubles the reach. Both are pure per-vertex maps, bit-identical in
+/// every [`ParallelismMode`]. Returns whether any label changed; the
+/// caller charges the iteration and stops when none did.
+///
+/// `label` is `u64` because it is the callers' output; `next` is scratch,
+/// 4 bytes per vertex.
+///
+/// # Panics
+///
+/// If `csr` has more nodes than a `u32` rank can name.
 pub(crate) fn hook_jump<F>(
     mode: ParallelismMode,
     csr: &CsrAdjacency,
     label: &mut [u64],
-    next: &mut Vec<u64>,
+    next: &mut Vec<u32>,
     node_of: F,
 ) -> bool
 where
-    F: Fn(u64) -> usize + Sync,
+    F: Fn(u32) -> usize + Sync,
 {
+    assert!(
+        u32::try_from(csr.n()).is_ok(),
+        "{} nodes exceed the u32 rank space",
+        csr.n()
+    );
     let lab: &[u64] = label;
     par_map_range_into(mode, csr.n(), next, |v| {
         let mut nv = lab[v];
         for &w in csr.neighbors(v) {
             nv = nv.min(lab[w as usize]);
         }
-        nv
+        // A rank is below `n`, which the assert above bounds.
+        nv as u32
     });
-    let next: &[u64] = next;
+    let next: &[u32] = next;
     par_update_any(mode, label, |v, lv| {
-        let jumped = next[v].min(next[node_of(next[v])]);
+        let nv = next[v];
+        let jumped = u64::from(nv.min(next[node_of(nv)]));
         let changed = jumped != *lv;
         *lv = jumped;
         changed
@@ -184,7 +222,9 @@ pub fn cc_labels(
     let n = csr.n();
     let mode = cluster.config().parallelism;
     let d = depth(cluster);
-    let ScaleWorkspace { label, next, .. } = ws;
+    // The hook's scratch is the frontier kernels' result buffer, which
+    // they refill before reading.
+    let ScaleWorkspace { label, results, .. } = ws;
     par_map_range_into(mode, n, label, |v| v as u64);
     let mut iterations = 0usize;
     let mut sweep_ns = 0u64;
@@ -192,7 +232,7 @@ pub fn cc_labels(
         iterations += 1;
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
-        let changed = hook_jump(mode, csr, label, next, |r| r as usize);
+        let changed = hook_jump(mode, csr, label, results, |r| r as usize);
         sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
         if !changed {
             break;
@@ -580,6 +620,55 @@ mod tests {
         let csr = ingest(family, &mut cl).unwrap();
         let err = cc_labels(&mut cl, &csr, &mut ws).unwrap_err();
         assert!(matches!(err, MpcError::MachineFailed { .. }));
+    }
+
+    #[test]
+    fn ingest_refuses_inputs_beyond_the_rank_space() {
+        // Only the closed-form counts are read: none of these is built.
+        let nodes = "a u32 rank can name";
+        let edges = "directed edge slots a CSR can index";
+        let overflow = "than usize can count";
+        for (family, why) in [
+            (StreamFamily::Path { n: 1 << 33 }, nodes),
+            (StreamFamily::Path { n: (1 << 31) + 1 }, edges),
+            (StreamFamily::Cycle { n: 1 << 33 }, nodes),
+            (StreamFamily::TwoCycles { n: 1 << 31 }, edges),
+            (StreamFamily::Star { leaves: 1 << 32 }, nodes),
+            (StreamFamily::Star { leaves: usize::MAX }, overflow),
+            (StreamFamily::Hypercube { dim: 28 }, edges),
+            (StreamFamily::Hypercube { dim: 40 }, nodes),
+            (StreamFamily::Hypercube { dim: 64 }, overflow),
+            (
+                StreamFamily::RandomTree {
+                    n: usize::MAX,
+                    seed: Seed(1),
+                },
+                nodes,
+            ),
+        ] {
+            let mut cl = cluster_for(StreamFamily::Path { n: 8 }, ParallelismMode::Sequential);
+            let err = ingest(family, &mut cl).unwrap_err();
+            let MpcError::InputTooLarge { reason } = &err else {
+                panic!("{}: expected InputTooLarge, got {err:?}", family.name());
+            };
+            assert!(reason.starts_with(family.name()), "{reason}");
+            assert!(reason.contains(why), "{reason}");
+            assert_eq!(cl.stats().rounds, 0, "{reason}: refused before charging");
+        }
+        // The largest inputs that fit: n and 2m at most u32::MAX.
+        let limit = u32::MAX as usize;
+        assert_eq!(
+            rank_space(StreamFamily::Path { n: 1 << 31 }),
+            Ok((1 << 31, limit / 2))
+        );
+        assert_eq!(
+            rank_space(StreamFamily::Hypercube { dim: 27 }),
+            Ok((1 << 27, 27 << 26))
+        );
+        assert_eq!(
+            rank_space(StreamFamily::Star { leaves: limit / 2 }),
+            Ok((limit / 2 + 1, limit / 2))
+        );
     }
 
     #[test]

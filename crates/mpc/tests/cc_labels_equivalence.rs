@@ -310,3 +310,120 @@ fn scale_cc_labels_matches_the_three_buffer_sweep() {
     }
     assert!(recoveries > 20, "only {recoveries} crash recoveries");
 }
+
+/// What one order of the three scale kernels leaves behind: the cc
+/// labels, MIS states and colors, each kernel's return value, and the
+/// cluster's ledger.
+type KernelRun = (Vec<u64>, Vec<u8>, Vec<u32>, Vec<(usize, usize)>, [u64; 8]);
+
+/// Runs the scale kernels on `family` in `order` (0 cc, 1 MIS, 2
+/// coloring) over one cluster. With `warm`, all three share that
+/// workspace; without, each kernel gets a fresh one.
+fn kernels_in_order(
+    family: StreamFamily,
+    mode: ParallelismMode,
+    order: [usize; 3],
+    mut warm: Option<&mut ScaleWorkspace>,
+) -> KernelRun {
+    let cfg = MpcConfig {
+        parallelism: mode,
+        ..MpcConfig::with_phi(0.5)
+    };
+    let words = 2 * family.n() + 2 * family.m();
+    let mut cl = Cluster::new(cfg, family.n(), words, Seed(7));
+    let csr = scale::ingest(family, &mut cl).expect("small inputs fit");
+    let mut fresh = [(); 3].map(|()| ScaleWorkspace::new());
+    let mut returns = Vec::new();
+    for kernel in order {
+        let ws = match warm.as_deref_mut() {
+            Some(ws) => ws,
+            None => &mut fresh[kernel],
+        };
+        returns.push(match kernel {
+            0 => (scale::cc_labels(&mut cl, &csr, ws).expect("no faults"), 0),
+            1 => scale::luby_mis(&mut cl, &csr, Seed(3), ws).expect("no faults"),
+            _ => {
+                let (used, rounds) =
+                    scale::ball_coloring(&mut cl, &csr, Seed(5), ws).expect("no faults");
+                (used as usize, rounds)
+            }
+        });
+    }
+    let [cc, mis, coloring] = match warm {
+        Some(ws) => [&*ws; 3],
+        None => [&fresh[0], &fresh[1], &fresh[2]],
+    };
+    (
+        cc.label.clone(),
+        mis.state.clone(),
+        coloring.color.clone(),
+        returns,
+        cl.stats().model_words(),
+    )
+}
+
+/// `scale::cc_labels` hooks into the frontier kernels' result buffer, so
+/// the three kernels share scratch. Every order of them on one warm
+/// workspace, carried across families of different sizes, must leave the
+/// same outputs, return values and ledger as three fresh workspaces.
+#[test]
+fn kernels_sharing_one_workspace_match_fresh_workspaces() {
+    const ORDERS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    let mut warm = ScaleWorkspace::new();
+    for family in stream_families() {
+        for mode in [ParallelismMode::Sequential, ParallelismMode::Parallel] {
+            for order in ORDERS {
+                let got = kernels_in_order(family, mode, order, Some(&mut warm));
+                let want = kernels_in_order(family, mode, order, None);
+                assert_eq!(
+                    got,
+                    want,
+                    "{} n={} order {order:?} ({mode:?})",
+                    family.name(),
+                    family.n()
+                );
+            }
+        }
+    }
+}
+
+/// EXPERIMENTS E11: `scale::cc_labels` iterations on two cycles against
+/// log2 n. The count is deterministic, so each row is pinned: one cycle
+/// of n/2 nodes needs log2(n/2) iterations, the last of which changes
+/// nothing and ends the sweep.
+#[test]
+fn two_cycles_iteration_counts_are_pinned() {
+    const ROWS: [(u32, usize); 11] = [
+        (10, 9),
+        (11, 10),
+        (12, 11),
+        (13, 12),
+        (14, 13),
+        (15, 14),
+        (16, 15),
+        (17, 16),
+        (18, 17),
+        (19, 18),
+        (20, 19),
+    ];
+    let mut ws = ScaleWorkspace::new();
+    for (log_n, want) in ROWS {
+        let family = StreamFamily::TwoCycles { n: 1 << log_n };
+        let cfg = MpcConfig {
+            parallelism: ParallelismMode::Parallel,
+            ..MpcConfig::with_phi(0.5)
+        };
+        let words = 2 * family.n() + 2 * family.m();
+        let mut cl = Cluster::new(cfg, family.n(), words, Seed(7));
+        let csr = scale::ingest(family, &mut cl).expect("fits the rank space");
+        let got = scale::cc_labels(&mut cl, &csr, &mut ws).expect("no faults");
+        assert_eq!(got, want, "two cycles at n = 2^{log_n}");
+    }
+}

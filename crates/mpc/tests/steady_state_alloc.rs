@@ -7,7 +7,8 @@
 //!   topology once the workspace is warm;
 //! * a warm stream→labels pass of each scale kernel holds at most a set
 //!   number of heap bytes per vertex at its high-water mark (the memory
-//!   gate).
+//!   gate), and an input too large for the `u32` rank space is refused
+//!   before its ingest allocates.
 //!
 //! Run with `cargo test -p csmpc-mpc --features alloc-count --test
 //! steady_state_alloc`. Every measurement lives in one `#[test]` so the
@@ -167,22 +168,23 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
     );
 
     // Memory gate: the heap high-water mark of a warm pass, in bytes per
-    // vertex, counting the workspace (29 B/v warm), the CSR the ingest
-    // builds (12 B/v at average degree 2) and the ingest's temporaries (a
-    // random tree's Prüfer sequence and decode degrees, 8 B/v). The
-    // kernels and families are perfbench's scale-1m trio at n = 2^16.
-    // Measured 42.5, 42.5 and 50.5 B/v; each bound is that plus under 10%
-    // and less than one more 4-byte per-vertex buffer.
+    // vertex, counting the workspace (21 B/v warm: cc hooks into the
+    // frontier kernels' `u32` result buffer), the CSR the ingest builds
+    // (12 B/v at average degree 2) and the ingest's temporaries (a random
+    // tree's Prüfer sequence and decode degrees, 8 B/v). The kernels and
+    // families are perfbench's scale-1m trio at n = 2^16. Measured 34.5,
+    // 34.5 and 42.5 B/v; each bound is that plus under 10% and less than
+    // one more 4-byte per-vertex buffer.
     const N: usize = 1 << 16;
     let trio = [
-        (StreamFamily::TwoCycles { n: N }, 46.0),
-        (StreamFamily::Cycle { n: N }, 46.0),
+        (StreamFamily::TwoCycles { n: N }, 37.5),
+        (StreamFamily::Cycle { n: N }, 37.5),
         (
             StreamFamily::RandomTree {
                 n: N,
                 seed: Seed(21),
             },
-            54.0,
+            46.0,
         ),
     ];
     let base = live_bytes();
@@ -201,4 +203,18 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
             family.name()
         );
     }
+
+    // An input beyond the `u32` rank space is refused from its closed-form
+    // counts: the only heap the refusal touches is the error's reason, not
+    // the 32 GiB degree array a 2^33-node path would need.
+    let mut cluster = sequential_cluster(8, 32);
+    let base = live_bytes();
+    reset_peak();
+    let err = scale::ingest(StreamFamily::Path { n: 1 << 33 }, &mut cluster).unwrap_err();
+    assert!(matches!(err, MpcError::InputTooLarge { .. }), "{err:?}");
+    assert!(
+        peak_bytes() - base < 1024,
+        "refusing an oversized input peaked at {} heap bytes",
+        peak_bytes() - base
+    );
 }
