@@ -28,15 +28,11 @@ workload=$2
 pairs=$3
 seed=${4:-1}
 case $pairs in
-'' | *[!0-9]*)
+'' | *[!0-9]* | 0)
     echo "pairs must be a positive integer, got '$pairs'" >&2
     exit 2
     ;;
 esac
-[ "$pairs" -ge 1 ] || {
-    echo "pairs must be at least 1" >&2
-    exit 2
-}
 
 base_sha=$(git rev-parse --verify "$base_rev^{commit}")
 head_sha=$(git rev-parse HEAD)

@@ -332,7 +332,7 @@ fn kernels_in_order(
     let words = 2 * family.n() + 2 * family.m();
     let mut cl = Cluster::new(cfg, family.n(), words, Seed(7));
     let csr = scale::ingest(family, &mut cl).expect("small inputs fit");
-    let mut fresh = [(); 3].map(|()| ScaleWorkspace::new());
+    let mut fresh: [ScaleWorkspace; 3] = Default::default();
     let mut returns = Vec::new();
     for kernel in order {
         let ws = match warm.as_deref_mut() {
