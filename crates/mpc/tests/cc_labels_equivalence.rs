@@ -13,6 +13,11 @@
 //! graphs with shuffled and duplicate names, in both parallelism modes
 //! and with and without an armed crash plan, the primitive must equal the
 //! oracle on labels, iteration count and the whole `Stats` ledger.
+//!
+//! Scale cc hooks into the result buffer the MIS and coloring kernels
+//! also use, so the kernels must leave the same results on one shared
+//! warm workspace as on fresh ones. The scale path's iteration counts on
+//! two cycles are pinned here too (EXPERIMENTS E11).
 
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_graph::{generators, CsrAdjacency, Graph, GraphBuilder, NodeName, StreamFamily};
