@@ -3,7 +3,7 @@
 #
 #   ./bench-ab.sh <base-rev> <workload> <pairs> [seed]
 #
-# Checks <base-rev> out with `git worktree` under target/bench-ab/, builds
+# Extracts <base-rev> with `git archive` under target/bench-ab/, builds
 # perfbench (release, offline) on both sides into their own target
 # directories, then runs <pairs> pairs of untraced runs of <workload>,
 # alternating which side goes first. Each run lasts BENCHMARK.json's
@@ -43,11 +43,12 @@ work=target/bench-ab
 tree=$work/base-src
 mkdir -p "$work/runs"
 
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree prune
-git worktree add --detach "$tree" "$base_sha" >/dev/null
-cleanup() { git worktree remove --force "$tree" 2>/dev/null || true; }
-trap cleanup EXIT
+# A plain extracted tree, not a worktree: nothing is registered in .git,
+# so an interrupted run leaves nothing behind but files under target/.
+rm -rf "$tree"
+mkdir -p "$tree"
+git archive "$base_sha" | tar -x -C "$tree"
+trap 'rm -rf "$tree"' EXIT
 
 build() { # <source root> <target dir>
     CARGO_TARGET_DIR=$2 cargo build --release --offline --quiet \

@@ -78,13 +78,17 @@ echo "==> routing-equivalence suite (counting-sort fabric vs sort oracle)"
 # random machine counts and message multisets.
 cargo test -q -p csmpc-mpc --test routing_equivalence
 
-echo "==> scale-equivalence suite (frontier kernels vs full-sweep oracles)"
+echo "==> scale- and cc-equivalence suites (frontier kernels and both cc paths vs oracles)"
 # Property proof that the active-list MIS and coloring kernels produce the
 # same output vectors, return values and Stats ledgers as the full-sweep
 # kernels they replaced, over every StreamFamily member and random seeds,
-# sequential and parallel. Threads are forced so the parallel column runs
-# on real worker threads even on single-core runners.
-RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence
+# sequential and parallel; and that both cc-labels paths match their
+# oracles, on shared warm workspaces in every kernel order, with the
+# two-cycles iteration counts pinned. Threads are forced so the parallel
+# column runs on real worker threads even on single-core runners: 4
+# workers cut the cc hook's block walk into 16 blocks, so block
+# boundaries fall inside every input of more than 16 nodes.
+RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence --test cc_labels_equivalence
 
 echo "==> steady-state allocation suite + scale memory gate (alloc-count build)"
 # The counting-allocator test behind the alloc-count feature: warm engine

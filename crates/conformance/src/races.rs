@@ -2,10 +2,11 @@
 //! lint).
 //!
 //! The seq-vs-par bit-identity contract (DESIGN §5d) requires every
-//! closure handed to `csmpc_parallel::par_map` / `par_map_mut` /
-//! `par_map_range` to be a pure per-item map: it may mutate *its own item*
-//! (the `par_map_mut` parameter) and its own `let`-bound locals, and
-//! nothing else. This pass analyzes each such closure for the ways that
+//! closure handed to a `csmpc_parallel` sweep helper (`par_map`,
+//! `par_map_mut`, `par_map_range`, their `_into` forms, `par_update_any`
+//! and `par_fill_blocks`) to be a pure per-item map: it may mutate *its
+//! own item or block* (the `&mut` closure parameter) and its own
+//! `let`-bound locals, and nothing else. This pass analyzes each such closure for the ways that
 //! contract is broken in practice:
 //!
 //! * **captured mutation** — assignment (`x = ...`, `x += ...`) or a
@@ -29,8 +30,17 @@ use crate::lex::{Tok, TokKind};
 use crate::syntax::FileModel;
 use crate::{Diagnostic, Lint, Severity};
 
-/// The approved deterministic-parallelism entry points.
-const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_map_mut", "par_map_range"];
+/// The approved deterministic-parallelism entry points: every
+/// `csmpc_parallel` helper that hands a closure to worker threads.
+const PAR_ENTRY_POINTS: &[&str] = &[
+    "par_map",
+    "par_map_mut",
+    "par_map_range",
+    "par_map_range_into",
+    "par_map_mut_into",
+    "par_update_any",
+    "par_fill_blocks",
+];
 
 /// Mutating method names (receiver must be closure-local).
 const MUT_METHODS: &[&str] = &[
@@ -567,6 +577,57 @@ fn sweep(mode: ParallelismMode, shards: &mut [Shard]) -> Vec<usize> {
         shard.outbox.clear();
         shard.queue.push(id);
         shard.queue.len()
+    })
+}
+";
+        assert!(run_src(src).is_empty(), "{:?}", run_src(src));
+    }
+
+    #[test]
+    fn block_and_in_place_helpers_are_analyzed() {
+        let src = "\
+fn racy(mode: ParallelismMode, items: &mut [u64], log: &RefCell<Vec<usize>>) -> bool {
+    par_update_any(mode, items, |i, x| {
+        log.borrow_mut().push(i);
+        *x += 1;
+        true
+    })
+}
+fn racy_fill(mode: ParallelismMode, n: usize, out: &mut Vec<u32>) {
+    let mut total = 0usize;
+    par_fill_blocks(mode, n, out, |lo, block| {
+        total += block.len();
+        block.fill(lo as u32);
+    });
+}
+";
+        let d = run_src(src);
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d[0].message.contains("borrow_mut"), "{d:?}");
+        assert!(d[0].witness[0].contains("par_update_any"), "{d:?}");
+        assert!(d[1].message.contains("total"), "{d:?}");
+        assert!(d[1].witness[0].contains("par_fill_blocks"), "{d:?}");
+    }
+
+    #[test]
+    fn own_block_and_item_writes_are_clean() {
+        let src = "\
+fn fill(mode: ParallelismMode, n: usize, out: &mut Vec<u32>, into: &mut Vec<u64>) {
+    par_fill_blocks(mode, n, out, |lo, block| {
+        for (i, slot) in block.iter_mut().enumerate() {
+            *slot = (lo + i) as u32;
+        }
+    });
+    par_map_range_into(mode, n, into, |v| v as u64);
+}
+fn bump(mode: ParallelismMode, items: &mut [u64], out: &mut Vec<u64>) -> bool {
+    par_map_mut_into(mode, items, out, |i, x| {
+        *x += i as u64;
+        *x
+    });
+    par_update_any(mode, items, |_, x| {
+        *x += 1;
+        false
     })
 }
 ";

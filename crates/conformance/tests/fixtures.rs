@@ -268,6 +268,44 @@ fn par_race_clean_fixture_stays_clean_including_allow() {
 }
 
 #[test]
+fn par_block_race_fixture_caught_at_exact_lines() {
+    // The buffer-reusing helpers hand their closures to worker threads
+    // just like `par_map`, so the same findings apply to them.
+    let diags = analyze_fixture("par_block_race_violation.rs");
+    assert!(
+        diags.iter().all(|d| d.lint == Lint::ParClosureRace),
+        "{diags:#?}"
+    );
+    assert_eq!(lines_of(&diags), vec![7, 17, 27, 36], "{diags:#?}");
+    assert!(diags[0].message.contains("borrow_mut"), "{diags:#?}");
+    assert!(diags[1].message.contains("total"), "{diags:#?}");
+    assert!(diags[2].message.contains("seen.push"), "{diags:#?}");
+    assert!(diags[3].message.contains("fetch_add"), "{diags:#?}");
+    let entries: Vec<&str> = diags.iter().map(|d| d.witness[0].as_str()).collect();
+    assert_eq!(
+        entries,
+        [
+            "closure passed to par_update_any",
+            "closure passed to par_fill_blocks",
+            "closure passed to par_map_range_into",
+            "closure passed to par_map_mut_into",
+        ],
+        "{diags:#?}"
+    );
+}
+
+#[test]
+fn par_block_race_clean_fixture_stays_clean() {
+    // Writes through the `&mut` item or block parameter are the closure's
+    // own, including a block's row walk and zipped slot iterator.
+    assert!(
+        analyze_fixture("par_block_race_clean.rs").is_empty(),
+        "{:#?}",
+        analyze_fixture("par_block_race_clean.rs")
+    );
+}
+
+#[test]
 fn stability_flow_fixture_caught_at_impl_lines() {
     let diags = analyze_fixture("stability_flow_violation.rs");
     assert!(

@@ -64,7 +64,7 @@ fn token_lints_report_the_pinned_findings_on_every_fixture() {
         .filter(|n| n.ends_with(".rs"))
         .collect();
     names.sort();
-    assert_eq!(names.len(), 20, "fixture set changed: {names:?}");
+    assert_eq!(names.len(), 22, "fixture set changed: {names:?}");
 
     let mut found = Vec::new();
     for name in &names {

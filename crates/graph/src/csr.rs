@@ -214,6 +214,25 @@ impl CsrAdjacency {
         &self.targets[lo..hi]
     }
 
+    /// The rows of nodes `lo..hi` in node order: `rows(lo, hi)` yields
+    /// `neighbors(v)` for every `v` in `lo..hi`. One walk over `targets`
+    /// with a running start, so a sweep over a block of consecutive nodes
+    /// reads each offset once instead of twice and does one bounds check
+    /// per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi > self.n()`.
+    pub fn rows(&self, lo: usize, hi: usize) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        let offs = &self.offsets[lo..=hi];
+        let mut rest = &self.targets[offs[0] as usize..];
+        offs.windows(2).map(move |w| {
+            let (row, tail) = rest.split_at((w[1] - w[0]) as usize);
+            rest = tail;
+            row
+        })
+    }
+
     /// Degree of `v`.
     ///
     /// # Panics
@@ -249,6 +268,12 @@ mod tests {
                 assert_eq!(streamed.degree(v), g.degree(v));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rows_past_the_last_node_panic() {
+        let _ = generators::path(3).csr().rows(1, 4);
     }
 
     #[test]

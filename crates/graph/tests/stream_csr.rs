@@ -11,6 +11,10 @@
 //! `RAYON_NUM_THREADS=4` via the workspace test run plus the equivalence
 //! step; the parallel row-sort inside `from_edges` is a pure per-row
 //! function either way.
+//!
+//! The block row walk `CsrAdjacency::rows(lo, hi)` is checked against
+//! per-node `neighbors(v)` on the same families, over random ranges and
+//! the empty and last-row edge cases.
 
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_graph::{CsrAdjacency, GraphBuilder, StreamFamily};
@@ -77,6 +81,57 @@ fn tiny_random_trees_match_heap_oracle() {
     for n in [0usize, 1, 2, 3] {
         for seed in [0u64, 1, 7, 0xDEAD_BEEF] {
             assert_tree_matches_heap_oracle(n, seed);
+        }
+    }
+}
+
+/// `rows(lo, hi)` yields exactly `neighbors(v)` for `v in lo..hi`.
+fn assert_rows_match(csr: &CsrAdjacency, lo: usize, hi: usize, what: &str) {
+    let rows = csr.rows(lo, hi);
+    assert_eq!(rows.len(), hi - lo, "{what}: rows({lo}, {hi}) length");
+    for (v, row) in (lo..hi).zip(rows) {
+        assert_eq!(
+            row,
+            csr.neighbors(v),
+            "{what}: rows({lo}, {hi}) at node {v}"
+        );
+    }
+}
+
+#[test]
+fn rows_match_neighbors_on_every_family() {
+    let mut families = vec![
+        StreamFamily::Hypercube { dim: 0 },
+        StreamFamily::Hypercube { dim: 1 },
+        StreamFamily::Hypercube { dim: 6 },
+    ];
+    for n in [0usize, 1, 2, 5, 64, 301] {
+        families.push(StreamFamily::Path { n });
+        families.push(StreamFamily::Star { leaves: n });
+        families.push(StreamFamily::RandomTree {
+            n,
+            seed: Seed(n as u64 + 9),
+        });
+    }
+    for n in [3usize, 4, 97] {
+        families.push(StreamFamily::Cycle { n });
+    }
+    for n in [6usize, 8, 120] {
+        families.push(StreamFamily::TwoCycles { n });
+    }
+    let mut rng = SplitMix64::new(Seed(0x0005_70e5));
+    for fam in families {
+        let csr = fam.stream_csr();
+        let n = csr.n();
+        let what = format!("{} n={n}", fam.name());
+        // The whole graph, the empty range at both ends, and the last row.
+        for (lo, hi) in [(0, n), (0, 0), (n, n), (n.saturating_sub(1), n)] {
+            assert_rows_match(&csr, lo, hi, &what);
+        }
+        for _ in 0..40 {
+            let a = rng.index(n + 1);
+            let b = rng.index(n + 1);
+            assert_rows_match(&csr, a.min(b), a.max(b), &what);
         }
     }
 }

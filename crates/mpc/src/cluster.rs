@@ -232,6 +232,12 @@ pub enum MpcError {
         /// What does not fit, and the limit it exceeds.
         reason: String,
     },
+    /// An input spec describes no graph of its family (a cycle on fewer
+    /// than 3 nodes, say); it was refused before anything was built.
+    MalformedInput {
+        /// Which constraint the spec breaks.
+        reason: String,
+    },
 }
 
 impl fmt::Display for MpcError {
@@ -275,6 +281,7 @@ impl fmt::Display for MpcError {
                 )
             }
             MpcError::InputTooLarge { reason } => write!(f, "input too large: {reason}"),
+            MpcError::MalformedInput { reason } => write!(f, "malformed input: {reason}"),
         }
     }
 }

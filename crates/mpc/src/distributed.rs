@@ -25,7 +25,7 @@ use crate::provenance::ComponentId;
 use crate::scale::hook_jump;
 use csmpc_graph::rng::{FastRange, SplitMix64};
 use csmpc_graph::Graph;
-use csmpc_parallel::par_map_range;
+use csmpc_parallel::{par_fill_blocks, par_map_range};
 
 /// Words needed to describe a graph fragment: node records (id, name) plus
 /// edge records (two endpoints).
@@ -455,16 +455,18 @@ impl<'a> DistributedGraph<'a> {
             .config()
             .tree_depth(cluster.input_n(), cluster.num_machines());
         cluster.advance_rounds(2 * d)?;
-        // Per-vertex reduction over that vertex's own adjacency list: each
-        // reduction folds left in neighbor order regardless of mode, so the
-        // sweep parallelizes bit-identically.
+        // Per-vertex reduction over that vertex's own adjacency list, one
+        // block of consecutive CSR rows at a time: each reduction folds left
+        // in neighbor order regardless of mode, so the sweep parallelizes
+        // bit-identically.
         let timer = PhaseTimer::start();
-        let out = par_map_range(mode, self.g.n(), |v| {
-            self.g
-                .neighbors(v)
-                .iter()
-                .map(|&w| values[w as usize].clone())
-                .reduce(&op)
+        let csr = self.g.csr();
+        let mut out = Vec::new();
+        par_fill_blocks(mode, csr.n(), &mut out, |lo, block| {
+            let hi = lo + block.len();
+            for (slot, row) in block.iter_mut().zip(csr.rows(lo, hi)) {
+                *slot = row.iter().map(|&w| values[w as usize].clone()).reduce(&op);
+            }
         });
         cluster.record_phase(&PhaseTimes {
             step_ns: timer.elapsed_ns(),
@@ -540,7 +542,7 @@ impl<'a> DistributedGraph<'a> {
         // rank → name and rank → node; `label` starts as every node's rank.
         let mut names: Vec<u64> = Vec::with_capacity(n);
         let mut node_of: Vec<u32> = Vec::with_capacity(n);
-        let mut label = vec![0u64; n];
+        let mut label = vec![0u32; n];
         for (name, v) in sorted {
             let node = u32::try_from(v).expect("a CSR indexes its nodes with u32");
             if names.last() != Some(&name) {
@@ -550,7 +552,8 @@ impl<'a> DistributedGraph<'a> {
             let rank = names.len() - 1;
             // Ascending `v` within a name: the last node carrying it wins.
             node_of[rank] = node;
-            label[v] = rank as u64;
+            // At most one rank per node, so a rank fits wherever `node` does.
+            label[v] = rank as u32;
         }
         let csr = self.g.csr();
         let rank_node = |r: u32| node_of[r as usize] as usize;

@@ -10,14 +10,18 @@
 //! intermediate `Graph`), node *names are node indices*, and every
 //! per-vertex sweep writes into a caller-held [`ScaleWorkspace`] buffer
 //! via [`csmpc_parallel::par_map_range_into`]. Both paths' connectivity
-//! runs the one pointer-jumping sweep `hook_jump`: here with the
-//! identity rank map, on the materialized path over name ranks. [`luby_mis`] and
+//! runs the one pointer-jumping sweep `hook_jump` on `u32` ranks: here
+//! with the identity rank map, on the materialized path over name ranks.
+//! Its hook fills its output in contiguous blocks of nodes
+//! ([`csmpc_parallel::par_fill_blocks`]) and walks each block's CSR rows
+//! with one running offset ([`CsrAdjacency::rows`]). [`luby_mis`] and
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
 //! The workspace holds 21 bytes per vertex at rest: priorities are mixed
-//! inline, the cc hook writes its `u32` ranks into the frontier kernels'
-//! result buffer, and the cc jump updates `label` in place and answers
-//! the convergence check itself.
+//! inline, and cc keeps its ranks in the frontier buffer and its hook
+//! output in the frontier kernels' result buffer. The cc jump updates the
+//! ranks in place and answers the convergence check itself; the ranks
+//! are widened into the `u64` `label` output once, at the end.
 //!
 //! Steady-state contract: after the first repetition at a fixed topology
 //! has warmed the workspace, further repetitions allocate **nothing** on
@@ -44,7 +48,7 @@ use crate::cluster::{Cluster, MpcError};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{CsrAdjacency, StreamFamily};
-use csmpc_parallel::{par_map_range_into, par_update_any, ParallelismMode};
+use csmpc_parallel::{par_fill_blocks, par_map_range_into, par_update_any, ParallelismMode};
 
 /// Sentinel for a vertex not yet colored by [`ball_coloring`].
 const UNCOLORED: u32 = u32::MAX;
@@ -66,7 +70,9 @@ pub struct ScaleWorkspace {
     pub state: Vec<u8>,
     /// Vertex colors ([`ball_coloring`] output).
     pub color: Vec<u32>,
-    /// The frontier: still-undecided vertices, ascending.
+    /// The frontier: still-undecided vertices, ascending. Also cc's
+    /// working ranks: [`cc_labels`] pointer-jumps here and widens the
+    /// result into `label` once it has converged.
     active: Vec<u32>,
     /// Per-round sweep results, one per `active` entry, in list order;
     /// [`cc_labels`] uses it as the hook's output.
@@ -108,12 +114,15 @@ fn depth(cluster: &Cluster) -> usize {
 ///
 /// # Errors
 ///
-/// [`MpcError::InputTooLarge`], before anything is allocated, if the
-/// node count or the directed edge count `2m` does not fit the `u32`
-/// rank space; [`MpcError::SpaceExceeded`] if a machine's share of the
-/// input does not fit in `S`; [`MpcError::MachineFailed`] from an armed
-/// fault plan.
+/// Before anything is allocated: [`MpcError::MalformedInput`] if the spec
+/// breaks its family's size constraints (a `Cycle` below 3 nodes, a
+/// `TwoCycles` with odd `n` or `n < 6`), and [`MpcError::InputTooLarge`]
+/// if the node count or the directed edge count `2m` does not fit the
+/// `u32` rank space. Then [`MpcError::SpaceExceeded`] if a machine's
+/// share of the input does not fit in `S`, and [`MpcError::MachineFailed`]
+/// from an armed fault plan.
 pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacency, MpcError> {
+    well_formed(family)?;
     let (n, m) = rank_space(family)?;
     let timer = PhaseTimer::start();
     let csr = family.stream_csr();
@@ -127,6 +136,21 @@ pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacenc
         ..PhaseTimes::default()
     });
     Ok(csr)
+}
+
+/// Refuses the specs that [`StreamFamily::edges`] would panic on, from the
+/// spec alone.
+fn well_formed(family: StreamFamily) -> Result<(), MpcError> {
+    let reason = match family {
+        StreamFamily::Cycle { n } if n < 3 => format!("{n} nodes, but a cycle needs at least 3"),
+        StreamFamily::TwoCycles { n } if n < 6 || !n.is_multiple_of(2) => {
+            format!("{n} nodes, but two cycles need an even count of at least 6")
+        }
+        _ => return Ok(()),
+    };
+    Err(MpcError::MalformedInput {
+        reason: format!("{} input has {reason}", family.name()),
+    })
 }
 
 /// `family`'s node and edge counts, in closed form, if every node index
@@ -152,50 +176,37 @@ fn rank_space(family: StreamFamily) -> Result<(usize, usize), MpcError> {
 
 /// One pointer-jumping iteration, the sweep behind every cc-labels path.
 ///
-/// Labels are *ranks* below `n`, so they fit a `u32`: `node_of(r)` is the
-/// node a label `r` points at. The hook writes into `next` the minimum of
-/// `label` over every closed neighborhood, so `next[t] ≤ label[t]` at
-/// every node. The jump then writes `min(next[v], next[t])` for
-/// `t = node_of(next[v])` straight into `label`: it reads no other
-/// vertex's `label`, so the update is in place, and each iteration
-/// doubles the reach. Both are pure per-vertex maps, bit-identical in
-/// every [`ParallelismMode`]. Returns whether any label changed; the
-/// caller charges the iteration and stops when none did.
-///
-/// `label` is `u64` because it is the callers' output; `next` is scratch,
-/// 4 bytes per vertex.
-///
-/// # Panics
-///
-/// If `csr` has more nodes than a `u32` rank can name.
+/// Labels are `u32` *ranks* below `n`: `node_of(r)` is the node a label
+/// `r` points at. The hook writes into `next` the minimum of `label` over
+/// every closed neighborhood, so `next[t] ≤ label[t]` at every node. It
+/// fills `next` in contiguous blocks of nodes and walks each block's CSR
+/// rows with one running offset ([`CsrAdjacency::rows`]). The jump then
+/// writes `min(next[v], next[t])` for `t = node_of(next[v])` straight into
+/// `label`: it reads no other vertex's `label`, so the update is in place,
+/// and each iteration doubles the reach. Both are pure per-vertex maps,
+/// bit-identical in every [`ParallelismMode`]. Returns whether any label
+/// changed; the caller charges the iteration and stops when none did.
 pub(crate) fn hook_jump<F>(
     mode: ParallelismMode,
     csr: &CsrAdjacency,
-    label: &mut [u64],
+    label: &mut [u32],
     next: &mut Vec<u32>,
     node_of: F,
 ) -> bool
 where
     F: Fn(u32) -> usize + Sync,
 {
-    assert!(
-        u32::try_from(csr.n()).is_ok(),
-        "{} nodes exceed the u32 rank space",
-        csr.n()
-    );
-    let lab: &[u64] = label;
-    par_map_range_into(mode, csr.n(), next, |v| {
-        let mut nv = lab[v];
-        for &w in csr.neighbors(v) {
-            nv = nv.min(lab[w as usize]);
+    let lab: &[u32] = label;
+    par_fill_blocks(mode, csr.n(), next, |lo, block| {
+        let hi = lo + block.len();
+        for ((nv, row), &own) in block.iter_mut().zip(csr.rows(lo, hi)).zip(&lab[lo..hi]) {
+            *nv = row.iter().fold(own, |m, &w| m.min(lab[w as usize]));
         }
-        // A rank is below `n`, which the assert above bounds.
-        nv as u32
     });
     let next: &[u32] = next;
     par_update_any(mode, label, |v, lv| {
         let nv = next[v];
-        let jumped = u64::from(nv.min(next[node_of(nv)]));
+        let jumped = nv.min(next[node_of(nv)]);
         let changed = jumped != *lv;
         *lv = jumped;
         changed
@@ -208,36 +219,61 @@ where
 /// `ws.label[v]` is the minimum node index in `v`'s component. Charges
 /// `2d` rounds per measured iteration; returns the iteration count.
 ///
+/// The ranks live in the workspace's frontier buffer `active` and the
+/// hook's scratch in `results`, both `u32`; `label` is written once, when
+/// the sweep has converged, and that widening is timed with the sweep.
+///
 /// Bit-identical to the materialized primitive on any graph whose node
 /// names equal node indices (every seeded [`StreamFamily`] qualifies).
 ///
 /// # Errors
 ///
 /// [`MpcError::MachineFailed`] from an armed fault plan.
+///
+/// # Panics
+///
+/// If `csr` has more nodes than a `u32` rank can name.
 pub fn cc_labels(
     cluster: &mut Cluster,
     csr: &CsrAdjacency,
     ws: &mut ScaleWorkspace,
 ) -> Result<usize, MpcError> {
     let n = csr.n();
+    let ranks = u32::try_from(n).expect("a u32 rank names every node");
     let mode = cluster.config().parallelism;
     let d = depth(cluster);
-    // The hook's scratch is the frontier kernels' result buffer, which
-    // they refill before reading.
-    let ScaleWorkspace { label, results, .. } = ws;
-    par_map_range_into(mode, n, label, |v| v as u64);
+    // cc has no frontier: `active` holds its ranks and `results` the
+    // hook's output. The frontier kernels refill both before reading.
+    let ScaleWorkspace {
+        label,
+        active,
+        results,
+        ..
+    } = ws;
+    // Reserve the output first, so a fresh workspace allocates `label`,
+    // `active` and `results` in that order. Under glibc's allocator,
+    // allocating `label` last instead left a hole that raised scale-1m's
+    // peak RSS by 3.6 MB (4 B/v).
+    label.clear();
+    label.reserve(n);
+    active.clear();
+    active.extend(0..ranks);
     let mut iterations = 0usize;
     let mut sweep_ns = 0u64;
     loop {
         iterations += 1;
         cluster.advance_rounds(2 * d)?;
         let timer = PhaseTimer::start();
-        let changed = hook_jump(mode, csr, label, results, |r| r as usize);
+        let changed = hook_jump(mode, csr, active, results, |r| r as usize);
         sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
         if !changed {
             break;
         }
     }
+    let timer = PhaseTimer::start();
+    let ranks: &[u32] = active;
+    par_map_range_into(mode, n, label, |v| u64::from(ranks[v]));
+    sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
     cluster.record_phase(&PhaseTimes {
         step_ns: sweep_ns,
         ..PhaseTimes::default()
@@ -669,6 +705,60 @@ mod tests {
             rank_space(StreamFamily::Star { leaves: limit / 2 }),
             Ok((limit / 2 + 1, limit / 2))
         );
+    }
+
+    /// `ingest` refuses each of `cases` with a [`MpcError::MalformedInput`]
+    /// naming the family and containing the expected reason, before
+    /// charging anything.
+    fn assert_malformed(cases: &[(StreamFamily, &str)]) {
+        for &(family, why) in cases {
+            let mut cl = cluster_for(StreamFamily::Path { n: 8 }, ParallelismMode::Sequential);
+            let err = ingest(family, &mut cl).unwrap_err();
+            let MpcError::MalformedInput { reason } = &err else {
+                panic!("{family:?}: expected MalformedInput, got {err:?}");
+            };
+            assert!(reason.starts_with(family.name()), "{reason}");
+            assert!(reason.contains(why), "{reason}");
+            assert_eq!(cl.stats().rounds, 0, "{reason}: refused before charging");
+        }
+    }
+
+    #[test]
+    fn ingest_refuses_cycles_below_three_nodes() {
+        let why = "but a cycle needs at least 3";
+        assert_malformed(&[
+            (StreamFamily::Cycle { n: 0 }, why),
+            (StreamFamily::Cycle { n: 1 }, why),
+            (StreamFamily::Cycle { n: 2 }, why),
+        ]);
+        let family = StreamFamily::Cycle { n: 3 };
+        let mut cl = cluster_for(family, ParallelismMode::Sequential);
+        assert_eq!(ingest(family, &mut cl).unwrap().n(), 3);
+    }
+
+    #[test]
+    fn ingest_refuses_two_cycles_below_six_nodes() {
+        let why = "but two cycles need an even count of at least 6";
+        assert_malformed(&[
+            (StreamFamily::TwoCycles { n: 0 }, why),
+            (StreamFamily::TwoCycles { n: 2 }, why),
+            (StreamFamily::TwoCycles { n: 4 }, why),
+        ]);
+        let family = StreamFamily::TwoCycles { n: 6 };
+        let mut cl = cluster_for(family, ParallelismMode::Sequential);
+        assert_eq!(ingest(family, &mut cl).unwrap().n(), 6);
+    }
+
+    #[test]
+    fn ingest_refuses_odd_two_cycles() {
+        let why = "but two cycles need an even count of at least 6";
+        assert_malformed(&[
+            (StreamFamily::TwoCycles { n: 5 }, why),
+            (StreamFamily::TwoCycles { n: 7 }, why),
+            (StreamFamily::TwoCycles { n: 1001 }, why),
+            // Malformed and beyond the rank space: the shape is reported.
+            (StreamFamily::TwoCycles { n: (1 << 33) + 1 }, why),
+        ]);
     }
 
     #[test]

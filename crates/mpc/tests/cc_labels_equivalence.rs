@@ -14,9 +14,10 @@
 //! and with and without an armed crash plan, the primitive must equal the
 //! oracle on labels, iteration count and the whole `Stats` ledger.
 //!
-//! Scale cc hooks into the result buffer the MIS and coloring kernels
-//! also use, so the kernels must leave the same results on one shared
-//! warm workspace as on fresh ones. The scale path's iteration counts on
+//! Scale cc keeps its ranks in the frontier buffer and its hook output in
+//! the result buffer that the MIS and coloring kernels also use, so the
+//! kernels must leave the same results on one shared warm workspace as on
+//! fresh ones. The scale path's iteration counts on
 //! two cycles are pinned here too (EXPERIMENTS E11).
 
 use csmpc_graph::rng::{Seed, SplitMix64};
@@ -367,8 +368,8 @@ fn kernels_in_order(
     )
 }
 
-/// `scale::cc_labels` hooks into the frontier kernels' result buffer, so
-/// the three kernels share scratch. Every order of them on one warm
+/// `scale::cc_labels` runs in the frontier kernels' frontier and result
+/// buffers, so the three kernels share scratch. Every order of them on one warm
 /// workspace, carried across families of different sizes, must leave the
 /// same outputs, return values and ledger as three fresh workspaces.
 #[test]

@@ -168,13 +168,13 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
     );
 
     // Memory gate: the heap high-water mark of a warm pass, in bytes per
-    // vertex, counting the workspace (21 B/v warm: cc hooks into the
-    // frontier kernels' `u32` result buffer), the CSR the ingest builds
-    // (12 B/v at average degree 2) and the ingest's temporaries (a random
-    // tree's Prüfer sequence and decode degrees, 8 B/v). The kernels and
-    // families are perfbench's scale-1m trio at n = 2^16. Measured 34.5,
-    // 34.5 and 42.5 B/v; each bound is that plus under 10% and less than
-    // one more 4-byte per-vertex buffer.
+    // vertex, counting the workspace (21 B/v warm: cc runs in the frontier
+    // kernels' `u32` frontier and result buffers), the CSR the ingest
+    // builds (12 B/v at average degree 2) and the ingest's temporaries (a
+    // random tree's Prüfer sequence and decode degrees, 8 B/v). The
+    // kernels and families are perfbench's scale-1m trio at n = 2^16.
+    // Measured 34.5, 34.5 and 42.5 B/v; each bound is that plus under 10%
+    // and less than one more 4-byte per-vertex buffer.
     const N: usize = 1 << 16;
     let trio = [
         (StreamFamily::TwoCycles { n: N }, 37.5),
@@ -215,6 +215,18 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
     assert!(
         peak_bytes() - base < 1024,
         "refusing an oversized input peaked at {} heap bytes",
+        peak_bytes() - base
+    );
+
+    // A spec that describes no graph is refused the same way, before the
+    // edge stream it would panic in is ever started.
+    reset_peak();
+    let err =
+        scale::ingest(StreamFamily::TwoCycles { n: (1 << 20) + 1 }, &mut cluster).unwrap_err();
+    assert!(matches!(err, MpcError::MalformedInput { .. }), "{err:?}");
+    assert!(
+        peak_bytes() - base < 1024,
+        "refusing a malformed input peaked at {} heap bytes",
         peak_bytes() - base
     );
 }

@@ -176,29 +176,63 @@ where
 /// whether `f` returned `true` for any of them. `f` runs on every item (no
 /// short-circuit), so its writes do not depend on the answer.
 ///
-/// In parallel mode the slice is split into contiguous blocks, each block
-/// yields one flag, and the flags are collected in block order and or-ed
-/// afterwards: no `reduce`, no atomics, no per-item flag buffer. Sequential
-/// mode allocates nothing.
+/// Runs over the same contiguous blocks as [`par_fill_blocks`]: each block
+/// yields one flag, and the flags are or-ed in block order afterwards (no
+/// `reduce`, no atomics, no per-item flag buffer). Sequential mode
+/// allocates nothing.
 pub fn par_update_any<T, F>(mode: ParallelismMode, items: &mut [T], f: F) -> bool
 where
     T: Send,
     F: Fn(usize, &mut T) -> bool + Sync,
 {
-    let update = |base: usize, block: &mut [T]| {
+    blocks_any(mode, items, |lo, block| {
         let mut any = false;
         for (i, item) in block.iter_mut().enumerate() {
-            any |= f(base + i, item);
+            any |= f(lo + i, item);
         }
         any
-    };
+    })
+}
+
+/// Resizes `out` to `n` items and fills it block by block: `f(lo, block)`
+/// owns the output slots `lo..lo + block.len()` and must overwrite every
+/// one of them (a warm `out` keeps whatever it held before). The blocks
+/// are contiguous and disjoint, so a sweep over CSR rows can walk each
+/// block's rows with one running offset instead of looking every row up
+/// on its own.
+///
+/// Sequential mode makes one call, `f(0, out)`, and allocates nothing when
+/// `out` already holds `n` items' capacity. Parallel mode splits `out` into
+/// `4 × workers` blocks and pays only the O(1) control allocations of one
+/// pool dispatch. Each slot's value depends only on `f`, so both modes
+/// fill the same buffer.
+pub fn par_fill_blocks<R, F>(mode: ParallelismMode, n: usize, out: &mut Vec<R>, f: F)
+where
+    R: Send + Clone + Default,
+    F: Fn(usize, &mut [R]) + Sync,
+{
+    out.resize(n, R::default());
+    blocks_any(mode, out, |lo, block| {
+        f(lo, block);
+        false
+    });
+}
+
+/// Runs `f(lo, block)` over contiguous blocks of `items` and returns
+/// whether any call returned `true`. Sequential mode, and parallel mode
+/// below [`INLINE_CUTOFF`] items, pass the whole slice as one block.
+fn blocks_any<T, F>(mode: ParallelismMode, items: &mut [T], f: F) -> bool
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) -> bool + Sync,
+{
     if mode.is_parallel() && items.len() >= INLINE_CUTOFF {
         let width = items.len().div_ceil(4 * rayon::current_num_threads());
         let mut blocks: Vec<&mut [T]> = items.chunks_mut(width).collect();
-        let flags = par_map_mut(mode, &mut blocks, |b, block| update(b * width, block));
+        let flags = par_map_mut(mode, &mut blocks, |b, block| f(b * width, block));
         flags.contains(&true)
     } else {
-        update(0, items)
+        f(0, items)
     }
 }
 
@@ -292,6 +326,70 @@ mod tests {
             assert_eq!(seq, par, "n={n}");
             assert!(seq[0].1.iter().enumerate().all(|(i, &x)| x == 3 * i as u64));
         }
+    }
+
+    #[test]
+    fn modes_agree_on_par_fill_blocks() {
+        // Around the inline cutoff, and lengths that no block count of a
+        // small pool divides evenly.
+        for n in [
+            0usize,
+            1,
+            3,
+            INLINE_CUTOFF - 1,
+            INLINE_CUTOFF,
+            INLINE_CUTOFF + 1,
+            17,
+            1001,
+        ] {
+            let mut filled = Vec::new();
+            for mode in [ParallelismMode::Sequential, ParallelismMode::Parallel] {
+                // A warm buffer longer than `n`, holding stale values.
+                let mut out: Vec<u64> = vec![u64::MAX; n + 5];
+                let ptr = out.as_ptr();
+                par_fill_blocks(mode, n, &mut out, |lo, block| {
+                    for (i, slot) in block.iter_mut().enumerate() {
+                        *slot = ((lo + i) as u64) * 7 + 1;
+                    }
+                });
+                assert_eq!(ptr, out.as_ptr(), "n={n}: the warm buffer is reused");
+                filled.push(out);
+            }
+            assert_eq!(filled[0], filled[1], "n={n}");
+            assert!(filled[0]
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == i as u64 * 7 + 1));
+        }
+    }
+
+    #[test]
+    fn par_fill_blocks_hands_out_disjoint_covering_blocks() {
+        // Each slot records its block's start.
+        let starts = |mode, n| {
+            let mut out: Vec<usize> = Vec::new();
+            par_fill_blocks(mode, n, &mut out, |lo, block| block.fill(lo));
+            out
+        };
+        assert!(starts(ParallelismMode::Sequential, 1001)
+            .iter()
+            .all(|&lo| lo == 0));
+        let small = INLINE_CUTOFF - 1;
+        assert!(starts(ParallelismMode::Parallel, small)
+            .iter()
+            .all(|&lo| lo == 0));
+        // Parallel: starts never decrease, and every block begins where
+        // the previous one ended.
+        let par = starts(ParallelismMode::Parallel, 1001);
+        assert_eq!(par[0], 0);
+        for (i, w) in par.windows(2).enumerate() {
+            assert!(w[1] == w[0] || w[1] == i + 1, "slot {}: {w:?}", i + 1);
+        }
+        let blocks = 1 + par.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(
+            blocks,
+            1001usize.div_ceil(1001usize.div_ceil(4 * rayon::current_num_threads()))
+        );
     }
 
     #[test]
