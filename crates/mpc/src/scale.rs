@@ -252,8 +252,8 @@ pub fn cc_labels(
     } = ws;
     // Reserve the output first, so a fresh workspace allocates `label`,
     // `active` and `results` in that order. Under glibc's allocator,
-    // allocating `label` last instead left a hole that raised scale-1m's
-    // peak RSS by 3.6 MB (4 B/v).
+    // allocating `label` last instead raised scale-1m's peak RSS from 42.6
+    // to 46.3 MB in short runs.
     label.clear();
     label.reserve(n);
     active.clear();
@@ -707,11 +707,10 @@ mod tests {
         );
     }
 
-    /// `ingest` refuses each of `cases` with a [`MpcError::MalformedInput`]
-    /// naming the family and containing the expected reason, before
-    /// charging anything.
-    fn assert_malformed(cases: &[(StreamFamily, &str)]) {
-        for &(family, why) in cases {
+    /// `ingest` refuses each of `families` with a [`MpcError::MalformedInput`]
+    /// naming the family and containing `why`, before charging anything.
+    fn assert_malformed(families: &[StreamFamily], why: &str) {
+        for &family in families {
             let mut cl = cluster_for(StreamFamily::Path { n: 8 }, ParallelismMode::Sequential);
             let err = ingest(family, &mut cl).unwrap_err();
             let MpcError::MalformedInput { reason } = &err else {
@@ -723,14 +722,12 @@ mod tests {
         }
     }
 
+    const TWO_CYCLES_NEED: &str = "but two cycles need an even count of at least 6";
+
     #[test]
     fn ingest_refuses_cycles_below_three_nodes() {
-        let why = "but a cycle needs at least 3";
-        assert_malformed(&[
-            (StreamFamily::Cycle { n: 0 }, why),
-            (StreamFamily::Cycle { n: 1 }, why),
-            (StreamFamily::Cycle { n: 2 }, why),
-        ]);
+        let small = [0, 1, 2].map(|n| StreamFamily::Cycle { n });
+        assert_malformed(&small, "but a cycle needs at least 3");
         let family = StreamFamily::Cycle { n: 3 };
         let mut cl = cluster_for(family, ParallelismMode::Sequential);
         assert_eq!(ingest(family, &mut cl).unwrap().n(), 3);
@@ -738,12 +735,8 @@ mod tests {
 
     #[test]
     fn ingest_refuses_two_cycles_below_six_nodes() {
-        let why = "but two cycles need an even count of at least 6";
-        assert_malformed(&[
-            (StreamFamily::TwoCycles { n: 0 }, why),
-            (StreamFamily::TwoCycles { n: 2 }, why),
-            (StreamFamily::TwoCycles { n: 4 }, why),
-        ]);
+        let small = [0, 2, 4].map(|n| StreamFamily::TwoCycles { n });
+        assert_malformed(&small, TWO_CYCLES_NEED);
         let family = StreamFamily::TwoCycles { n: 6 };
         let mut cl = cluster_for(family, ParallelismMode::Sequential);
         assert_eq!(ingest(family, &mut cl).unwrap().n(), 6);
@@ -751,14 +744,9 @@ mod tests {
 
     #[test]
     fn ingest_refuses_odd_two_cycles() {
-        let why = "but two cycles need an even count of at least 6";
-        assert_malformed(&[
-            (StreamFamily::TwoCycles { n: 5 }, why),
-            (StreamFamily::TwoCycles { n: 7 }, why),
-            (StreamFamily::TwoCycles { n: 1001 }, why),
-            // Malformed and beyond the rank space: the shape is reported.
-            (StreamFamily::TwoCycles { n: (1 << 33) + 1 }, why),
-        ]);
+        // The last is also beyond the rank space: the shape is reported.
+        let odd = [5, 7, 1001, (1 << 33) + 1].map(|n| StreamFamily::TwoCycles { n });
+        assert_malformed(&odd, TWO_CYCLES_NEED);
     }
 
     #[test]
