@@ -101,9 +101,7 @@ impl MpcVertexAlgorithm for AmplifiedLargeIs {
 
     fn run(&self, g: &Graph, cluster: &mut Cluster) -> Result<Vec<bool>, MpcError> {
         let dg = DistributedGraph::distribute(g, cluster)?;
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         let reps = self.repetitions_for(g.n());
         let seed = cluster.shared_seed();
         let candidates: Vec<Vec<bool>> = (0..reps)

@@ -173,9 +173,7 @@ impl MpcVertexAlgorithm for DerandomizedLargeIs {
 
     fn run(&self, g: &Graph, cluster: &mut Cluster) -> Result<Vec<bool>, MpcError> {
         let dg = DistributedGraph::distribute(g, cluster)?;
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         if g.n() == 0 {
             return Ok(Vec::new());
         }

@@ -176,9 +176,7 @@ pub fn deterministic_extendable_mis(
     // Seed agreement: the method of conditional expectations / seed search
     // fixes O(log n) bits at Θ(log n) bits per round → O(1) charged rounds,
     // each an aggregation + broadcast.
-    let d = cluster
-        .config()
-        .tree_depth(cluster.input_n(), cluster.num_machines());
+    let d = cluster.tree_depth();
     cluster.charge_rounds(4 * d);
     let params = LocalParams::exact(g.n(), g.max_degree(), Seed(seed_index).derive(0xe7e7));
     let status: Vec<MisStatus> = balls

@@ -33,9 +33,7 @@ impl MpcEdgeAlgorithm for MaximalMatchingMpc {
         // Line-graph conversion: one O(1)-round local reshuffle (every edge
         // record learns its endpoints' incident edges), charged as one
         // neighbor aggregation.
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         cluster.charge_rounds(2 * d);
         let (lg, _) = line_graph(g);
         if lg.is_empty() {
@@ -69,9 +67,7 @@ impl MpcEdgeAlgorithm for SinklessOrientationMpc {
     }
 
     fn run(&self, g: &Graph, cluster: &mut Cluster) -> Result<Vec<EdgeDir>, MpcError> {
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         let run = sinkless_randomized(g, cluster.shared_seed())
             .map_err(|_| MpcError::RoundLimitExceeded { limit: 10_000 })?;
         cluster.charge_rounds((run.rounds + 1) * 2 * d);
@@ -100,9 +96,7 @@ impl MpcEdgeAlgorithm for DeterministicSinklessMpc {
     }
 
     fn run(&self, g: &Graph, cluster: &mut Cluster) -> Result<Vec<EdgeDir>, MpcError> {
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         let (run, _seed) = sinkless_deterministic(g, self.seed_space)
             .map_err(|_| MpcError::RoundLimitExceeded { limit: 10_000 })?;
         // Seed agreement (O(1) aggregations) + the winning run's rounds.

@@ -47,9 +47,7 @@ pub fn consecutive_path_verdict(g: &Graph, cluster: &mut Cluster) -> Result<bool
     if n == 1 {
         return Ok(true);
     }
-    let d = cluster
-        .config()
-        .tree_depth(cluster.input_n(), cluster.num_machines());
+    let d = cluster.tree_depth();
     // One local round to collect radius-1 neighborhoods (IDs of neighbors
     // travel one hop), then three parallel aggregations.
     cluster.advance_rounds(1 + d)?;

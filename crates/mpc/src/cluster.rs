@@ -516,6 +516,13 @@ impl Cluster {
         self.n_input
     }
 
+    /// Aggregation-tree depth `d = ⌈log_S M⌉` over this cluster's machines:
+    /// every accounted primitive charges a multiple of it.
+    #[must_use]
+    pub fn tree_depth(&self) -> usize {
+        self.cfg.tree_depth(self.n_input, self.num_machines)
+    }
+
     /// The shared random seed `S` available to all machines.
     #[must_use]
     pub fn shared_seed(&self) -> Seed {
@@ -734,6 +741,15 @@ impl Cluster {
     /// `Stats` equality and never feeds a model observable.
     pub fn record_phase(&mut self, delta: &PhaseTimes) {
         self.stats.phase.absorb(delta);
+    }
+
+    /// Runs `f`, one accounted primitive's host-side sweep, and books its
+    /// wall time to [`PhaseTimes::step_ns`]. The caller charges the rounds.
+    pub(crate) fn time_step<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let timer = PhaseTimer::start();
+        let out = f();
+        add_elapsed(&mut self.stats.phase.step_ns, timer);
+        out
     }
 
     /// Advances the round counter one synchronous barrier at a time,

@@ -6,8 +6,9 @@
 //! the cluster ledger and asserts space feasibility; see the module docs of
 //! [`crate::cluster`] for the accounting philosophy.
 //!
-//! Round costs charged (with `d = ⌈log_S M⌉ = O(1/φ)` the aggregation-tree
-//! depth):
+//! Round costs charged, with `d = ⌈log_S M⌉ = O(1/φ)` the aggregation-tree
+//! depth that [`Cluster::tree_depth`] computes (the paper's §2.4.2
+//! accounting for `S = n^φ`):
 //!
 //! | primitive                   | rounds charged |
 //! |-----------------------------|----------------|
@@ -309,9 +310,7 @@ impl<'a> DistributedGraph<'a> {
     ///
     /// [`MpcError::MachineFailed`] from an armed fault plan.
     pub fn count_nodes(&self, cluster: &mut Cluster) -> Result<usize, MpcError> {
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         cluster.advance_rounds(d)?;
         Ok(self.g.n())
     }
@@ -323,9 +322,7 @@ impl<'a> DistributedGraph<'a> {
     ///
     /// [`MpcError::MachineFailed`] from an armed fault plan.
     pub fn max_degree(&self, cluster: &mut Cluster) -> Result<usize, MpcError> {
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         cluster.advance_rounds(2 * d)?;
         Ok(self.g.max_degree())
     }
@@ -342,9 +339,7 @@ impl<'a> DistributedGraph<'a> {
     ///
     /// [`MpcError::MachineFailed`] from an armed fault plan.
     pub fn broadcast<T: Clone>(&self, cluster: &mut Cluster, value: &T) -> Result<T, MpcError> {
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         cluster.advance_rounds(d)?;
         let round = cluster.stats().rounds;
         cluster.provenance_mut().record_global_mix(
@@ -373,9 +368,7 @@ impl<'a> DistributedGraph<'a> {
         op: impl Fn(T, T) -> T,
     ) -> Result<Option<T>, MpcError> {
         assert_eq!(values.len(), self.g.n(), "one value per node expected");
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         cluster.advance_rounds(d)?;
         let round = cluster.stats().rounds;
         cluster.provenance_mut().record_global_mix(
@@ -413,9 +406,7 @@ impl<'a> DistributedGraph<'a> {
         score: impl Fn(&[L]) -> f64,
     ) -> Result<(usize, Vec<L>, Vec<f64>), MpcError> {
         assert!(!candidates.is_empty(), "need at least one candidate");
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         // Concurrent per-repetition score aggregation, global argmax,
         // winner broadcast.
         cluster.advance_rounds(3 * d)?;
@@ -451,26 +442,21 @@ impl<'a> DistributedGraph<'a> {
     ) -> Result<Vec<Option<T>>, MpcError> {
         assert_eq!(values.len(), self.g.n(), "one value per node expected");
         let mode = cluster.config().parallelism;
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         cluster.advance_rounds(2 * d)?;
         // Per-vertex reduction over that vertex's own adjacency list, one
         // block of consecutive CSR rows at a time: each reduction folds left
         // in neighbor order regardless of mode, so the sweep parallelizes
         // bit-identically.
-        let timer = PhaseTimer::start();
         let csr = self.g.csr();
         let mut out = Vec::new();
-        par_fill_blocks(mode, csr.n(), &mut out, |lo, block| {
-            let hi = lo + block.len();
-            for (slot, row) in block.iter_mut().zip(csr.rows(lo, hi)) {
-                *slot = row.iter().map(|&w| values[w as usize].clone()).reduce(&op);
-            }
-        });
-        cluster.record_phase(&PhaseTimes {
-            step_ns: timer.elapsed_ns(),
-            ..PhaseTimes::default()
+        cluster.time_step(|| {
+            par_fill_blocks(mode, csr.n(), &mut out, |lo, block| {
+                let hi = lo + block.len();
+                for (slot, row) in block.iter_mut().zip(csr.rows(lo, hi)) {
+                    *slot = row.iter().map(|&w| values[w as usize].clone()).reduce(&op);
+                }
+            });
         });
         Ok(out)
     }
@@ -500,17 +486,10 @@ impl<'a> DistributedGraph<'a> {
         } else {
             (usize::BITS - (r - 1).leading_zeros()) as usize + 1
         };
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         let mode = cluster.config().parallelism;
         cluster.advance_rounds(doublings * 2 * d)?;
-        let timer = PhaseTimer::start();
-        let (out, worst) = ball_cache::global().collect(self.g, r, mode);
-        cluster.record_phase(&PhaseTimes {
-            step_ns: timer.elapsed_ns(),
-            ..PhaseTimes::default()
-        });
+        let (out, worst) = cluster.time_step(|| ball_cache::global().collect(self.g, r, mode));
         cluster.charge_words(worst, (self.g.n() * worst) as u64);
         cluster.require_fits(worst)?;
         Ok(out)
@@ -534,9 +513,7 @@ impl<'a> DistributedGraph<'a> {
     pub fn cc_labels(&self, cluster: &mut Cluster) -> Result<(Vec<u64>, usize), MpcError> {
         let n = self.g.n();
         let mode = cluster.config().parallelism;
-        let d = cluster
-            .config()
-            .tree_depth(cluster.input_n(), cluster.num_machines());
+        let d = cluster.tree_depth();
         let mut sorted: Vec<(u64, usize)> = (0..n).map(|v| (self.g.name(v).0, v)).collect();
         sorted.sort_unstable();
         // rank → name and rank → node; `label` starts as every node's rank.
@@ -559,21 +536,13 @@ impl<'a> DistributedGraph<'a> {
         let rank_node = |r: u32| node_of[r as usize] as usize;
         let mut next: Vec<u32> = Vec::new();
         let mut iterations = 0usize;
-        let mut sweep_ns = 0u64;
         loop {
             iterations += 1;
             cluster.advance_rounds(2 * d)?;
-            let timer = PhaseTimer::start();
-            let changed = hook_jump(mode, csr, &mut label, &mut next, rank_node);
-            sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-            if !changed {
+            if !cluster.time_step(|| hook_jump(mode, csr, &mut label, &mut next, rank_node)) {
                 break;
             }
         }
-        cluster.record_phase(&PhaseTimes {
-            step_ns: sweep_ns,
-            ..PhaseTimes::default()
-        });
         let labels = label.iter().map(|&r| names[r as usize]).collect();
         Ok((labels, iterations))
     }
@@ -753,7 +722,7 @@ mod tests {
             RecoveryPolicy::FailFast,
         );
         dg.count_nodes(&mut cl).unwrap();
-        let d = cl.config().tree_depth(cl.input_n(), cl.num_machines());
+        let d = cl.tree_depth();
         assert_eq!(
             cl.stats().rounds,
             before + d + 7,

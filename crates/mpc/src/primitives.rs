@@ -23,9 +23,7 @@ use crate::faults::{FaultPlan, RecoveryPolicy};
 /// [`MpcError::MachineFailed`] from an armed fault plan.
 #[allow(clippy::type_complexity)]
 pub fn sort_keys(cluster: &mut Cluster, keys: &[u64]) -> Result<(Vec<u64>, Vec<usize>), MpcError> {
-    let d = cluster
-        .config()
-        .tree_depth(cluster.input_n(), cluster.num_machines());
+    let d = cluster.tree_depth();
     cluster.advance_rounds(2 * d)?;
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_by_key(|&i| (keys[i], i));
@@ -44,9 +42,7 @@ pub fn sort_keys(cluster: &mut Cluster, keys: &[u64]) -> Result<(Vec<u64>, Vec<u
 ///
 /// [`MpcError::MachineFailed`] from an armed fault plan.
 pub fn prefix_sums(cluster: &mut Cluster, values: &[u64]) -> Result<Vec<u64>, MpcError> {
-    let d = cluster
-        .config()
-        .tree_depth(cluster.input_n(), cluster.num_machines());
+    let d = cluster.tree_depth();
     cluster.advance_rounds(2 * d)?;
     let mut out = Vec::with_capacity(values.len());
     let mut acc = 0u64;
@@ -222,7 +218,7 @@ mod tests {
         // small constant — the cross-validation of the charging discipline.
         let mut cl = small_cluster();
         let (_, rounds) = exact_aggregate_sum(&mut cl, &[7; 32]).unwrap();
-        let charged = cl.config().tree_depth(cl.input_n(), cl.num_machines());
+        let charged = cl.tree_depth();
         assert!(
             rounds <= 3 * charged + 4,
             "measured {rounds} vs charged {charged}"

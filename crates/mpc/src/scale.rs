@@ -98,13 +98,6 @@ fn mix(seed: u64, salt: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Aggregation-tree depth for the cluster's current configuration.
-fn depth(cluster: &Cluster) -> usize {
-    cluster
-        .config()
-        .tree_depth(cluster.input_n(), cluster.num_machines())
-}
-
 /// Streams `family` into a [`CsrAdjacency`] and charges the ingestion to
 /// the ledger: 1 round, the graph's word footprint (`2n + 2m`) spread
 /// evenly over machines, and a space-feasibility check on the per-machine
@@ -241,7 +234,7 @@ pub fn cc_labels(
     let n = csr.n();
     let ranks = u32::try_from(n).expect("a u32 rank names every node");
     let mode = cluster.config().parallelism;
-    let d = depth(cluster);
+    let d = cluster.tree_depth();
     // cc has no frontier: `active` holds its ranks and `results` the
     // hook's output. The frontier kernels refill both before reading.
     let ScaleWorkspace {
@@ -259,25 +252,15 @@ pub fn cc_labels(
     active.clear();
     active.extend(0..ranks);
     let mut iterations = 0usize;
-    let mut sweep_ns = 0u64;
     loop {
         iterations += 1;
         cluster.advance_rounds(2 * d)?;
-        let timer = PhaseTimer::start();
-        let changed = hook_jump(mode, csr, active, results, |r| r as usize);
-        sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-        if !changed {
+        if !cluster.time_step(|| hook_jump(mode, csr, active, results, |r| r as usize)) {
             break;
         }
     }
-    let timer = PhaseTimer::start();
     let ranks: &[u32] = active;
-    par_map_range_into(mode, n, label, |v| u64::from(ranks[v]));
-    sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
-    cluster.record_phase(&PhaseTimes {
-        step_ns: sweep_ns,
-        ..PhaseTimes::default()
-    });
+    cluster.time_step(|| par_map_range_into(mode, n, label, |v| u64::from(ranks[v])));
     Ok(iterations)
 }
 
@@ -330,7 +313,7 @@ pub fn luby_mis(
 ) -> Result<(usize, usize), MpcError> {
     let n = csr.n();
     let mode = cluster.config().parallelism;
-    let d = depth(cluster);
+    let d = cluster.tree_depth();
     let ScaleWorkspace {
         state,
         active,
@@ -342,53 +325,48 @@ pub fn luby_mis(
     active.extend(0..n as u32);
     let mut rounds = 0usize;
     let mut size = 0usize;
-    let mut sweep_ns = 0u64;
     while !active.is_empty() {
         rounds += 1;
         cluster.advance_rounds(2 * d)?;
-        let timer = PhaseTimer::start();
-        let salt = rounds as u64;
-        // Join: an undecided strict local minimum of (priority, index)
-        // enters the MIS. Adjacent vertices are strictly ordered, so two
-        // neighbors can never join in the same round.
-        {
-            let st: &[u8] = state;
-            sweep_frontier(mode, active, results, |v| {
-                let pv = (mix(seed.0, salt, v as u64), v as u32);
-                for &w in csr.neighbors(v) {
-                    if st[w as usize] == 0 && (mix(seed.0, salt, u64::from(w)), w) < pv {
-                        return 0;
+        cluster.time_step(|| {
+            let salt = rounds as u64;
+            // Join: an undecided strict local minimum of (priority, index)
+            // enters the MIS. Adjacent vertices are strictly ordered, so two
+            // neighbors can never join in the same round.
+            {
+                let st: &[u8] = state;
+                sweep_frontier(mode, active, results, |v| {
+                    let pv = (mix(seed.0, salt, v as u64), v as u32);
+                    for &w in csr.neighbors(v) {
+                        if st[w as usize] == 0 && (mix(seed.0, salt, u64::from(w)), w) < pv {
+                            return 0;
+                        }
                     }
+                    1
+                });
+            }
+            commit_frontier(active, results, |v, joined| {
+                if joined == 1 {
+                    state[v] = 1;
+                    size += 1;
                 }
-                1
+                joined == 0
             });
-        }
-        commit_frontier(active, results, |v, joined| {
-            if joined == 1 {
-                state[v] = 1;
-                size += 1;
+            // Retire: an undecided vertex adjacent to any MIS member is out.
+            {
+                let st: &[u8] = state;
+                sweep_frontier(mode, active, results, |v| {
+                    u32::from(csr.neighbors(v).iter().any(|&w| st[w as usize] == 1))
+                });
             }
-            joined == 0
-        });
-        // Retire: an undecided vertex adjacent to any MIS member is out.
-        {
-            let st: &[u8] = state;
-            sweep_frontier(mode, active, results, |v| {
-                u32::from(csr.neighbors(v).iter().any(|&w| st[w as usize] == 1))
+            commit_frontier(active, results, |v, retired| {
+                if retired == 1 {
+                    state[v] = 2;
+                }
+                retired == 0
             });
-        }
-        commit_frontier(active, results, |v, retired| {
-            if retired == 1 {
-                state[v] = 2;
-            }
-            retired == 0
         });
-        sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
     }
-    cluster.record_phase(&PhaseTimes {
-        step_ns: sweep_ns,
-        ..PhaseTimes::default()
-    });
     Ok((size, rounds))
 }
 
@@ -444,7 +422,7 @@ pub fn ball_coloring(
 ) -> Result<(u32, usize), MpcError> {
     let n = csr.n();
     let mode = cluster.config().parallelism;
-    let d = depth(cluster);
+    let d = cluster.tree_depth();
     let ScaleWorkspace {
         color,
         active,
@@ -457,37 +435,32 @@ pub fn ball_coloring(
     active.extend(0..n as u32);
     let mut rounds = 0usize;
     let mut used = 0u32;
-    let mut sweep_ns = 0u64;
     while !active.is_empty() {
         rounds += 1;
         cluster.advance_rounds(2 * d)?;
-        let timer = PhaseTimer::start();
-        {
-            let col: &[u32] = color;
-            sweep_frontier(mode, active, results, |v| {
-                let pv = (priority(v as u64), v as u32);
-                for &w in csr.neighbors(v) {
-                    if col[w as usize] == UNCOLORED && (priority(u64::from(w)), w) > pv {
-                        return UNCOLORED;
+        cluster.time_step(|| {
+            {
+                let col: &[u32] = color;
+                sweep_frontier(mode, active, results, |v| {
+                    let pv = (priority(v as u64), v as u32);
+                    for &w in csr.neighbors(v) {
+                        if col[w as usize] == UNCOLORED && (priority(u64::from(w)), w) > pv {
+                            return UNCOLORED;
+                        }
                     }
-                }
-                smallest_free(csr.neighbors(v), col)
-            });
-        }
-        commit_frontier(active, results, |v, c| {
-            if c == UNCOLORED {
-                return true;
+                    smallest_free(csr.neighbors(v), col)
+                });
             }
-            color[v] = c;
-            used = used.max(c + 1);
-            false
+            commit_frontier(active, results, |v, c| {
+                if c == UNCOLORED {
+                    return true;
+                }
+                color[v] = c;
+                used = used.max(c + 1);
+                false
+            });
         });
-        sweep_ns = sweep_ns.saturating_add(timer.elapsed_ns());
     }
-    cluster.record_phase(&PhaseTimes {
-        step_ns: sweep_ns,
-        ..PhaseTimes::default()
-    });
     Ok((used, rounds))
 }
 
