@@ -104,12 +104,17 @@ fn steady_state_rounds_and_repetitions_do_not_allocate() {
     // Scale workloads: a second repetition at fixed topology, with a warm
     // workspace, performs zero heap allocations on the sweep path. The
     // random tree's frontier shrinks unevenly from round to round; the
-    // warm frontier and result buffers must still absorb it.
+    // warm frontier and result buffers must still absorb it, at both tree
+    // sizes.
     for family in [
         StreamFamily::Cycle { n: 2048 },
         StreamFamily::RandomTree {
             n: 2048,
             seed: Seed(13),
+        },
+        StreamFamily::RandomTree {
+            n: 20_000,
+            seed: Seed(17),
         },
     ] {
         let words = 2 * family.n() + 2 * family.m();
