@@ -105,16 +105,6 @@ echo "==> perfbench self-tests (metric lists match BENCHMARK.json)"
 # BENCHMARK.json declaration.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> steady-state allocation gate (alloc-count build)"
-# Rebuilds perf with the counting allocator installed and replays a warm
-# ball-coloring repetition at fixed topology: the second repetition must
-# perform ZERO heap allocations, or the zero-copy hot-path contract has
-# regressed. The feature must be enabled through the bench crate
-# (`--features alloc-count`) so perf's own cfg-gated gate code compiles;
-# enabling csmpc-mpc/alloc-count directly would leave it stubbed out.
-cargo run -q --release -p csmpc-bench --features alloc-count --bin perf -- \
-    --alloc-gate --smoke
-
 echo "==> job-service soak smoke + determinism + crash-recovery gates"
 # Pushes a 1200-job mixed batch (faults, poison jobs, shedding) through
 # the multi-tenant scheduler, writes BENCH_service_smoke.json (the

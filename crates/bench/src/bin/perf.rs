@@ -23,9 +23,9 @@
 //! fails on gross regressions; tolerances are deliberately generous
 //! (shared CI runners jitter), so only multi-x slowdowns trip it.
 //!
-//! With the `alloc-count` feature the binary installs the counting
-//! global allocator from `csmpc_mpc::phase::counting_alloc` and reports
-//! heap allocations per sequential pass alongside the timings.
+//! Allocations are not counted here: the allocation-free steady state of
+//! the engine rounds and the scale kernels is asserted by csmpc-mpc's
+//! `steady_state_alloc` test under its `alloc-count` feature.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -70,27 +70,6 @@ const GATE_ROUTE_FAIL: f64 = 3.0;
 /// Route phases below this floor (in ns) are timer-resolution noise; the
 /// gate compares against at least this much.
 const GATE_ROUTE_FLOOR_NS: f64 = 20_000.0;
-
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static ALLOC: csmpc_mpc::phase::counting_alloc::CountingAllocator =
-    csmpc_mpc::phase::counting_alloc::CountingAllocator;
-
-/// Allocations performed while running `f`, when the `alloc-count`
-/// feature has installed the counting allocator; `None` otherwise.
-#[cfg(feature = "alloc-count")]
-fn alloc_count_of(f: impl FnOnce()) -> Option<u64> {
-    use csmpc_mpc::phase::counting_alloc::allocations;
-    let before = allocations();
-    f();
-    Some(allocations().saturating_sub(before))
-}
-
-#[cfg(not(feature = "alloc-count"))]
-fn alloc_count_of(f: impl FnOnce()) -> Option<u64> {
-    f();
-    None
-}
 
 fn cluster_in_mode(g: &Graph, min_space: usize, seed: Seed, mode: ParallelismMode) -> Cluster {
     let cfg = MpcConfig {
@@ -247,8 +226,6 @@ struct Sample {
     /// Phase breakdown of the sequential column's best pass (the same
     /// work without thread-scheduling noise in the attribution).
     phase: PhaseTimes,
-    /// Heap allocations in one sequential pass (`alloc-count` only).
-    allocs: Option<u64>,
 }
 
 impl Sample {
@@ -657,53 +634,6 @@ fn run_thread_sweep(n: usize, cores: usize) -> Vec<SweepPoint> {
     points
 }
 
-/// `--alloc-gate`: the steady-state allocation gate. The second
-/// repetition of scale ball-coloring at a fixed topology, with a warm
-/// workspace, must perform zero heap allocations on the hot path
-/// (sequential mode — parallel dispatch adds only pool control blocks,
-/// documented on `par_map_range_into`). Requires the `alloc-count`
-/// feature; exits 0 on pass, 1 on regression, 2 if miscompiled.
-fn run_alloc_gate(smoke: bool) -> ! {
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        let _ = smoke;
-        eprintln!("alloc gate: rebuild with --features alloc-count");
-        std::process::exit(2);
-    }
-    #[cfg(feature = "alloc-count")]
-    {
-        use csmpc_mpc::phase::counting_alloc::allocations;
-        let n = if smoke { 20_000 } else { 200_000 };
-        let family = StreamFamily::RandomTree { n, seed: Seed(17) };
-        let cfg = MpcConfig {
-            parallelism: ParallelismMode::Sequential,
-            ..MpcConfig::default()
-        };
-        let words = 2 * family.n() + 2 * family.m();
-        let mut cl = Cluster::new(cfg, family.n(), words, Seed(0xC0DE));
-        let mut ws = ScaleWorkspace::new();
-        let csr = scale::ingest(family, &mut cl).expect("alloc-gate ingest");
-        // Warm repetition: grows every workspace buffer to capacity.
-        scale::ball_coloring(&mut cl, &csr, Seed(5), &mut ws).expect("warm rep");
-        cl.reset_for_repetition();
-        let before = allocations();
-        scale::ball_coloring(&mut cl, &csr, Seed(5), &mut ws).expect("steady rep");
-        cl.reset_for_repetition();
-        let delta = allocations().saturating_sub(before);
-        if delta == 0 {
-            println!(
-                "alloc gate: OK — steady-state ball-coloring repetition (n={n}) is allocation-free"
-            );
-            std::process::exit(0);
-        }
-        eprintln!(
-            "alloc gate FAIL: second ball-coloring repetition at fixed topology (n={n}) \
-             performed {delta} heap allocation(s); the hot path must be allocation-free"
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -722,9 +652,6 @@ fn main() {
             .and_then(|a| a.parse().ok())
             .expect("--sweep-child requires a size");
         run_sweep_child(n);
-    }
-    if args.iter().any(|a| a == "--alloc-gate") {
-        run_alloc_gate(smoke);
     }
     let gate_path = args
         .iter()
@@ -851,9 +778,6 @@ fn main() {
         for n in sizes {
             let mut run = prepare(n);
             let (seq_ms, phase) = time_best_of(reps, || run(ParallelismMode::Sequential));
-            let allocs = alloc_count_of(|| {
-                run(ParallelismMode::Sequential);
-            });
             let (par_ms, _) = time_best_of(reps, || run(ParallelismMode::Parallel));
             let s = Sample {
                 workload,
@@ -861,7 +785,6 @@ fn main() {
                 seq_ms,
                 par_ms,
                 phase,
-                allocs,
             };
             println!(
                 "  {:<24} n={:<6} seq {:>9.3} ms   {} {:>9.3} ms   speedup {:.2}x",
@@ -878,9 +801,6 @@ fn main() {
                     s.phase,
                     s.route_share() * 100.0
                 );
-            }
-            if let Some(a) = s.allocs {
-                println!("    allocations per seq pass: {a}");
             }
             samples.push(s);
         }
@@ -967,15 +887,11 @@ fn main() {
     }
     json.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
-        let allocs = match s.allocs {
-            Some(a) => format!(", \"allocs_per_seq_pass\": {a}"),
-            None => String::new(),
-        };
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"n\": {}, \"seq_ms\": {:.4}, \"par_ms\": {:.4}, \
              \"speedup\": {:.4}, \"seq_workers\": {seq_workers}, \"par_workers\": {par_workers}, \
              \"phase_ns\": {{\"route\": {}, \"intake\": {}, \"step\": {}, \"merge\": {}, \
-             \"checkpoint\": {}}}{allocs}}}{}\n",
+             \"checkpoint\": {}}}}}{}\n",
             s.workload,
             s.n,
             s.seq_ms,
