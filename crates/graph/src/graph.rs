@@ -498,18 +498,6 @@ impl GraphBuilder {
         let csr = CsrAdjacency::from_builder_edges(self.ids.len(), &self.edges)?;
         Ok(Graph::from_parts(self.ids.clone(), self.names.clone(), csr))
     }
-
-    /// Validates, assembles, and additionally checks legality (Definition 6).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`GraphBuilder::build`] reports, plus name/ID uniqueness
-    /// violations.
-    pub fn build_legal(&self) -> Result<Graph, GraphError> {
-        let g = self.build()?;
-        g.check_legal()?;
-        Ok(g)
-    }
 }
 
 #[cfg(test)]

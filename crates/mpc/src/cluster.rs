@@ -585,22 +585,12 @@ impl Cluster {
         self.faults = Some(FaultState::new(plan, policy));
     }
 
-    /// Removes any armed fault plan.
-    pub fn disarm_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Arms a [`SupervisorConfig`]: stragglers past the deadline budget are
     /// speculatively re-executed by spares (charged, off the critical
     /// path), and machines whose fault count exceeds the failure threshold
     /// are quarantined instead of consuming retries.
     pub fn supervise(&mut self, cfg: SupervisorConfig) {
         self.supervisor = Some(cfg);
-    }
-
-    /// Removes any armed supervision policy.
-    pub fn unsupervise(&mut self) {
-        self.supervisor = None;
     }
 
     /// Arms a job-level deadline: once the ledger's round counter exceeds

@@ -296,14 +296,6 @@ impl<'a> DistributedGraph<'a> {
         self.component_of[v]
     }
 
-    /// `true` when the graph spans more than one connected component.
-    #[must_use]
-    pub fn is_multi_component(&self) -> bool {
-        // Labels are numbered 0.. in order of first appearance, so any
-        // nonzero label means a second component exists.
-        self.component_of.iter().any(|&c| c != 0)
-    }
-
     /// Exact node count via an aggregation tree. Charges `d` rounds.
     ///
     /// # Errors

@@ -67,35 +67,10 @@ impl Default for ParallelismMode {
 /// avoids paying thread overhead on trivial sweeps.
 const INLINE_CUTOFF: usize = 4;
 
-/// Maps `f(i, &items[i])` over the slice, returning results in index order.
-///
-/// In parallel mode the sweep is chunked across worker threads; `f` must
-/// therefore be pure with respect to sweep order (it sees only its own
-/// item). Result index `i` always corresponds to input index `i`.
-pub fn par_map<T, R, F>(mode: ParallelismMode, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if mode.is_parallel() && items.len() >= INLINE_CUTOFF {
-        items
-            .par_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect()
-    } else {
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect()
-    }
-}
-
-/// Like [`par_map`] but with exclusive access to each item: `f(i, &mut
-/// items[i])` may mutate its item in place and additionally returns a value
-/// collected in index order.
+/// Maps `f(i, &mut items[i])` over the slice: `f` may mutate its item in
+/// place and returns a value collected in index order. In parallel mode the
+/// sweep is chunked across worker threads, so `f` must be pure with respect
+/// to sweep order (it sees only its own item).
 pub fn par_map_mut<T, R, F>(mode: ParallelismMode, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -239,15 +214,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn modes_agree_on_par_map() {
-        let items: Vec<u64> = (0..257).collect();
-        let seq = par_map(ParallelismMode::Sequential, &items, |i, x| x * 2 + i as u64);
-        let par = par_map(ParallelismMode::Parallel, &items, |i, x| x * 2 + i as u64);
-        assert_eq!(seq, par);
-        assert_eq!(seq[3], 9);
-    }
 
     #[test]
     fn modes_agree_on_par_map_mut() {
