@@ -8,6 +8,12 @@
 //! restore). [`PhaseTimes`] attributes wall-clock time to each so a perf
 //! regression is attributable to a phase rather than a geomean.
 //!
+//! The accounted layer books into the same fields: graph placement
+//! (`scale::ingest`, `DistributedGraph::distribute`) into `route`, and
+//! every per-vertex sweep into `step`, through one crate-private
+//! `Cluster::time_step` that each primitive calls after charging its
+//! rounds.
+//!
 //! Timings are **observability only**: they are carried in
 //! [`crate::Stats`] but deliberately excluded from its `PartialEq`, never
 //! feed any algorithmic decision, and never touch the model's observables
@@ -16,10 +22,10 @@
 //! the simulated execution, not how long the host took to run it.
 //!
 //! With the `alloc-count` feature process-wide allocation and live-byte
-//! counters are also available (the `counting_alloc` module); the `perf`
-//! binary installs them to report allocations per workload, and the
-//! steady-state test reads the live-byte high-water mark for its memory
-//! gate.
+//! counters are also available (the `counting_alloc` module); the
+//! `steady_state_alloc` test installs them to assert allocation-free warm
+//! rounds and repetitions, and reads the live-byte high-water mark for
+//! its memory gate.
 
 use std::fmt;
 // Wall-clock handle for phase attribution; see the module docs for why
