@@ -111,16 +111,18 @@ impl CsrAdjacency {
         I: Iterator<Item = (u32, u32)> + Clone,
     {
         let mut counts = vec![0u32; n + 1];
-        for (u, v) in edges.clone() {
+        edges.clone().for_each(|(u, v)| {
             counts[u as usize] += 1;
             counts[v as usize] += 1;
-        }
+        });
         Self::scatter_sorted(counts, edges)
     }
 
     /// The shared tail of [`CsrAdjacency::from_edges`] and the random-tree
     /// ingest, whose degrees are the Prüfer occurrence counts: scatters the
-    /// edges, then sorts every row in parallel. `counts` holds the `n`
+    /// edges, then sorts every row in parallel. A two-element row, every
+    /// row of a cycle, is ordered with one `min`/`max` pair instead of a
+    /// sort call. `counts` holds the `n`
     /// degrees and a trailing 0, and `edges` must describe a simple
     /// undirected graph with exactly that degree sequence.
     pub(crate) fn scatter_sorted<I>(counts: Vec<u32>, edges: I) -> Self
@@ -151,7 +153,12 @@ impl CsrAdjacency {
             for r in *r0..*r1 {
                 let lo = offs[r] as usize - base;
                 let hi = offs[r + 1] as usize - base;
-                block[lo..hi].sort_unstable();
+                let row = &mut block[lo..hi];
+                if let [a, b] = row {
+                    (*a, *b) = ((*a).min(*b), (*a).max(*b));
+                } else {
+                    row.sort_unstable();
+                }
             }
         });
         csr
@@ -177,12 +184,12 @@ impl CsrAdjacency {
         }
         let mut targets = vec![0u32; offsets[n] as usize];
         let ends = &mut offsets[..n];
-        for (u, v) in edges {
+        edges.for_each(|(u, v)| {
             ends[u as usize] -= 1;
             targets[ends[u as usize] as usize] = v;
             ends[v as usize] -= 1;
             targets[ends[v as usize] as usize] = u;
-        }
+        });
         debug_assert!(
             offsets.first() == Some(&0) && offsets.windows(2).all(|w| w[0] <= w[1]),
             "the edges do not match the degrees"

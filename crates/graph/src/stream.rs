@@ -17,6 +17,7 @@ use crate::csr::CsrAdjacency;
 use crate::generators;
 use crate::graph::Graph;
 use crate::rng::{FastRange, Seed, SplitMix64};
+use std::iter::{self, Chain, Once};
 
 /// A seeded graph-family spec that can stream its edges.
 ///
@@ -134,33 +135,44 @@ impl StreamFamily {
     #[must_use]
     pub fn edges(&self) -> EdgeStream {
         match *self {
-            StreamFamily::Path { n } => EdgeStream::Path { n, k: 0 },
+            StreamFamily::Path { n } => EdgeStream::Path(PathEdges::new(0, n)),
             StreamFamily::Cycle { n } => {
                 assert!(n >= 3, "cycle needs at least 3 nodes, got {n}");
-                EdgeStream::Cycle { n, k: 0 }
+                EdgeStream::Cycle(ring(0, n))
             }
             StreamFamily::TwoCycles { n } => {
                 assert!(n >= 6 && n.is_multiple_of(2), "need even n >= 6, got {n}");
-                EdgeStream::TwoCycles { n, k: 0 }
+                let half = n / 2;
+                EdgeStream::TwoCycles(ring(0, half).chain(ring(half, half)))
             }
-            StreamFamily::Star { leaves } => EdgeStream::Star { leaves, k: 0 },
-            StreamFamily::Hypercube { dim } => EdgeStream::Hypercube { dim, v: 0, bit: 0 },
+            StreamFamily::Star { leaves } => EdgeStream::Star(StarEdges { k: 0, leaves }),
+            StreamFamily::Hypercube { dim } => {
+                EdgeStream::Hypercube(HypercubeEdges { dim, v: 0, bit: 0 })
+            }
             StreamFamily::RandomTree { n, seed } => EdgeStream::Tree(TreeEdges::new(n, seed)),
         }
     }
 
     /// Builds the CSR adjacency straight from the stream — bit-identical
     /// to `self.materialize().csr()`, without the
-    /// intermediate graph. A random tree is decoded once: its degrees are
-    /// the Prüfer occurrence counts, copied once, into the CSR offsets.
+    /// intermediate graph. The family is matched once, and its own
+    /// iterator type goes to the CSR builder, so the count and scatter
+    /// passes each run one loop compiled for that family. A random tree
+    /// is decoded once: its degrees are the Prüfer occurrence counts,
+    /// copied once, into the CSR offsets.
     #[must_use]
     pub fn stream_csr(&self) -> CsrAdjacency {
+        let n = self.n();
         match self.edges() {
+            EdgeStream::Path(e) => CsrAdjacency::from_edges(n, e),
+            EdgeStream::Cycle(e) => CsrAdjacency::from_edges(n, e),
+            EdgeStream::TwoCycles(e) => CsrAdjacency::from_edges(n, e),
+            EdgeStream::Star(e) => CsrAdjacency::from_edges(n, e),
+            EdgeStream::Hypercube(e) => CsrAdjacency::from_edges(n, e),
             EdgeStream::Tree(tree) => {
                 let counts = tree.deg.iter().copied().chain([0]).collect();
                 CsrAdjacency::scatter_sorted(counts, tree)
             }
-            edges => CsrAdjacency::from_edges(self.n(), edges),
         }
     }
 
@@ -179,47 +191,23 @@ impl StreamFamily {
     }
 }
 
-/// Edge iterator of a [`StreamFamily`]: index arithmetic for the
-/// deterministic families, a streaming Prüfer decode for random trees.
+/// Edge iterator of a [`StreamFamily`]: one variant per family, each
+/// wrapping that family's own iterator type, so every edge formula is
+/// written once. [`StreamFamily::stream_csr`] unwraps the variant and
+/// hands the concrete iterator to the CSR builder, so its two passes run
+/// a loop specialized to one family instead of matching on every edge.
 #[derive(Debug, Clone)]
 pub enum EdgeStream {
     /// Path edges `(k, k+1)`.
-    Path {
-        /// Node count.
-        n: usize,
-        /// Next edge index.
-        k: usize,
-    },
-    /// Cycle edges `(k, k+1)` plus the closing `(n-1, 0)`.
-    Cycle {
-        /// Node count.
-        n: usize,
-        /// Next edge index.
-        k: usize,
-    },
-    /// Two cycles, edge `k` living in cycle `k / (n/2)`.
-    TwoCycles {
-        /// Node count.
-        n: usize,
-        /// Next edge index.
-        k: usize,
-    },
+    Path(PathEdges),
+    /// One cycle over all `n` nodes.
+    Cycle(RingEdges),
+    /// Two cycles of `n/2` nodes each, the second one after the first.
+    TwoCycles(Chain<RingEdges, RingEdges>),
     /// Star edges `(0, k+1)`.
-    Star {
-        /// Leaf count.
-        leaves: usize,
-        /// Next edge index.
-        k: usize,
-    },
+    Star(StarEdges),
     /// Hypercube edges `(v, v | 1 << bit)` for each clear bit of `v`.
-    Hypercube {
-        /// Dimension.
-        dim: u32,
-        /// Current node.
-        v: usize,
-        /// Next bit to inspect.
-        bit: u32,
-    },
+    Hypercube(HypercubeEdges),
     /// Linear-time Prüfer decode of a random tree.
     Tree(TreeEdges),
 }
@@ -229,68 +217,101 @@ impl Iterator for EdgeStream {
 
     fn next(&mut self) -> Option<(u32, u32)> {
         match self {
-            EdgeStream::Path { n, k } => {
-                if *k + 1 >= *n {
-                    return None;
-                }
-                let e = (*k as u32, (*k + 1) as u32);
-                *k += 1;
-                Some(e)
+            EdgeStream::Path(e) => e.next(),
+            EdgeStream::Cycle(e) => e.next(),
+            EdgeStream::TwoCycles(e) => e.next(),
+            EdgeStream::Star(e) => e.next(),
+            EdgeStream::Hypercube(e) => e.next(),
+            EdgeStream::Tree(e) => e.next(),
+        }
+    }
+}
+
+/// Edges `(k, k+1)` for `k` from `start` while `k + 1 < end`: a path
+/// over the nodes `start..end`.
+#[derive(Debug, Clone)]
+pub struct PathEdges {
+    k: usize,
+    end: usize,
+}
+
+impl PathEdges {
+    fn new(start: usize, end: usize) -> Self {
+        PathEdges { k: start, end }
+    }
+}
+
+impl Iterator for PathEdges {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        if self.k + 1 >= self.end {
+            return None;
+        }
+        let e = (self.k as u32, (self.k + 1) as u32);
+        self.k += 1;
+        Some(e)
+    }
+}
+
+/// Edges of the cycle on nodes `off..off + len` (`len >= 3`): the path
+/// edges `(k, k+1)`, then the closing edge `(off + len - 1, off)`.
+pub type RingEdges = Chain<PathEdges, Once<(u32, u32)>>;
+
+fn ring(off: usize, len: usize) -> RingEdges {
+    let last = off + len - 1;
+    PathEdges::new(off, off + len).chain(iter::once((last as u32, off as u32)))
+}
+
+/// Star edges `(0, k+1)` for `k < leaves`.
+#[derive(Debug, Clone)]
+pub struct StarEdges {
+    k: usize,
+    leaves: usize,
+}
+
+impl Iterator for StarEdges {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        if self.k >= self.leaves {
+            return None;
+        }
+        self.k += 1;
+        Some((0, self.k as u32))
+    }
+}
+
+/// Hypercube edges `(v, v | 1 << bit)` for each clear bit of `v`, in
+/// node order and then bit order.
+#[derive(Debug, Clone)]
+pub struct HypercubeEdges {
+    dim: u32,
+    /// Current node.
+    v: usize,
+    /// Next bit to inspect.
+    bit: u32,
+}
+
+impl Iterator for HypercubeEdges {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        let n = 1usize << self.dim;
+        loop {
+            if self.v >= n {
+                return None;
             }
-            EdgeStream::Cycle { n, k } => {
-                if *k >= *n {
-                    return None;
-                }
-                let e = if *k + 1 < *n {
-                    (*k as u32, (*k + 1) as u32)
-                } else {
-                    ((*n - 1) as u32, 0)
-                };
-                *k += 1;
-                Some(e)
+            if self.bit >= self.dim {
+                self.v += 1;
+                self.bit = 0;
+                continue;
             }
-            EdgeStream::TwoCycles { n, k } => {
-                if *k >= *n {
-                    return None;
-                }
-                let half = *n / 2;
-                let (c, i) = (*k / half, *k % half);
-                let off = c * half;
-                let e = if i + 1 < half {
-                    ((off + i) as u32, (off + i + 1) as u32)
-                } else {
-                    ((off + half - 1) as u32, off as u32)
-                };
-                *k += 1;
-                Some(e)
+            let b = self.bit;
+            self.bit += 1;
+            if self.v & (1usize << b) == 0 {
+                return Some((self.v as u32, (self.v | (1usize << b)) as u32));
             }
-            EdgeStream::Star { leaves, k } => {
-                if *k >= *leaves {
-                    return None;
-                }
-                let e = (0, (*k + 1) as u32);
-                *k += 1;
-                Some(e)
-            }
-            EdgeStream::Hypercube { dim, v, bit } => {
-                let n = 1usize << *dim;
-                loop {
-                    if *v >= n {
-                        return None;
-                    }
-                    if *bit >= *dim {
-                        *v += 1;
-                        *bit = 0;
-                        continue;
-                    }
-                    let b = *bit;
-                    *bit += 1;
-                    if *v & (1usize << b) == 0 {
-                        return Some((*v as u32, (*v | (1usize << b)) as u32));
-                    }
-                }
-            }
-            EdgeStream::Tree(t) => t.next(),
         }
     }
 }
