@@ -276,6 +276,12 @@ where
 /// Hands each sweep result to `commit` in list order and compacts the
 /// frontier to the vertices for which `commit` returns `true` (still
 /// undecided). Compaction keeps the frontier ascending.
+///
+/// Branch-free: every vertex is written to slot `kept`, which only
+/// advances past a kept one (`kept <= i`, so no unread entry is
+/// overwritten). The callers commit without branching too: a vertex that
+/// stays undecided gets its undecided value written back, which changes
+/// nothing.
 fn commit_frontier<C>(active: &mut Vec<u32>, results: &[u32], mut commit: C)
 where
     C: FnMut(usize, u32) -> bool,
@@ -283,12 +289,16 @@ where
     let mut kept = 0usize;
     for (i, &r) in results.iter().enumerate() {
         let v = active[i];
-        if commit(v as usize, r) {
-            active[kept] = v;
-            kept += 1;
-        }
+        active[kept] = v;
+        kept += usize::from(commit(v as usize, r));
     }
     active.truncate(kept);
+}
+
+/// `a < b` on `(priority, index)` pairs, lexicographically, without a
+/// branch.
+fn precedes(a: (u64, u32), b: (u64, u32)) -> bool {
+    (a.0 < b.0) | ((a.0 == b.0) & (a.1 < b.1))
 }
 
 /// Luby's maximal independent set. Per round every undecided vertex draws
@@ -299,6 +309,9 @@ where
 ///
 /// Each round sweeps only the frontier of undecided vertices, mixing
 /// priorities inline; the frontier's length is the convergence check.
+/// Both sweeps or-accumulate over the whole row instead of stopping at
+/// the first deciding neighbor, so the hot loop has no data-dependent
+/// branch; the flag they compute is the same.
 /// Terminates because the global minimum among undecided vertices is
 /// always a local minimum, so every round decides at least one vertex.
 ///
@@ -337,32 +350,31 @@ pub fn luby_mis(
                 let st: &[u8] = state;
                 sweep_frontier(mode, active, results, |v| {
                     let pv = (mix(seed.0, salt, v as u64), v as u32);
-                    for &w in csr.neighbors(v) {
-                        if st[w as usize] == 0 && (mix(seed.0, salt, u64::from(w)), w) < pv {
-                            return 0;
-                        }
-                    }
-                    1
+                    let beaten = csr.neighbors(v).iter().fold(false, |beaten, &w| {
+                        let pw = (mix(seed.0, salt, u64::from(w)), w);
+                        beaten | ((st[w as usize] == 0) & precedes(pw, pv))
+                    });
+                    u32::from(!beaten)
                 });
             }
             commit_frontier(active, results, |v, joined| {
-                if joined == 1 {
-                    state[v] = 1;
-                    size += 1;
-                }
+                state[v] = joined as u8;
+                size += joined as usize;
                 joined == 0
             });
             // Retire: an undecided vertex adjacent to any MIS member is out.
             {
                 let st: &[u8] = state;
                 sweep_frontier(mode, active, results, |v| {
-                    u32::from(csr.neighbors(v).iter().any(|&w| st[w as usize] == 1))
+                    let row = csr.neighbors(v);
+                    u32::from(
+                        row.iter()
+                            .fold(false, |any, &w| any | (st[w as usize] == 1)),
+                    )
                 });
             }
             commit_frontier(active, results, |v, retired| {
-                if retired == 1 {
-                    state[v] = 2;
-                }
+                state[v] = (retired as u8) << 1;
                 retired == 0
             });
         });
@@ -370,31 +382,45 @@ pub fn luby_mis(
     Ok((size, rounds))
 }
 
-/// Smallest color not used by any already-colored neighbor. Degrees below
-/// 64 use a one-word exclusion mask (greedy colors of such a vertex's
-/// *free* slots all sit below 64, so larger neighbor colors cannot block
-/// the answer); larger degrees fall back to a probe loop.
-fn smallest_free(nbrs: &[u32], colors: &[u32]) -> u32 {
+/// One Jones–Plassmann step at a vertex of priority pair `pv` with
+/// neighbors `nbrs`: [`UNCOLORED`] if an uncolored neighbor outranks it,
+/// else the smallest color no colored neighbor uses.
+///
+/// A row shorter than 64 takes one branch-free pass that builds both the
+/// blocked flag and a one-word exclusion mask: the answer is then below
+/// 64, so larger neighbor colors (and [`UNCOLORED`]) cannot block it.
+/// Longer rows stop at the first outranking neighbor and probe colors
+/// upward.
+fn jones_plassmann_step<P>(pv: (u64, u32), nbrs: &[u32], colors: &[u32], priority: P) -> u32
+where
+    P: Fn(u32) -> u64,
+{
+    let outranks = |w: u32, c: u32| (c == UNCOLORED) & precedes(pv, (priority(w), w));
     if nbrs.len() < 64 {
-        let mut mask: u64 = 0;
+        let (mut blocked, mut mask) = (false, 0u64);
         for &w in nbrs {
             let c = colors[w as usize];
-            if c != UNCOLORED && c < 64 {
-                mask |= 1 << c;
+            blocked |= outranks(w, c);
+            mask |= u64::from(c < 64) << (c & 63);
+        }
+        return if blocked {
+            UNCOLORED
+        } else {
+            (!mask).trailing_zeros()
+        };
+    }
+    if nbrs.iter().any(|&w| outranks(w, colors[w as usize])) {
+        return UNCOLORED;
+    }
+    let mut c = 0u32;
+    'probe: loop {
+        for &w in nbrs {
+            if colors[w as usize] == c {
+                c += 1;
+                continue 'probe;
             }
         }
-        (!mask).trailing_zeros()
-    } else {
-        let mut c = 0u32;
-        'probe: loop {
-            for &w in nbrs {
-                if colors[w as usize] == c {
-                    c += 1;
-                    continue 'probe;
-                }
-            }
-            return c;
-        }
+        return c;
     }
 }
 
@@ -429,7 +455,7 @@ pub fn ball_coloring(
         results,
         ..
     } = ws;
-    let priority = |v: u64| mix(seed.0, 0x636f_6c6f_7269_6e67, v);
+    let priority = |v: u32| mix(seed.0, 0x636f_6c6f_7269_6e67, u64::from(v));
     par_map_range_into(mode, n, color, |_| UNCOLORED);
     active.clear();
     active.extend(0..n as u32);
@@ -442,22 +468,15 @@ pub fn ball_coloring(
             {
                 let col: &[u32] = color;
                 sweep_frontier(mode, active, results, |v| {
-                    let pv = (priority(v as u64), v as u32);
-                    for &w in csr.neighbors(v) {
-                        if col[w as usize] == UNCOLORED && (priority(u64::from(w)), w) > pv {
-                            return UNCOLORED;
-                        }
-                    }
-                    smallest_free(csr.neighbors(v), col)
+                    let pv = (priority(v as u32), v as u32);
+                    jones_plassmann_step(pv, csr.neighbors(v), col, priority)
                 });
             }
+            // An uncolored result writes UNCOLORED back and wraps to 0.
             commit_frontier(active, results, |v, c| {
-                if c == UNCOLORED {
-                    return true;
-                }
                 color[v] = c;
-                used = used.max(c + 1);
-                false
+                used = used.max(c.wrapping_add(1));
+                c == UNCOLORED
             });
         });
     }
@@ -573,7 +592,7 @@ mod tests {
     #[test]
     fn high_degree_probe_path_matches_mask_path() {
         // A star center has degree >= 64, exercising the probe loop in
-        // `smallest_free`; leaves exercise the mask path.
+        // `jones_plassmann_step`; leaves exercise the mask path.
         let family = StreamFamily::Star { leaves: 80 };
         let mut cl = cluster_for(family, ParallelismMode::Sequential);
         let mut ws = ScaleWorkspace::new();
