@@ -78,7 +78,7 @@ echo "==> routing-equivalence suite (counting-sort fabric vs sort oracle)"
 # random machine counts and message multisets.
 cargo test -q -p csmpc-mpc --test routing_equivalence
 
-echo "==> scale- and cc-equivalence suites (frontier kernels and both cc paths vs oracles)"
+echo "==> scale-, cc- and stream-equivalence suites (frontier kernels, both cc paths and streamed CSR vs oracles)"
 # Property proof that the active-list MIS and coloring kernels produce the
 # same output vectors, return values and Stats ledgers as the full-sweep
 # kernels they replaced, over every StreamFamily member and random seeds,
@@ -87,8 +87,11 @@ echo "==> scale- and cc-equivalence suites (frontier kernels and both cc paths v
 # two-cycles iteration counts pinned. Threads are forced so the parallel
 # column runs on real worker threads even on single-core runners: 4
 # workers cut the cc hook's block walk into 16 blocks, so block
-# boundaries fall inside every input of more than 16 nodes.
-RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence --test cc_labels_equivalence
+# boundaries fall inside every input of more than 16 nodes. The same 16
+# blocks split the streamed CSR's parallel row sort, which stream_csr
+# checks against the materialized graph for every family.
+RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence --test cc_labels_equivalence \
+    -p csmpc-graph --test stream_csr
 
 echo "==> steady-state allocation suite + scale memory gate (alloc-count build)"
 # The counting-allocator test behind the alloc-count feature: warm engine

@@ -7,10 +7,12 @@
 //! `generators::random_tree` itself decodes through the stream.
 //!
 //! Thread counts cannot appear as a proptest dimension (the worker count
-//! is resolved once per process), so ci.sh runs this suite under forced
-//! `RAYON_NUM_THREADS=4` via the workspace test run plus the equivalence
-//! step; the parallel row-sort inside `from_edges` is a pure per-row
-//! function either way.
+//! is resolved once per process), so ci.sh runs this suite a second time,
+//! under forced `RAYON_NUM_THREADS=4`, in its scale-equivalence step; the
+//! parallel row-sort inside `from_edges` is a pure per-row function
+//! either way. The proptests stop below 400 nodes, so path, cycle, both
+//! two-cycles parities and star are also pinned at sizes past 2¹⁶, where
+//! each of the 16 row-sort blocks of 4 workers holds thousands of rows.
 //!
 //! The block row walk `CsrAdjacency::rows(lo, hi)` is checked against
 //! per-node `neighbors(v)` on the same families, over random ranges and
@@ -133,6 +135,20 @@ fn rows_match_neighbors_on_every_family() {
             let b = rng.index(n + 1);
             assert_rows_match(&csr, a.min(b), a.max(b), &what);
         }
+    }
+}
+
+#[test]
+fn families_past_two_to_the_sixteen_stream_identically() {
+    for fam in [
+        StreamFamily::Path { n: 70_001 },
+        StreamFamily::Cycle { n: 65_537 },
+        // Cycles of odd and of even length.
+        StreamFamily::TwoCycles { n: 2 * 33_333 },
+        StreamFamily::TwoCycles { n: 2 * 40_000 },
+        StreamFamily::Star { leaves: 70_000 },
+    ] {
+        assert_stream_matches(fam);
     }
 }
 
