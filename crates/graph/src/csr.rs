@@ -12,7 +12,11 @@
 //!
 //! Rows are ascending and immutable once built, so any two constructors
 //! that see the same edge set produce the same bytes: a traversal visits
-//! nodes in the same order whichever path built its adjacency.
+//! nodes in the same order whichever path built its adjacency. The
+//! streaming constructor is generic over its edge iterator, so each
+//! stream family gets its own compiled count and scatter loops, and its
+//! row sort orders a two-element row (every row of a cycle) with one
+//! `min`/`max` pair.
 
 use crate::graph::GraphError;
 use csmpc_parallel::{par_map_mut, ParallelismMode};

@@ -12,6 +12,13 @@
 //! bit-identical to `family.materialize().csr()` —
 //! property-tested in `tests/stream_csr.rs` — while allocating only the
 //! CSR arrays themselves.
+//!
+//! Each family has its own iterator type ([`PathEdges`], [`RingEdges`],
+//! [`StarEdges`], [`HypercubeEdges`], [`TreeEdges`]; two cycles are two
+//! chained rings), so each edge formula is written once. [`EdgeStream`]
+//! delegates to them, and [`StreamFamily::stream_csr`] passes the
+//! concrete iterator to the CSR builder, whose passes then compile to one
+//! loop per family with no per-edge `match` and no division.
 
 use crate::csr::CsrAdjacency;
 use crate::generators;

@@ -17,6 +17,11 @@
 //! with one running offset ([`CsrAdjacency::rows`]). [`luby_mis`] and
 //! [`ball_coloring`] sweep only a frontier, the ascending list of
 //! still-undecided vertices, so late rounds cost what is left, not `n`.
+//! Their hot loops carry no data-dependent branch: a sweep or-accumulates
+//! its flag over the whole row (a coloring row of 64 or more neighbors
+//! aside), and compaction writes every vertex and advances by its keep
+//! flag. Both compute exactly what an early-exit loop would, so outputs
+//! and ledgers are unchanged.
 //! The workspace holds 21 bytes per vertex at rest: priorities are mixed
 //! inline, and cc keeps its ranks in the frontier buffer and its hook
 //! output in the frontier kernels' result buffer. The cc jump updates the
