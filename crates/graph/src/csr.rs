@@ -124,11 +124,10 @@ impl CsrAdjacency {
 
     /// The shared tail of [`CsrAdjacency::from_edges`] and the random-tree
     /// ingest, whose degrees are the Prüfer occurrence counts: scatters the
-    /// edges, then sorts every row in parallel. A two-element row, every
-    /// row of a cycle, is ordered with one `min`/`max` pair instead of a
-    /// sort call. `counts` holds the `n`
-    /// degrees and a trailing 0, and `edges` must describe a simple
-    /// undirected graph with exactly that degree sequence.
+    /// edges, then sorts every row in parallel (a two-element row with one
+    /// `min`/`max` pair). `counts` holds the `n` degrees and a trailing 0,
+    /// and `edges` must describe a simple undirected graph with exactly
+    /// that degree sequence.
     pub(crate) fn scatter_sorted<I>(counts: Vec<u32>, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32)>,

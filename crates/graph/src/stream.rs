@@ -142,7 +142,7 @@ impl StreamFamily {
     #[must_use]
     pub fn edges(&self) -> EdgeStream {
         match *self {
-            StreamFamily::Path { n } => EdgeStream::Path(PathEdges::new(0, n)),
+            StreamFamily::Path { n } => EdgeStream::Path(PathEdges { k: 0, end: n }),
             StreamFamily::Cycle { n } => {
                 assert!(n >= 3, "cycle needs at least 3 nodes, got {n}");
                 EdgeStream::Cycle(ring(0, n))
@@ -234,18 +234,12 @@ impl Iterator for EdgeStream {
     }
 }
 
-/// Edges `(k, k+1)` for `k` from `start` while `k + 1 < end`: a path
-/// over the nodes `start..end`.
+/// Edges `(k, k+1)` from the starting `k` while `k + 1 < end`: a path
+/// over the nodes `k..end`.
 #[derive(Debug, Clone)]
 pub struct PathEdges {
     k: usize,
     end: usize,
-}
-
-impl PathEdges {
-    fn new(start: usize, end: usize) -> Self {
-        PathEdges { k: start, end }
-    }
 }
 
 impl Iterator for PathEdges {
@@ -266,8 +260,8 @@ impl Iterator for PathEdges {
 pub type RingEdges = Chain<PathEdges, Once<(u32, u32)>>;
 
 fn ring(off: usize, len: usize) -> RingEdges {
-    let last = off + len - 1;
-    PathEdges::new(off, off + len).chain(iter::once((last as u32, off as u32)))
+    let end = off + len;
+    PathEdges { k: off, end }.chain(iter::once(((end - 1) as u32, off as u32)))
 }
 
 /// Star edges `(0, k+1)` for `k < leaves`.

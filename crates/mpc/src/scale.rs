@@ -314,9 +314,6 @@ fn precedes(a: (u64, u32), b: (u64, u32)) -> bool {
 ///
 /// Each round sweeps only the frontier of undecided vertices, mixing
 /// priorities inline; the frontier's length is the convergence check.
-/// Both sweeps or-accumulate over the whole row instead of stopping at
-/// the first deciding neighbor, so the hot loop has no data-dependent
-/// branch; the flag they compute is the same.
 /// Terminates because the global minimum among undecided vertices is
 /// always a local minimum, so every round decides at least one vertex.
 ///
