@@ -1,81 +1,46 @@
 //! Property tests: the streaming ingestion path
 //! (`StreamFamily::stream_csr`, i.e. `CsrAdjacency::from_edges`, or one
-//! scatter from the Prüfer degrees for random trees) is bit-identical to the
-//! materialized `Graph`'s CSR spine (`Graph::csr`) for every seeded
-//! family, at arbitrary sizes and seeds. Random trees are checked against
-//! an independent min-heap Prüfer decoder kept here as the oracle, since
-//! `generators::random_tree` itself decodes through the stream.
+//! scatter from the Prüfer degrees for random trees) and the materialized
+//! `Graph` (`StreamFamily::materialize`, behind the `generators` calls)
+//! are bit-identical to the builder-loop oracle in `oracle/mod.rs` for
+//! every seeded family, at arbitrary sizes and seeds: IDs, names, CSR
+//! offsets and targets. The oracle writes each family out through
+//! `GraphBuilder` and decodes random trees with the textbook min-heap
+//! Prüfer decode.
 //!
 //! Thread counts cannot appear as a proptest dimension (the worker count
 //! is resolved once per process), so ci.sh runs this suite a second time,
 //! under forced `RAYON_NUM_THREADS=4`, in its scale-equivalence step; the
 //! parallel row-sort inside `from_edges` is a pure per-row function
-//! either way. The proptests stop below 400 nodes, so path, cycle, both
-//! two-cycles parities and star are also pinned at sizes past 2¹⁶, where
-//! each of the 16 row-sort blocks of 4 workers holds thousands of rows.
+//! either way. Most proptests stop below 400 nodes, so path, cycle, both
+//! two-cycles parities, star and a random tree are also pinned at sizes
+//! past 2¹⁶, where each of the 16 row-sort blocks of 4 workers holds
+//! thousands of rows.
 //!
 //! The block row walk `CsrAdjacency::rows(lo, hi)` is checked against
 //! per-node `neighbors(v)` on the same families, over random ranges and
 //! the empty and last-row edge cases.
 
 use csmpc_graph::rng::{Seed, SplitMix64};
-use csmpc_graph::{CsrAdjacency, GraphBuilder, StreamFamily};
+use csmpc_graph::{CsrAdjacency, StreamFamily};
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
+mod oracle;
+
+/// The streamed CSR and the materialized graph both equal the
+/// builder-loop oracle: IDs, names, offsets and targets.
 fn assert_stream_matches(fam: StreamFamily) {
-    let streamed = fam.stream_csr();
-    let g = fam.materialize();
-    assert_eq!(
-        &streamed,
-        g.csr(),
-        "family {} n={} diverged from the materialized path",
-        fam.name(),
-        fam.n()
-    );
-}
-
-/// The textbook O(n log n) Prüfer decode: repeatedly pop the smallest
-/// leaf from a min-heap. Same seed → same sequence as the stream.
-fn heap_prufer_tree_csr(n: usize, seed: Seed) -> CsrAdjacency {
-    let mut b = GraphBuilder::with_sequential_nodes(n);
-    if n >= 2 {
-        let mut rng = SplitMix64::new(seed);
-        let prufer: Vec<usize> = (0..n - 2).map(|_| rng.index(n)).collect();
-        let mut deg = vec![1usize; n];
-        for &x in &prufer {
-            deg[x] += 1;
-        }
-        let mut heap: BinaryHeap<Reverse<usize>> =
-            (0..n).filter(|&v| deg[v] == 1).map(Reverse).collect();
-        for &x in &prufer {
-            let Reverse(leaf) = heap.pop().expect("tree always has a leaf");
-            b.add_edge(leaf, x);
-            deg[x] -= 1;
-            if deg[x] == 1 {
-                heap.push(Reverse(x));
-            }
-        }
-        let Reverse(u) = heap.pop().expect("two nodes remain");
-        let Reverse(v) = heap.pop().expect("two nodes remain");
-        b.add_edge(u, v);
-    }
-    b.build()
-        .expect("prufer decoding yields a tree")
-        .csr()
-        .clone()
+    let oracle = oracle::build(fam);
+    let what = format!("family {} n={}", fam.name(), fam.n());
+    assert_eq!(&fam.stream_csr(), oracle.csr(), "stream_csr: {what}");
+    assert_eq!(fam.materialize(), oracle, "materialize: {what}");
 }
 
 fn assert_tree_matches_heap_oracle(n: usize, seed: u64) {
-    let fam = StreamFamily::RandomTree {
+    assert_stream_matches(StreamFamily::RandomTree {
         n,
         seed: Seed(seed),
-    };
-    let oracle = heap_prufer_tree_csr(n, Seed(seed));
-    assert_eq!(fam.stream_csr(), oracle, "stream_csr n={n} seed={seed}");
-    let materialized = fam.materialize();
-    assert_eq!(materialized.csr(), &oracle, "random_tree n={n} seed={seed}");
+    });
 }
 
 #[test]
@@ -147,6 +112,10 @@ fn families_past_two_to_the_sixteen_stream_identically() {
         StreamFamily::TwoCycles { n: 2 * 33_333 },
         StreamFamily::TwoCycles { n: 2 * 40_000 },
         StreamFamily::Star { leaves: 70_000 },
+        StreamFamily::RandomTree {
+            n: 70_001,
+            seed: Seed(3),
+        },
     ] {
         assert_stream_matches(fam);
     }
