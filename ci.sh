@@ -88,8 +88,9 @@ echo "==> scale-, cc- and stream-equivalence suites (frontier kernels, both cc p
 # column runs on real worker threads even on single-core runners: 4
 # workers cut the cc hook's block walk into 16 blocks, so block
 # boundaries fall inside every input of more than 16 nodes. The same 16
-# blocks split the streamed CSR's parallel row sort, which stream_csr
-# checks against the materialized graph for every family.
+# blocks split the streamed CSR's row sort (in parallel from 2^14 directed
+# edges), which stream_csr checks against a builder-loop oracle for every
+# family.
 RAYON_NUM_THREADS=4 cargo test -q -p csmpc-mpc --test scale_equivalence --test cc_labels_equivalence \
     -p csmpc-graph --test stream_csr
 

@@ -21,6 +21,9 @@
 use crate::graph::GraphError;
 use csmpc_parallel::{par_map_mut, ParallelismMode};
 
+/// Fewest directed edges whose CSR row sort goes to the worker pool.
+const PARALLEL_SORT_MIN: usize = 1 << 14;
+
 /// Flat adjacency of a graph: `targets[offsets[v]..offsets[v + 1]]` are the
 /// neighbors of node `v`, ascending.
 ///
@@ -127,7 +130,9 @@ impl CsrAdjacency {
     /// edges, then sorts every row in parallel (a two-element row with one
     /// `min`/`max` pair). `counts` holds the `n` degrees and a trailing 0,
     /// and `edges` must describe a simple undirected graph with exactly
-    /// that degree sequence.
+    /// that degree sequence. Below [`PARALLEL_SORT_MIN`] directed edges the
+    /// same row blocks are sorted inline: a pool dispatch would cost more
+    /// than the sort.
     pub(crate) fn scatter_sorted<I>(counts: Vec<u32>, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32)>,
@@ -150,7 +155,12 @@ impl CsrAdjacency {
             rest = tail;
         }
         let offs = &csr.offsets;
-        let _: Vec<()> = par_map_mut(ParallelismMode::auto(), &mut parts, |_, part| {
+        let mode = if offs[n] as usize >= PARALLEL_SORT_MIN {
+            ParallelismMode::auto()
+        } else {
+            ParallelismMode::Sequential
+        };
+        let _: Vec<()> = par_map_mut(mode, &mut parts, |_, part| {
             let (r0, r1, block) = part;
             let base = offs[*r0] as usize;
             for r in *r0..*r1 {

@@ -5,6 +5,12 @@
 //! All generators produce *legal* graphs (Definition 6) with `IDs = names =
 //! 0..n` unless noted; use [`crate::ops::relabel_ids`] /
 //! [`crate::ops::with_fresh_names`] or [`shuffle_identity`] to vary them.
+//!
+//! The seeded stream families ([`path`], [`cycle`], [`two_cycles`],
+//! [`star`], [`hypercube`], [`random_tree`]) are calls into
+//! [`StreamFamily::materialize`], the one description of each family:
+//! its edges stream straight into the CSR. The other generators build
+//! through [`GraphBuilder`].
 
 use crate::graph::{Graph, GraphBuilder, NodeId, NodeName};
 use crate::rng::{Seed, SplitMix64};
@@ -13,11 +19,7 @@ use crate::stream::StreamFamily;
 /// Path on `n` nodes, `0 – 1 – … – n−1`, with consecutive IDs.
 #[must_use]
 pub fn path(n: usize) -> Graph {
-    let mut b = GraphBuilder::with_sequential_nodes(n);
-    for i in 1..n {
-        b.add_edge(i - 1, i);
-    }
-    b.build().expect("path is valid")
+    StreamFamily::Path { n }.materialize()
 }
 
 /// Cycle on `n ≥ 3` nodes.
@@ -27,13 +29,7 @@ pub fn path(n: usize) -> Graph {
 /// Panics if `n < 3`.
 #[must_use]
 pub fn cycle(n: usize) -> Graph {
-    assert!(n >= 3, "cycle needs at least 3 nodes, got {n}");
-    let mut b = GraphBuilder::with_sequential_nodes(n);
-    for i in 1..n {
-        b.add_edge(i - 1, i);
-    }
-    b.add_edge(n - 1, 0);
-    b.build().expect("cycle is valid")
+    StreamFamily::Cycle { n }.materialize()
 }
 
 /// Two disjoint cycles of `n/2` nodes each — the NO-instance of the
@@ -44,17 +40,7 @@ pub fn cycle(n: usize) -> Graph {
 /// Panics if `n < 6` or `n` is odd.
 #[must_use]
 pub fn two_cycles(n: usize) -> Graph {
-    assert!(n >= 6 && n.is_multiple_of(2), "need even n >= 6, got {n}");
-    let half = n / 2;
-    let mut b = GraphBuilder::with_sequential_nodes(n);
-    for c in 0..2 {
-        let off = c * half;
-        for i in 1..half {
-            b.add_edge(off + i - 1, off + i);
-        }
-        b.add_edge(off + half - 1, off);
-    }
-    b.build().expect("two cycles are valid")
+    StreamFamily::TwoCycles { n }.materialize()
 }
 
 /// Complete graph `K_n`.
@@ -72,11 +58,7 @@ pub fn complete(n: usize) -> Graph {
 /// Star `K_{1,k}`: center index 0, leaves `1..=k`.
 #[must_use]
 pub fn star(k: usize) -> Graph {
-    let mut b = GraphBuilder::with_sequential_nodes(k + 1);
-    for leaf in 1..=k {
-        b.add_edge(0, leaf);
-    }
-    b.build().expect("star is valid")
+    StreamFamily::Star { leaves: k }.materialize()
 }
 
 /// `rows × cols` grid graph.
@@ -148,14 +130,10 @@ pub fn random_gnp(n: usize, p: f64, seed: Seed) -> Graph {
 }
 
 /// Uniformly random labeled tree on `n` nodes: the Prüfer-sequence
-/// decoding streamed by [`StreamFamily::RandomTree`].
+/// decoding of [`StreamFamily::RandomTree`].
 #[must_use]
 pub fn random_tree(n: usize, seed: Seed) -> Graph {
-    let mut b = GraphBuilder::with_sequential_nodes(n);
-    for (u, v) in (StreamFamily::RandomTree { n, seed }).edges() {
-        b.add_edge(u as usize, v as usize);
-    }
-    b.build().expect("prufer decoding yields a tree")
+    StreamFamily::RandomTree { n, seed }.materialize()
 }
 
 /// Random forest: `parts` independent random trees of the given sizes,
@@ -343,17 +321,7 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
 /// The `dim`-dimensional hypercube (`2^dim` nodes, degree `dim`).
 #[must_use]
 pub fn hypercube(dim: u32) -> Graph {
-    let n = 1usize << dim;
-    let mut b = GraphBuilder::with_sequential_nodes(n);
-    for v in 0..n {
-        for bit in 0..dim {
-            let w = v ^ (1 << bit);
-            if v < w {
-                b.add_edge(v, w);
-            }
-        }
-    }
-    b.build().expect("hypercube is valid")
+    StreamFamily::Hypercube { dim }.materialize()
 }
 
 /// Complete bipartite graph `K_{a,b}` (left side first).

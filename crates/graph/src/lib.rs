@@ -57,4 +57,4 @@ pub mod stream;
 
 pub use csr::CsrAdjacency;
 pub use graph::{Graph, GraphBuilder, GraphError, NodeId, NodeName};
-pub use stream::StreamFamily;
+pub use stream::{InvalidFamily, StreamFamily};

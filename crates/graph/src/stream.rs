@@ -1,64 +1,70 @@
-//! Streaming seeded graph families: edge iterators that feed
-//! [`CsrAdjacency::from_edges`] directly, never materializing the
-//! intermediate [`Graph`].
+//! Seeded graph families, from spec to CSR: the one description of each
+//! family the paper's arguments run on (one `n`-cycle against two
+//! `n/2`-cycles, paths, stars, hypercubes, random trees).
 //!
-//! At million-vertex scale the [`Graph`] representation (builder edge
-//! list and validation, ID/name tables) costs more to build than the
-//! algorithms cost to run. A [`StreamFamily`] is a *spec* — family
-//! plus size plus seed — whose [`StreamFamily::edges`] iterator emits the
-//! exact edge multiset of the corresponding `generators::*` call with O(1)
-//! state for the deterministic families and O(n) decoder state (no
-//! adjacency) for random trees. [`StreamFamily::stream_csr`] is therefore
-//! bit-identical to `family.materialize().csr()` —
-//! property-tested in `tests/stream_csr.rs` — while allocating only the
-//! CSR arrays themselves.
+//! A [`StreamFamily`] is a *spec* — family plus size plus seed. It holds
+//! every rule about the family in one place:
+//! - [`StreamFamily::validate`] checks the family's shape and that its
+//!   CSR fits the `u32` rank space, from the spec alone;
+//! - [`StreamFamily::checked_n`] and [`StreamFamily::checked_m`] give its
+//!   sizes in closed form;
+//! - [`StreamFamily::stream_csr`] streams its edges straight into a
+//!   [`CsrAdjacency`], never materializing an edge list or a [`Graph`];
+//! - [`StreamFamily::materialize`] wraps that CSR in a [`Graph`] with
+//!   sequential IDs and names. The `generators` functions for these
+//!   families and the job service's `GraphSpec` build through it.
 //!
-//! Each family has its own iterator type ([`PathEdges`], [`RingEdges`],
-//! [`StarEdges`], [`HypercubeEdges`], [`TreeEdges`]; two cycles are two
-//! chained rings), so each edge formula is written once. [`EdgeStream`]
-//! delegates to them, and [`StreamFamily::stream_csr`] passes the
-//! concrete iterator to the CSR builder, whose passes then compile to one
-//! loop per family with no per-edge `match` and no division.
+//! Each family has its own private edge iterator (paths, rings, stars,
+//! hypercubes, and a linear-time Prüfer decode for random trees; two
+//! cycles are two chained rings), so each edge formula is written once.
+//! [`StreamFamily::stream_csr`] matches the family once and hands its
+//! iterator to the CSR builder, whose passes then compile to one loop per
+//! family with no per-edge `match` and no division. The deterministic
+//! families keep O(1) iterator state; a random tree holds its Prüfer
+//! sequence and degrees. `tests/stream_csr.rs` checks both paths against
+//! a builder-loop oracle on every family.
 
 use crate::csr::CsrAdjacency;
-use crate::generators;
-use crate::graph::Graph;
+use crate::graph::{Graph, NodeId, NodeName};
 use crate::rng::{FastRange, Seed, SplitMix64};
+use std::fmt;
 use std::iter::{self, Chain, Once};
 
-/// A seeded graph-family spec that can stream its edges.
+/// A seeded graph-family spec: the one description of the family, from
+/// its validity rules to its CSR.
 ///
-/// Size constraints mirror the materializing generators: `Cycle` needs
-/// `n >= 3`, `TwoCycles` needs even `n >= 6` (checked when the edges are
-/// consumed or the family is materialized).
+/// `Cycle` needs `n >= 3` and `TwoCycles` an even `n >= 6`, and every
+/// family must fit the `u32` rank space ([`StreamFamily::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamFamily {
-    /// Path on `n` nodes ([`generators::path`]).
+    /// Path `0 – 1 – … – n−1` on `n` nodes.
     Path {
         /// Node count.
         n: usize,
     },
-    /// Cycle on `n >= 3` nodes ([`generators::cycle`]).
+    /// Cycle on `n >= 3` nodes: the path plus the edge `(n−1, 0)`.
     Cycle {
         /// Node count.
         n: usize,
     },
-    /// Two disjoint `n/2`-cycles, even `n >= 6` ([`generators::two_cycles`]).
+    /// Two disjoint `n/2`-cycles, even `n >= 6`: the NO-instance of the
+    /// connectivity conjecture ("one `n`-cycle vs two `n/2`-cycles").
     TwoCycles {
         /// Node count.
         n: usize,
     },
-    /// Star `K_{1,k}` ([`generators::star`]).
+    /// Star `K_{1,k}`: center 0, leaves `1..=k`.
     Star {
         /// Leaf count (`n = leaves + 1`).
         leaves: usize,
     },
-    /// `dim`-dimensional hypercube ([`generators::hypercube`]).
+    /// `dim`-dimensional hypercube (`2^dim` nodes, degree `dim`).
     Hypercube {
         /// Dimension (`n = 2^dim`).
         dim: u32,
     },
-    /// Uniformly random labeled tree ([`generators::random_tree`]).
+    /// Uniformly random labeled tree: the Prüfer sequence drawn from
+    /// `seed`, decoded by always taking the smallest leaf.
     RandomTree {
         /// Node count.
         n: usize,
@@ -66,6 +72,29 @@ pub enum StreamFamily {
         seed: Seed,
     },
 }
+
+/// Why [`StreamFamily::validate`] refuses a family. Its text names the
+/// broken rule; callers prefix their own context.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InvalidFamily {
+    /// The family's shape rule is broken: a cycle on fewer than 3 nodes,
+    /// or two cycles on an odd or fewer-than-6 node count.
+    Malformed(String),
+    /// The CSR's `u32` offsets cannot index the `2m` directed edges.
+    TooLarge(String),
+}
+
+impl fmt::Display for InvalidFamily {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidFamily::Malformed(reason) | InvalidFamily::TooLarge(reason) => {
+                f.write_str(reason)
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidFamily {}
 
 impl StreamFamily {
     /// Node count of the described graph.
@@ -131,113 +160,98 @@ impl StreamFamily {
         }
     }
 
-    /// The edge stream: emits each undirected edge exactly once, with the
-    /// same edge multiset as [`StreamFamily::materialize`]. Cloneable so
-    /// [`CsrAdjacency::from_edges`] can take its two passes.
+    /// Checks the spec alone, without building anything: the family's
+    /// shape, then the `u32` rank space. The CSR's `u32` offsets must
+    /// index all `2m` directed edges. Every family has `n <= m + 1`, so
+    /// that bound also lets a `u32` rank name every node.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the same size constraints as the materializing
-    /// generators (`Cycle` with `n < 3`, `TwoCycles` with odd or `< 6` n).
-    #[must_use]
-    pub fn edges(&self) -> EdgeStream {
+    /// [`InvalidFamily::Malformed`] for a cycle on fewer than 3 nodes or
+    /// two cycles on an odd or fewer-than-6 node count;
+    /// [`InvalidFamily::TooLarge`] for more than `u32::MAX / 2` edges.
+    pub fn validate(&self) -> Result<(), InvalidFamily> {
         match *self {
-            StreamFamily::Path { n } => EdgeStream::Path(PathEdges { k: 0, end: n }),
-            StreamFamily::Cycle { n } => {
-                assert!(n >= 3, "cycle needs at least 3 nodes, got {n}");
-                EdgeStream::Cycle(ring(0, n))
+            StreamFamily::Cycle { n } if n < 3 => Err(InvalidFamily::Malformed(format!(
+                "a cycle needs at least 3 nodes, got {n}"
+            ))),
+            StreamFamily::TwoCycles { n } if n < 6 || !n.is_multiple_of(2) => {
+                Err(InvalidFamily::Malformed(format!(
+                    "two cycles need an even node count of at least 6, got {n}"
+                )))
             }
-            StreamFamily::TwoCycles { n } => {
-                assert!(n >= 6 && n.is_multiple_of(2), "need even n >= 6, got {n}");
-                let half = n / 2;
-                EdgeStream::TwoCycles(ring(0, half).chain(ring(half, half)))
-            }
-            StreamFamily::Star { leaves } => EdgeStream::Star(StarEdges { k: 0, leaves }),
-            StreamFamily::Hypercube { dim } => {
-                EdgeStream::Hypercube(HypercubeEdges { dim, v: 0, bit: 0 })
-            }
-            StreamFamily::RandomTree { n, seed } => EdgeStream::Tree(TreeEdges::new(n, seed)),
+            _ => match self.checked_m() {
+                Some(m) if m <= (u32::MAX / 2) as usize => Ok(()),
+                Some(m) => Err(InvalidFamily::TooLarge(format!(
+                    "{m} edges need more than the {} directed edge slots a CSR can index",
+                    u32::MAX
+                ))),
+                None => Err(InvalidFamily::TooLarge(
+                    "more edges than usize can count".to_string(),
+                )),
+            },
         }
     }
 
-    /// Builds the CSR adjacency straight from the stream — bit-identical
-    /// to `self.materialize().csr()`, without the
-    /// intermediate graph. The family is matched once, and its own
-    /// iterator type goes to the CSR builder, so the count and scatter
-    /// passes each run one loop compiled for that family. A random tree
-    /// is decoded once: its degrees are the Prüfer occurrence counts,
+    /// Builds the CSR adjacency straight from the family's edge iterator,
+    /// without an intermediate edge list or graph. The family is matched
+    /// once and its own iterator goes to the CSR builder, so the count and
+    /// scatter passes each run one loop compiled for that family. A random
+    /// tree is decoded once: its degrees are the Prüfer occurrence counts,
     /// copied once, into the CSR offsets.
+    ///
+    /// # Panics
+    ///
+    /// If [`StreamFamily::validate`] refuses the family.
     #[must_use]
     pub fn stream_csr(&self) -> CsrAdjacency {
+        if let Err(e) = self.validate() {
+            panic!("{} family: {e}", self.name());
+        }
         let n = self.n();
-        match self.edges() {
-            EdgeStream::Path(e) => CsrAdjacency::from_edges(n, e),
-            EdgeStream::Cycle(e) => CsrAdjacency::from_edges(n, e),
-            EdgeStream::TwoCycles(e) => CsrAdjacency::from_edges(n, e),
-            EdgeStream::Star(e) => CsrAdjacency::from_edges(n, e),
-            EdgeStream::Hypercube(e) => CsrAdjacency::from_edges(n, e),
-            EdgeStream::Tree(tree) => {
+        match *self {
+            StreamFamily::Path { n } => CsrAdjacency::from_edges(n, PathEdges { k: 0, end: n }),
+            StreamFamily::Cycle { n } => CsrAdjacency::from_edges(n, ring(0, n)),
+            StreamFamily::TwoCycles { n } => {
+                let half = n / 2;
+                CsrAdjacency::from_edges(n, ring(0, half).chain(ring(half, half)))
+            }
+            StreamFamily::Star { leaves } => {
+                CsrAdjacency::from_edges(n, StarEdges { k: 0, leaves })
+            }
+            StreamFamily::Hypercube { dim } => {
+                CsrAdjacency::from_edges(n, HypercubeEdges { dim, v: 0, bit: 0 })
+            }
+            StreamFamily::RandomTree { n, seed } => {
+                let tree = TreeEdges::new(n, seed);
                 let counts = tree.deg.iter().copied().chain([0]).collect();
                 CsrAdjacency::scatter_sorted(counts, tree)
             }
         }
     }
 
-    /// The materialized [`Graph`] (the test oracle; O(n) `Vec`s + builder
-    /// validation).
+    /// The [`Graph`] of the family: [`StreamFamily::stream_csr`] with
+    /// IDs and names `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// If [`StreamFamily::validate`] refuses the family.
     #[must_use]
     pub fn materialize(&self) -> Graph {
-        match *self {
-            StreamFamily::Path { n } => generators::path(n),
-            StreamFamily::Cycle { n } => generators::cycle(n),
-            StreamFamily::TwoCycles { n } => generators::two_cycles(n),
-            StreamFamily::Star { leaves } => generators::star(leaves),
-            StreamFamily::Hypercube { dim } => generators::hypercube(dim),
-            StreamFamily::RandomTree { n, seed } => generators::random_tree(n, seed),
-        }
-    }
-}
-
-/// Edge iterator of a [`StreamFamily`]: one variant per family, each
-/// wrapping that family's own iterator type, so every edge formula is
-/// written once. [`StreamFamily::stream_csr`] unwraps the variant and
-/// hands the concrete iterator to the CSR builder, so its two passes run
-/// a loop specialized to one family instead of matching on every edge.
-#[derive(Debug, Clone)]
-pub enum EdgeStream {
-    /// Path edges `(k, k+1)`.
-    Path(PathEdges),
-    /// One cycle over all `n` nodes.
-    Cycle(RingEdges),
-    /// Two cycles of `n/2` nodes each, the second one after the first.
-    TwoCycles(Chain<RingEdges, RingEdges>),
-    /// Star edges `(0, k+1)`.
-    Star(StarEdges),
-    /// Hypercube edges `(v, v | 1 << bit)` for each clear bit of `v`.
-    Hypercube(HypercubeEdges),
-    /// Linear-time Prüfer decode of a random tree.
-    Tree(TreeEdges),
-}
-
-impl Iterator for EdgeStream {
-    type Item = (u32, u32);
-
-    fn next(&mut self) -> Option<(u32, u32)> {
-        match self {
-            EdgeStream::Path(e) => e.next(),
-            EdgeStream::Cycle(e) => e.next(),
-            EdgeStream::TwoCycles(e) => e.next(),
-            EdgeStream::Star(e) => e.next(),
-            EdgeStream::Hypercube(e) => e.next(),
-            EdgeStream::Tree(e) => e.next(),
-        }
+        let csr = self.stream_csr();
+        let n = csr.n() as u64;
+        Graph::from_parts(
+            (0..n).map(NodeId).collect(),
+            (0..n).map(NodeName).collect(),
+            csr,
+        )
     }
 }
 
 /// Edges `(k, k+1)` from the starting `k` while `k + 1 < end`: a path
 /// over the nodes `k..end`.
 #[derive(Debug, Clone)]
-pub struct PathEdges {
+struct PathEdges {
     k: usize,
     end: usize,
 }
@@ -257,7 +271,7 @@ impl Iterator for PathEdges {
 
 /// Edges of the cycle on nodes `off..off + len` (`len >= 3`): the path
 /// edges `(k, k+1)`, then the closing edge `(off + len - 1, off)`.
-pub type RingEdges = Chain<PathEdges, Once<(u32, u32)>>;
+type RingEdges = Chain<PathEdges, Once<(u32, u32)>>;
 
 fn ring(off: usize, len: usize) -> RingEdges {
     let end = off + len;
@@ -266,7 +280,7 @@ fn ring(off: usize, len: usize) -> RingEdges {
 
 /// Star edges `(0, k+1)` for `k < leaves`.
 #[derive(Debug, Clone)]
-pub struct StarEdges {
+struct StarEdges {
     k: usize,
     leaves: usize,
 }
@@ -286,7 +300,7 @@ impl Iterator for StarEdges {
 /// Hypercube edges `(v, v | 1 << bit)` for each clear bit of `v`, in
 /// node order and then bit order.
 #[derive(Debug, Clone)]
-pub struct HypercubeEdges {
+struct HypercubeEdges {
     dim: u32,
     /// Current node.
     v: usize,
@@ -322,8 +336,8 @@ impl Iterator for HypercubeEdges {
 /// chained in directly as the next leaf. It always takes the minimum leaf,
 /// so it emits the classic decoding's `(leaf, prufer[i])` pairs and final
 /// `(leaf, n-1)` edge, holding only the sequence and the degree array.
-#[derive(Debug, Clone)]
-pub struct TreeEdges {
+#[derive(Debug)]
+struct TreeEdges {
     /// The Prüfer sequence (`n − 2` entries).
     prufer: Vec<u32>,
     pos: usize,
@@ -402,14 +416,15 @@ mod tests {
     use super::*;
 
     fn assert_streamed_matches(fam: StreamFamily) {
-        let streamed = fam.stream_csr();
         let g = fam.materialize();
-        assert_eq!(&streamed, g.csr(), "{} n={}", fam.name(), fam.n());
-        assert_eq!(streamed.directed_edges(), 2 * fam.m(), "{}", fam.name());
+        assert_eq!(g.n(), fam.n(), "{}", fam.name());
+        assert_eq!(g.m(), fam.m(), "{}", fam.name());
+        assert_eq!(g.csr(), &fam.stream_csr(), "{}", fam.name());
+        assert!((0..g.n()).all(|v| g.id(v).0 == v as u64 && g.name(v).0 == v as u64));
     }
 
     #[test]
-    fn deterministic_families_match_materialized() {
+    fn deterministic_families_match_their_sizes() {
         assert_streamed_matches(StreamFamily::Path { n: 0 });
         assert_streamed_matches(StreamFamily::Path { n: 1 });
         assert_streamed_matches(StreamFamily::Path { n: 17 });
@@ -424,25 +439,90 @@ mod tests {
     }
 
     #[test]
-    fn random_trees_match_materialized() {
+    fn random_trees_match_their_sizes() {
         for n in [0usize, 1, 2, 3, 10, 64, 257] {
             for s in [0u64, 7, 0xDEAD] {
-                assert_streamed_matches(StreamFamily::RandomTree { n, seed: Seed(s) });
+                let fam = StreamFamily::RandomTree { n, seed: Seed(s) };
+                assert_streamed_matches(fam);
+                assert!(n == 0 || fam.materialize().is_connected());
             }
         }
     }
 
     #[test]
-    fn tree_stream_clone_replays_identically() {
-        let fam = StreamFamily::RandomTree {
-            n: 50,
-            seed: Seed(9),
-        };
-        let a: Vec<(u32, u32)> = fam.edges().collect();
-        let stream = fam.edges();
-        let b: Vec<(u32, u32)> = stream.clone().collect();
-        let c: Vec<(u32, u32)> = stream.collect();
-        assert_eq!(a, b);
-        assert_eq!(b, c);
+    fn validate_refuses_malformed_shapes() {
+        for n in [0, 1, 2] {
+            assert_eq!(
+                StreamFamily::Cycle { n }.validate(),
+                Err(InvalidFamily::Malformed(format!(
+                    "a cycle needs at least 3 nodes, got {n}"
+                )))
+            );
+        }
+        // The shape is reported before the size.
+        for n in [0, 4, 5, 7, (1 << 33) + 1] {
+            let err = StreamFamily::TwoCycles { n }.validate().unwrap_err();
+            assert!(matches!(err, InvalidFamily::Malformed(_)), "{n}: {err}");
+            assert_eq!(
+                err.to_string(),
+                format!("two cycles need an even node count of at least 6, got {n}")
+            );
+        }
+        assert_eq!(StreamFamily::Cycle { n: 3 }.validate(), Ok(()));
+        assert_eq!(StreamFamily::TwoCycles { n: 6 }.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_bounds_the_rank_space_at_the_largest_fitting_inputs() {
+        let half = (u32::MAX / 2) as usize;
+        // The largest inputs that fit: 2m <= u32::MAX, hence n <= u32::MAX.
+        for fam in [
+            StreamFamily::Path { n: half + 1 },
+            StreamFamily::Cycle { n: half },
+            StreamFamily::TwoCycles { n: half - 1 },
+            StreamFamily::Star { leaves: half },
+            StreamFamily::Hypercube { dim: 27 },
+            StreamFamily::RandomTree {
+                n: half + 1,
+                seed: Seed(1),
+            },
+        ] {
+            assert_eq!(fam.validate(), Ok(()), "{fam:?}");
+            assert!(fam.n() <= u32::MAX as usize && 2 * fam.m() <= u32::MAX as usize);
+        }
+        for fam in [
+            StreamFamily::Path { n: half + 2 },
+            StreamFamily::Cycle { n: half + 1 },
+            StreamFamily::TwoCycles { n: half + 1 },
+            StreamFamily::Star { leaves: half + 1 },
+            StreamFamily::Hypercube { dim: 28 },
+            StreamFamily::RandomTree {
+                n: usize::MAX,
+                seed: Seed(1),
+            },
+            StreamFamily::Star { leaves: usize::MAX },
+        ] {
+            let err = fam.validate().unwrap_err();
+            let m = fam.m();
+            assert_eq!(
+                err,
+                InvalidFamily::TooLarge(format!(
+                    "{m} edges need more than the 4294967295 directed edge slots a CSR can index"
+                )),
+                "{fam:?}"
+            );
+        }
+        assert_eq!(
+            StreamFamily::Hypercube { dim: 64 }.validate(),
+            Err(InvalidFamily::TooLarge(
+                "more edges than usize can count".to_string()
+            ))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "two-cycles family: two cycles need an even node count")]
+    fn stream_csr_refuses_an_invalid_family() {
+        let _ = StreamFamily::TwoCycles { n: 7 }.stream_csr();
     }
 }

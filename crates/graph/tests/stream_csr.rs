@@ -12,7 +12,8 @@
 //! is resolved once per process), so ci.sh runs this suite a second time,
 //! under forced `RAYON_NUM_THREADS=4`, in its scale-equivalence step; the
 //! parallel row-sort inside `from_edges` is a pure per-row function
-//! either way. Most proptests stop below 400 nodes, so path, cycle, both
+//! either way, and below 2¹⁴ directed edges it sorts the same row blocks
+//! inline. Most proptests stop below 400 nodes, so path, cycle, both
 //! two-cycles parities, star and a random tree are also pinned at sizes
 //! past 2¹⁶, where each of the 16 row-sort blocks of 4 workers holds
 //! thousands of rows.

@@ -52,7 +52,7 @@
 use crate::cluster::{Cluster, MpcError};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use csmpc_graph::rng::Seed;
-use csmpc_graph::{CsrAdjacency, StreamFamily};
+use csmpc_graph::{CsrAdjacency, InvalidFamily, StreamFamily};
 use csmpc_parallel::{par_fill_blocks, par_map_range_into, par_update_any, ParallelismMode};
 
 /// Sentinel for a vertex not yet colored by [`ball_coloring`].
@@ -112,19 +112,24 @@ fn mix(seed: u64, salt: u64, v: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// Before anything is allocated: [`MpcError::MalformedInput`] if the spec
-/// breaks its family's size constraints (a `Cycle` below 3 nodes, a
-/// `TwoCycles` with odd `n` or `n < 6`), and [`MpcError::InputTooLarge`]
-/// if the node count or the directed edge count `2m` does not fit the
-/// `u32` rank space. Then [`MpcError::SpaceExceeded`] if a machine's
+/// Before anything is allocated, whatever [`StreamFamily::validate`]
+/// refuses: [`MpcError::MalformedInput`] if the spec breaks its family's
+/// shape rule (a `Cycle` below 3 nodes, a `TwoCycles` with odd `n` or
+/// `n < 6`), and [`MpcError::InputTooLarge`] if the CSR's `u32` offsets
+/// cannot index its `2m` directed edges (which also bounds `n`). Then [`MpcError::SpaceExceeded`] if a machine's
 /// share of the input does not fit in `S`, and [`MpcError::MachineFailed`]
 /// from an armed fault plan.
 pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacency, MpcError> {
-    well_formed(family)?;
-    let (n, m) = rank_space(family)?;
+    family.validate().map_err(|e| {
+        let reason = format!("{} input: {e}", family.name());
+        match e {
+            InvalidFamily::Malformed(_) => MpcError::MalformedInput { reason },
+            InvalidFamily::TooLarge(_) => MpcError::InputTooLarge { reason },
+        }
+    })?;
     let timer = PhaseTimer::start();
     let csr = family.stream_csr();
-    let words = 2 * n + 2 * m;
+    let words = 2 * family.n() + 2 * family.m();
     cluster.advance_rounds(1)?;
     let per_machine = words.div_ceil(cluster.num_machines().max(1));
     cluster.charge_words(per_machine, words as u64);
@@ -134,42 +139,6 @@ pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacenc
         ..PhaseTimes::default()
     });
     Ok(csr)
-}
-
-/// Refuses the specs that [`StreamFamily::edges`] would panic on, from the
-/// spec alone.
-fn well_formed(family: StreamFamily) -> Result<(), MpcError> {
-    let reason = match family {
-        StreamFamily::Cycle { n } if n < 3 => format!("{n} nodes, but a cycle needs at least 3"),
-        StreamFamily::TwoCycles { n } if n < 6 || !n.is_multiple_of(2) => {
-            format!("{n} nodes, but two cycles need an even count of at least 6")
-        }
-        _ => return Ok(()),
-    };
-    Err(MpcError::MalformedInput {
-        reason: format!("{} input has {reason}", family.name()),
-    })
-}
-
-/// `family`'s node and edge counts, in closed form, if every node index
-/// and label fits a `u32` rank and the CSR's `u32` offsets can index all
-/// `2m` directed edges.
-fn rank_space(family: StreamFamily) -> Result<(usize, usize), MpcError> {
-    let limit = u32::MAX as usize;
-    let reason = match (family.checked_n(), family.checked_m()) {
-        (Some(n), Some(m)) if n <= limit && m <= limit / 2 => return Ok((n, m)),
-        (Some(n), _) if n > limit => {
-            format!("{n} nodes, more than the {limit} a u32 rank can name")
-        }
-        (None, _) => "more nodes than usize can count".to_string(),
-        (_, Some(m)) => {
-            format!("{m} edges, more than the {limit} directed edge slots a CSR can index")
-        }
-        (_, None) => "more edges than usize can count".to_string(),
-    };
-    Err(MpcError::InputTooLarge {
-        reason: format!("{} input has {reason}", family.name()),
-    })
 }
 
 /// One pointer-jumping iteration, the sweep behind every cc-labels path.
@@ -655,25 +624,25 @@ mod tests {
     #[test]
     fn ingest_refuses_inputs_beyond_the_rank_space() {
         // Only the closed-form counts are read: none of these is built.
-        let nodes = "a u32 rank can name";
-        let edges = "directed edge slots a CSR can index";
-        let overflow = "than usize can count";
+        // 2m <= u32::MAX bounds n too, so every refusal names the edges.
+        let edges = "edges need more than the 4294967295 directed edge slots a CSR can index";
+        let overflow = "more edges than usize can count";
         for (family, why) in [
-            (StreamFamily::Path { n: 1 << 33 }, nodes),
+            (StreamFamily::Path { n: 1 << 33 }, edges),
             (StreamFamily::Path { n: (1 << 31) + 1 }, edges),
-            (StreamFamily::Cycle { n: 1 << 33 }, nodes),
+            (StreamFamily::Cycle { n: 1 << 33 }, edges),
             (StreamFamily::TwoCycles { n: 1 << 31 }, edges),
-            (StreamFamily::Star { leaves: 1 << 32 }, nodes),
-            (StreamFamily::Star { leaves: usize::MAX }, overflow),
+            (StreamFamily::Star { leaves: 1 << 32 }, edges),
+            (StreamFamily::Star { leaves: usize::MAX }, edges),
             (StreamFamily::Hypercube { dim: 28 }, edges),
-            (StreamFamily::Hypercube { dim: 40 }, nodes),
+            (StreamFamily::Hypercube { dim: 40 }, edges),
             (StreamFamily::Hypercube { dim: 64 }, overflow),
             (
                 StreamFamily::RandomTree {
                     n: usize::MAX,
                     seed: Seed(1),
                 },
-                nodes,
+                edges,
             ),
         ] {
             let mut cl = cluster_for(StreamFamily::Path { n: 8 }, ParallelismMode::Sequential);
@@ -685,20 +654,6 @@ mod tests {
             assert!(reason.contains(why), "{reason}");
             assert_eq!(cl.stats().rounds, 0, "{reason}: refused before charging");
         }
-        // The largest inputs that fit: n and 2m at most u32::MAX.
-        let limit = u32::MAX as usize;
-        assert_eq!(
-            rank_space(StreamFamily::Path { n: 1 << 31 }),
-            Ok((1 << 31, limit / 2))
-        );
-        assert_eq!(
-            rank_space(StreamFamily::Hypercube { dim: 27 }),
-            Ok((1 << 27, 27 << 26))
-        );
-        assert_eq!(
-            rank_space(StreamFamily::Star { leaves: limit / 2 }),
-            Ok((limit / 2 + 1, limit / 2))
-        );
     }
 
     /// `ingest` refuses each of `families` with a [`MpcError::MalformedInput`]
@@ -716,12 +671,12 @@ mod tests {
         }
     }
 
-    const TWO_CYCLES_NEED: &str = "but two cycles need an even count of at least 6";
+    const TWO_CYCLES_NEED: &str = "two cycles need an even node count of at least 6";
 
     #[test]
     fn ingest_refuses_cycles_below_three_nodes() {
         let small = [0, 1, 2].map(|n| StreamFamily::Cycle { n });
-        assert_malformed(&small, "but a cycle needs at least 3");
+        assert_malformed(&small, "a cycle needs at least 3 nodes");
         let family = StreamFamily::Cycle { n: 3 };
         let mut cl = cluster_for(family, ParallelismMode::Sequential);
         assert_eq!(ingest(family, &mut cl).unwrap().n(), 3);

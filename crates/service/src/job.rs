@@ -4,6 +4,12 @@
 //! fault recipe, space budget, deadline, retry policy. Everything an
 //! attempt does is derived from the spec deterministically, so the
 //! service can replay, retry, and fingerprint jobs without hidden state.
+//!
+//! A [`GraphSpec`] names one seeded [`StreamFamily`]
+//! ([`GraphSpec::family`]); its validity rules, closed-form sizes and
+//! built graph are the family's, so admission, the graph store and the
+//! scale path share one description of each graph. Only its journal
+//! encoding is its own.
 
 use crate::backoff::BackoffPolicy;
 use csmpc_algorithms::amplify::StableOneShotIs;
@@ -11,7 +17,7 @@ use csmpc_algorithms::mpc_edge::BallGreedyColoringMpc;
 use csmpc_algorithms::MpcVertexAlgorithm;
 use csmpc_graph::fnv::Fnv1a;
 use csmpc_graph::rng::Seed;
-use csmpc_graph::{generators, Graph};
+use csmpc_graph::{Graph, StreamFamily};
 use csmpc_mpc::{Cluster, DistributedGraph, FaultPlan, MpcError};
 
 /// Service-assigned job identity: the index of the submission, dense
@@ -55,28 +61,30 @@ impl Priority {
     }
 }
 
-/// A deterministic graph recipe. Specs are *content*, not graph handles:
-/// two jobs with equal specs share one built graph through the
-/// [`crate::GraphStore`].
+/// A deterministic graph recipe: a name for one seeded
+/// [`StreamFamily`] ([`GraphSpec::family`]), which holds the family's
+/// validity rules, closed-form sizes and graph. Specs are *content*, not
+/// graph handles: two jobs with equal specs share one built graph
+/// through the [`crate::GraphStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphSpec {
-    /// `generators::cycle(n)`.
+    /// [`StreamFamily::Cycle`].
     Cycle {
         /// Node count.
         n: usize,
     },
-    /// `generators::path(n)`.
+    /// [`StreamFamily::Path`].
     Path {
         /// Node count.
         n: usize,
     },
-    /// `generators::two_cycles(n)` — two components, the stability
+    /// [`StreamFamily::TwoCycles`] — two components, the stability
     /// workhorse.
     TwoCycles {
         /// Total nodes, split into two cycles (even, ≥ 6).
         n: usize,
     },
-    /// `generators::random_tree(n, seed)`.
+    /// [`StreamFamily::RandomTree`].
     RandomTree {
         /// Node count.
         n: usize,
@@ -86,18 +94,31 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// Materializes the recipe. Pure: equal specs build equal graphs.
+    /// The seeded family this recipe names.
     #[must_use]
-    pub fn build(&self) -> Graph {
+    pub fn family(&self) -> StreamFamily {
         match *self {
-            GraphSpec::Cycle { n } => generators::cycle(n),
-            GraphSpec::Path { n } => generators::path(n),
-            GraphSpec::TwoCycles { n } => generators::two_cycles(n),
-            GraphSpec::RandomTree { n, seed } => generators::random_tree(n, Seed(seed)),
+            GraphSpec::Cycle { n } => StreamFamily::Cycle { n },
+            GraphSpec::Path { n } => StreamFamily::Path { n },
+            GraphSpec::TwoCycles { n } => StreamFamily::TwoCycles { n },
+            GraphSpec::RandomTree { n, seed } => StreamFamily::RandomTree {
+                n,
+                seed: Seed(seed),
+            },
         }
     }
 
-    /// Checks the recipe against its generator's preconditions without
+    /// Materializes the recipe. Pure: equal specs build equal graphs.
+    ///
+    /// # Panics
+    ///
+    /// If [`GraphSpec::validate`] refuses the recipe.
+    #[must_use]
+    pub fn build(&self) -> Graph {
+        self.family().materialize()
+    }
+
+    /// Checks the recipe with [`StreamFamily::validate`], without
     /// building it.
     ///
     /// # Errors
@@ -106,40 +127,21 @@ impl GraphSpec {
     /// nodes, two cycles on an odd or fewer-than-6 node count, or more
     /// directed edges (`2m`) than the CSR's `u32` offsets can index.
     pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            GraphSpec::Cycle { n } if n < 3 => Err(format!(
-                "invalid graph: a cycle needs at least 3 nodes, got {n}"
-            )),
-            GraphSpec::TwoCycles { n } if n < 6 || n % 2 == 1 => Err(format!(
-                "invalid graph: two cycles need an even node count of at least 6, got {n}"
-            )),
-            _ if self.edges() > (u32::MAX / 2) as usize => Err(format!(
-                "invalid graph: {} edges need more than the {} directed edge slots a CSR can index",
-                self.edges(),
-                u32::MAX
-            )),
-            _ => Ok(()),
-        }
+        self.family()
+            .validate()
+            .map_err(|e| format!("invalid graph: {e}"))
     }
 
     /// Node count without building the graph.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        match *self {
-            GraphSpec::Cycle { n }
-            | GraphSpec::Path { n }
-            | GraphSpec::TwoCycles { n }
-            | GraphSpec::RandomTree { n, .. } => n,
-        }
+        self.family().n()
     }
 
     /// Undirected edge count without building the graph.
     #[must_use]
     pub fn edges(&self) -> usize {
-        match *self {
-            GraphSpec::Cycle { n } | GraphSpec::TwoCycles { n } => n,
-            GraphSpec::Path { n } | GraphSpec::RandomTree { n, .. } => n.saturating_sub(1),
-        }
+        self.family().m()
     }
 
     /// `graph_words` of the built graph (`2n + 2m`) without building it,

@@ -2,14 +2,15 @@
 //!
 //! Over all four variants, at every node count up to 10⁴ and at counts
 //! near the `u32` and `usize` limits:
-//! - `validate` accepts exactly the specs whose edge count fits the CSR's
-//!   `u32` offsets and whose shape is well formed, and its rejection texts
-//!   are the ones the journal records (`Rejected { reason }`), written out
-//!   here byte for byte;
+//! - `validate` accepts exactly when `family().validate()` does: the
+//!   specs whose shape is well formed and whose edge count fits the CSR's
+//!   `u32` offsets. Its rejection texts are the ones the journal records
+//!   (`Rejected { reason }`), written out here byte for byte;
 //! - `nodes` and `words` are the closed-form sizes, and for accepted specs
 //!   of at most 4,000 nodes `words` is `graph_words` of the built graph;
-//! - `build` equals the builder-loop oracle shared with csmpc-graph's
-//!   `stream_csr` suite on IDs, names, CSR offsets and targets.
+//! - `family` names the matching stream family, and `build` equals the
+//!   builder-loop oracle shared with csmpc-graph's `stream_csr` suite on
+//!   IDs, names, CSR offsets and targets.
 
 use csmpc_graph::rng::Seed;
 use csmpc_graph::StreamFamily;
@@ -19,19 +20,6 @@ use proptest::prelude::*;
 
 #[path = "../../graph/tests/oracle/mod.rs"]
 mod oracle;
-
-/// The family a spec names, written out by hand.
-fn family_of(spec: GraphSpec) -> StreamFamily {
-    match spec {
-        GraphSpec::Cycle { n } => StreamFamily::Cycle { n },
-        GraphSpec::Path { n } => StreamFamily::Path { n },
-        GraphSpec::TwoCycles { n } => StreamFamily::TwoCycles { n },
-        GraphSpec::RandomTree { n, seed } => StreamFamily::RandomTree {
-            n,
-            seed: Seed(seed),
-        },
-    }
-}
 
 /// The `variant`-th spec kind at `n` nodes.
 fn spec(variant: u8, n: usize, seed: u64) -> GraphSpec {
@@ -73,7 +61,17 @@ fn rejection(spec: GraphSpec) -> Option<String> {
 /// closed-form sizes.
 fn check_sizes(spec: GraphSpec) {
     assert_eq!(spec.validate().err(), rejection(spec), "{spec:?}");
-    let n = family_of(spec).n();
+    assert_eq!(
+        spec.validate().is_ok(),
+        spec.family().validate().is_ok(),
+        "{spec:?}"
+    );
+    let n = match spec {
+        GraphSpec::Cycle { n }
+        | GraphSpec::Path { n }
+        | GraphSpec::TwoCycles { n }
+        | GraphSpec::RandomTree { n, .. } => n,
+    };
     assert_eq!(spec.nodes(), n, "{spec:?}");
     let words = n.checked_add(edges(spec)).and_then(|s| s.checked_mul(2));
     assert_eq!(spec.words(), words, "{spec:?}");
@@ -82,7 +80,17 @@ fn check_sizes(spec: GraphSpec) {
 /// Builds an accepted spec and compares it with the oracle.
 fn check_build(spec: GraphSpec) {
     let g = spec.build();
-    assert_eq!(g, oracle::build(family_of(spec)), "{spec:?}");
+    let family = match spec {
+        GraphSpec::Cycle { n } => StreamFamily::Cycle { n },
+        GraphSpec::Path { n } => StreamFamily::Path { n },
+        GraphSpec::TwoCycles { n } => StreamFamily::TwoCycles { n },
+        GraphSpec::RandomTree { n, seed } => StreamFamily::RandomTree {
+            n,
+            seed: Seed(seed),
+        },
+    };
+    assert_eq!(spec.family(), family, "{spec:?}");
+    assert_eq!(g, oracle::build(family), "{spec:?}");
     assert_eq!(spec.words(), Some(graph_words(&g)), "{spec:?}");
 }
 
