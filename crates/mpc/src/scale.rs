@@ -22,8 +22,10 @@
 //! aside), and compaction writes every vertex and advances by its keep
 //! flag. Both compute exactly what an early-exit loop would, so outputs
 //! and ledgers are unchanged.
-//! The workspace holds 21 bytes per vertex at rest: priorities are mixed
-//! inline, and cc keeps its ranks in the frontier buffer and its hook
+//! The workspace holds 22 bytes per vertex at rest: priorities are mixed
+//! inline, coloring's short rows read a one-byte shadow of each color
+//! instead of the `u32` color, and cc keeps its ranks in the frontier
+//! buffer and its hook
 //! output in the frontier kernels' result buffer. The cc jump updates the
 //! ranks in place and answers the convergence check itself; the ranks
 //! are widened into the `u64` `label` output once, at the end.
@@ -58,14 +60,24 @@ use csmpc_parallel::{par_fill_blocks, par_map_range_into, par_update_any, Parall
 /// Sentinel for a vertex not yet colored by [`ball_coloring`].
 const UNCOLORED: u32 = u32::MAX;
 
+/// [`ScaleWorkspace::shade`] of a vertex not yet colored.
+const UNCOLORED_SHADE: u8 = u8::MAX;
+
+/// The one-byte shadow of color `c`: `c` itself below 64, 64 for any
+/// larger color, and [`UNCOLORED_SHADE`] for [`UNCOLORED`].
+fn shade_of(c: u32) -> u8 {
+    (c.min(64) as u8) | (u8::from(c == UNCOLORED) * UNCOLORED_SHADE)
+}
+
 /// Reusable per-vertex buffers for the scale workloads.
 ///
 /// All buffers grow to the largest `n` seen and are never shrunk; a
 /// second run at the same topology performs no heap allocation on the
 /// sweep path ([`crate::ParallelismMode::Sequential`]). One workspace serves all
 /// three workloads — they share buffers, so results live in the workspace
-/// only until the next call. Warm, it holds 21 bytes per vertex: `label`
-/// (`u64`), `state` (`u8`), and `color`, `active` and `results` (`u32`).
+/// only until the next call. Warm, it holds 22 bytes per vertex: `label`
+/// (`u64`), `state` and `shade` (`u8`), and `color`, `active` and
+/// `results` (`u32`).
 #[derive(Debug, Default)]
 pub struct ScaleWorkspace {
     /// Component labels ([`cc_labels`] output: minimum node index in the
@@ -75,6 +87,10 @@ pub struct ScaleWorkspace {
     pub state: Vec<u8>,
     /// Vertex colors ([`ball_coloring`] output).
     pub color: Vec<u32>,
+    /// One byte per vertex mirroring `color` exactly for the uncolored
+    /// and colors below 64 ([`shade_of`]), so a short coloring row builds
+    /// its mask from a quarter of the bytes.
+    shade: Vec<u8>,
     /// The frontier: still-undecided vertices, ascending. Also cc's
     /// working ranks: [`cc_labels`] pointer-jumps here and widens the
     /// result into `label` once it has converged.
@@ -357,22 +373,29 @@ pub fn luby_mis(
 /// neighbors `nbrs`: [`UNCOLORED`] if an uncolored neighbor outranks it,
 /// else the smallest color no colored neighbor uses.
 ///
-/// A row shorter than 64 takes one branch-free pass that builds both the
-/// blocked flag and a one-word exclusion mask: the answer is then below
-/// 64, so larger neighbor colors (and [`UNCOLORED`]) cannot block it.
-/// Longer rows stop at the first outranking neighbor and probe colors
+/// A row shorter than 64 takes one branch-free pass over the neighbors'
+/// `shades` that builds both the blocked flag and a one-word exclusion
+/// mask: the answer is then below 64, so larger neighbor colors (shade
+/// 64) and [`UNCOLORED_SHADE`] cannot block it. Longer rows read
+/// `colors`, stop at the first outranking neighbor and probe colors
 /// upward.
-fn jones_plassmann_step<P>(pv: (u64, u32), nbrs: &[u32], colors: &[u32], priority: P) -> u32
+fn jones_plassmann_step<P>(
+    pv: (u64, u32),
+    nbrs: &[u32],
+    colors: &[u32],
+    shades: &[u8],
+    priority: P,
+) -> u32
 where
     P: Fn(u32) -> u64,
 {
-    let outranks = |w: u32, c: u32| (c == UNCOLORED) & precedes(pv, (priority(w), w));
+    let outranks = |w: u32| precedes(pv, (priority(w), w));
     if nbrs.len() < 64 {
         let (mut blocked, mut mask) = (false, 0u64);
         for &w in nbrs {
-            let c = colors[w as usize];
-            blocked |= outranks(w, c);
-            mask |= u64::from(c < 64) << (c & 63);
+            let s = shades[w as usize];
+            blocked |= (s == UNCOLORED_SHADE) & outranks(w);
+            mask |= u64::from(s < 64) << (s & 63);
         }
         return if blocked {
             UNCOLORED
@@ -380,7 +403,10 @@ where
             (!mask).trailing_zeros()
         };
     }
-    if nbrs.iter().any(|&w| outranks(w, colors[w as usize])) {
+    if nbrs
+        .iter()
+        .any(|&w| (colors[w as usize] == UNCOLORED) & outranks(w))
+    {
         return UNCOLORED;
     }
     let mut c = 0u32;
@@ -422,12 +448,14 @@ pub fn ball_coloring(
     let d = cluster.tree_depth();
     let ScaleWorkspace {
         color,
+        shade,
         active,
         results,
         ..
     } = ws;
     let priority = |v: u32| mix(seed.0, 0x636f_6c6f_7269_6e67, u64::from(v));
     par_map_range_into(mode, n, color, |_| UNCOLORED);
+    par_map_range_into(mode, n, shade, |_| UNCOLORED_SHADE);
     active.clear();
     active.extend(0..n as u32);
     let mut rounds = 0usize;
@@ -437,15 +465,16 @@ pub fn ball_coloring(
         cluster.advance_rounds(2 * d)?;
         cluster.time_step(|| {
             {
-                let col: &[u32] = color;
+                let (col, sh): (&[u32], &[u8]) = (color, shade);
                 sweep_frontier(mode, active, results, |v| {
                     let pv = (priority(v as u32), v as u32);
-                    jones_plassmann_step(pv, csr.neighbors(v), col, priority)
+                    jones_plassmann_step(pv, csr.neighbors(v), col, sh, priority)
                 });
             }
             // An uncolored result writes UNCOLORED back and wraps to 0.
             commit_frontier(active, results, |v, c| {
                 color[v] = c;
+                shade[v] = shade_of(c);
                 used = used.max(c.wrapping_add(1));
                 c == UNCOLORED
             });
