@@ -18,7 +18,12 @@
 //!
 //! `--smoke` shrinks the sizes and repetition counts for the CI gate and
 //! writes `BENCH_mpc_smoke.json` instead, leaving the committed full
-//! baseline untouched. `--gate <path>` compares the run against a
+//! baseline untouched. With more than one effective worker the smoke then
+//! checks that parallel mode is not slower than sequential: it re-times
+//! every row whose sequential best-of reaches 2 ms, five interleaved
+//! passes per column, and fails if fewer than three rows qualify or the
+//! geometric mean of their median-time speedups is below 1.0. Sub-ms rows
+//! would measure pool dispatch, not parallel work. `--gate <path>` compares the run against a
 //! previously committed baseline JSON (matching workload/size rows) and
 //! fails on gross regressions; tolerances are deliberately generous
 //! (shared CI runners jitter), so only multi-x slowdowns trip it.
@@ -71,6 +76,18 @@ const GATE_ROUTE_FAIL: f64 = 3.0;
 /// gate compares against at least this much.
 const GATE_ROUTE_FLOOR_NS: f64 = 20_000.0;
 
+/// The smoke's speedup check covers only rows whose sequential best-of
+/// time reaches this many milliseconds: below it, a pool dispatch on a
+/// small shared host costs more than the work it splits.
+const SPEEDUP_MIN_SEQ_MS: f64 = 2.0;
+
+/// Interleaved sequential/parallel passes per row in the speedup check;
+/// each column's median is its time.
+const SPEEDUP_REPS: usize = 5;
+
+/// The speedup check fails unless at least this many rows qualify.
+const SPEEDUP_MIN_ROWS: usize = 3;
+
 fn cluster_in_mode(g: &Graph, min_space: usize, seed: Seed, mode: ParallelismMode) -> Cluster {
     let cfg = MpcConfig {
         min_space,
@@ -99,6 +116,32 @@ fn time_best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         }
     }
     (best, best_val)
+}
+
+/// Median wall time of each column over `reps` interleaved passes
+/// (sequential, parallel, sequential, …), in milliseconds, so both
+/// columns sample the same stretch of host load.
+fn interleaved_medians(run: &mut PreparedRunner, reps: usize) -> (f64, f64) {
+    let mut times = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    for _ in 0..reps {
+        for (mode, out) in [ParallelismMode::Sequential, ParallelismMode::Parallel]
+            .into_iter()
+            .zip(&mut times)
+        {
+            let t0 = Instant::now();
+            black_box(run(mode));
+            out.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let [seq, par] = times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    });
+    (seq, par)
+}
+
+fn geometric_mean(ratios: &[f64]) -> f64 {
+    (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
 }
 
 /// One repeatable workload pass: the input is prepared once per size by
@@ -704,70 +747,55 @@ fn main() {
     let par_label = if par_workers > 1 { "par" } else { "inline" };
 
     type Prepare = fn(usize) -> PreparedRunner;
-    let suite: [(&str, Prepare, [usize; 2]); 8] = [
+    // The million-vertex scale family: streaming CSR ingestion plus
+    // workspace-backed sweeps, no intermediate Graph. Its smoke sizes end
+    // at 2^18, where each row carries milliseconds of parallel work for
+    // the speedup check.
+    let scale_sizes: &[usize] = if smoke {
+        &[10_000, 30_000, 1 << 18]
+    } else {
+        &[100_000, 1_000_000]
+    };
+    let suite: [(&str, Prepare, &[usize]); 8] = [
         (
             "luby-mis",
             luby_mis,
-            if smoke { [300, 600] } else { [1500, 4000] },
+            if smoke { &[300, 600] } else { &[1500, 4000] },
         ),
         (
             "cc-labels",
             cc_labels,
-            if smoke { [300, 600] } else { [1500, 4000] },
+            if smoke { &[300, 600] } else { &[1500, 4000] },
         ),
         (
             "ball-coloring",
             ball_coloring,
-            if smoke { [150, 300] } else { [600, 1500] },
+            if smoke { &[150, 300] } else { &[600, 1500] },
         ),
         (
             "chaos-replay",
             chaos_replay,
-            if smoke { [200, 400] } else { [600, 1200] },
+            if smoke { &[200, 400] } else { &[600, 1200] },
         ),
         (
             "e05-success-probability",
             e05_success_probability,
-            if smoke { [60, 120] } else { [240, 480] },
+            if smoke { &[60, 120] } else { &[240, 480] },
         ),
-        // The million-vertex scale family: streaming CSR ingestion plus
-        // workspace-backed sweeps, no intermediate Graph.
-        (
-            "scale-cc-labels",
-            scale_cc_labels,
-            if smoke {
-                [10_000, 30_000]
-            } else {
-                [100_000, 1_000_000]
-            },
-        ),
-        (
-            "scale-luby-mis",
-            scale_luby_mis,
-            if smoke {
-                [10_000, 30_000]
-            } else {
-                [100_000, 1_000_000]
-            },
-        ),
-        (
-            "scale-ball-coloring",
-            scale_ball_coloring,
-            if smoke {
-                [10_000, 30_000]
-            } else {
-                [100_000, 1_000_000]
-            },
-        ),
+        ("scale-cc-labels", scale_cc_labels, scale_sizes),
+        ("scale-luby-mis", scale_luby_mis, scale_sizes),
+        ("scale-ball-coloring", scale_ball_coloring, scale_sizes),
     ];
 
     println!(
-        "perf suite: {} workloads x 2 sizes, best of {reps}, seq column {seq_workers} worker, \
+        "perf suite: {} workloads, {} rows, best of {reps}, seq column {seq_workers} worker, \
          {par_label} column {par_workers} effective worker(s) ({threads} thread(s) on {cores} \
          core(s)), smoke={smoke}",
-        suite.len()
+        suite.len(),
+        suite.iter().map(|(_, _, sizes)| sizes.len()).sum::<usize>()
     );
     let mut samples = Vec::new();
+    let mut runners = Vec::new();
     for (workload, prepare, sizes) in suite {
         if only
             .as_ref()
@@ -775,7 +803,7 @@ fn main() {
         {
             continue;
         }
-        for n in sizes {
+        for &n in sizes {
             let mut run = prepare(n);
             let (seq_ms, phase) = time_best_of(reps, || run(ParallelismMode::Sequential));
             let (par_ms, _) = time_best_of(reps, || run(ParallelismMode::Parallel));
@@ -803,6 +831,7 @@ fn main() {
                 );
             }
             samples.push(s);
+            runners.push(run);
         }
     }
 
@@ -810,8 +839,7 @@ fn main() {
     // absolute runtime. With one effective worker the "parallel" column
     // ran inline, so the ratio measures dispatch overhead, not speedup —
     // don't report it as one.
-    let geomean =
-        (samples.iter().map(|s| s.speedup().ln()).sum::<f64>() / samples.len() as f64).exp();
+    let geomean = geometric_mean(&samples.iter().map(Sample::speedup).collect::<Vec<_>>());
     if par_workers > 1 {
         println!("geometric-mean speedup ({par_label}, {par_workers} workers): {geomean:.2}x");
     } else {
@@ -975,14 +1003,49 @@ fn main() {
     }
 
     if smoke {
-        if workers > 1 && geomean < 1.0 {
-            eprintln!(
-                "FAIL: parallel mode is slower than sequential ({geomean:.2}x geomean) \
-                 with {workers} workers"
+        if workers > 1 {
+            // The speedup floor covers only the rows with parallel work to
+            // show, re-timed interleaved so both columns see the same load.
+            println!(
+                "speedup check: rows with seq >= {SPEEDUP_MIN_SEQ_MS} ms, median of \
+                 {SPEEDUP_REPS} interleaved passes per column"
             );
-            std::process::exit(1);
-        }
-        if workers <= 1 {
+            let mut ratios = Vec::new();
+            for (s, run) in samples.iter().zip(&mut runners) {
+                if s.seq_ms < SPEEDUP_MIN_SEQ_MS {
+                    continue;
+                }
+                let (seq_ms, par_ms) = interleaved_medians(run, SPEEDUP_REPS);
+                let speedup = seq_ms / par_ms.max(1e-9);
+                println!(
+                    "  {:<24} n={:<6} seq {seq_ms:>9.3} ms   {par_label} {par_ms:>9.3} ms   \
+                     speedup {speedup:.2}x",
+                    s.workload, s.n
+                );
+                ratios.push(speedup);
+            }
+            if ratios.len() < SPEEDUP_MIN_ROWS {
+                eprintln!(
+                    "FAIL: {} smoke row(s) reach {SPEEDUP_MIN_SEQ_MS} ms sequential; the \
+                     speedup check needs {SPEEDUP_MIN_ROWS}",
+                    ratios.len()
+                );
+                std::process::exit(1);
+            }
+            let work_geomean = geometric_mean(&ratios);
+            if work_geomean < 1.0 {
+                eprintln!(
+                    "FAIL: parallel mode is slower than sequential ({work_geomean:.2}x geomean \
+                     over {} rows with parallel work) with {workers} workers",
+                    ratios.len()
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "speedup check: OK ({work_geomean:.2}x geomean over {} rows)",
+                ratios.len()
+            );
+        } else {
             println!(
                 "note: 1 effective worker ({threads} thread(s) on {cores} core(s)) — \
                  parallel column is time-sliced/inline, speedup gate skipped"
