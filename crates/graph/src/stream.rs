@@ -94,8 +94,6 @@ impl fmt::Display for InvalidFamily {
     }
 }
 
-impl std::error::Error for InvalidFamily {}
-
 impl StreamFamily {
     /// Node count of the described graph.
     ///
