@@ -5,11 +5,8 @@
 //! attempt does is derived from the spec deterministically, so the
 //! service can replay, retry, and fingerprint jobs without hidden state.
 //!
-//! A [`GraphSpec`] names one seeded [`StreamFamily`]
-//! ([`GraphSpec::family`]); its validity rules, closed-form sizes and
-//! built graph are the family's, so admission, the graph store and the
-//! scale path share one description of each graph. Only its journal
-//! encoding is its own.
+//! A [`GraphSpec`] names one seeded [`StreamFamily`], whose validity
+//! rules, sizes and graph it uses; only its journal encoding is its own.
 
 use crate::backoff::BackoffPolicy;
 use csmpc_algorithms::amplify::StableOneShotIs;
@@ -61,11 +58,9 @@ impl Priority {
     }
 }
 
-/// A deterministic graph recipe: a name for one seeded
-/// [`StreamFamily`] ([`GraphSpec::family`]), which holds the family's
-/// validity rules, closed-form sizes and graph. Specs are *content*, not
-/// graph handles: two jobs with equal specs share one built graph
-/// through the [`crate::GraphStore`].
+/// A deterministic graph recipe naming one seeded [`StreamFamily`].
+/// Specs are *content*, not graph handles: two jobs with equal specs
+/// share one built graph through the [`crate::GraphStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphSpec {
     /// [`StreamFamily::Cycle`].
