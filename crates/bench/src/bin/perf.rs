@@ -23,10 +23,11 @@
 //! every row whose sequential best-of reaches 2 ms, five interleaved
 //! passes per column, and fails if fewer than three rows qualify or the
 //! geometric mean of their median-time speedups is below 1.0. Sub-ms rows
-//! would measure pool dispatch, not parallel work. `--gate <path>` compares the run against a
-//! previously committed baseline JSON (matching workload/size rows) and
-//! fails on gross regressions; tolerances are deliberately generous
-//! (shared CI runners jitter), so only multi-x slowdowns trip it.
+//! would measure pool dispatch, not parallel work. `--gate <path>`
+//! compares the run against a previously committed baseline JSON
+//! (matching workload/size rows) and fails on gross regressions;
+//! tolerances are deliberately generous (shared CI runners jitter), so
+//! only multi-x slowdowns trip it.
 //!
 //! Allocations are not counted here: the allocation-free steady state of
 //! the engine rounds and the scale kernels is asserted by csmpc-mpc's

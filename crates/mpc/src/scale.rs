@@ -132,9 +132,9 @@ fn mix(seed: u64, salt: u64, v: u64) -> u64 {
 /// refuses: [`MpcError::MalformedInput`] if the spec breaks its family's
 /// shape rule (a `Cycle` below 3 nodes, a `TwoCycles` with odd `n` or
 /// `n < 6`), and [`MpcError::InputTooLarge`] if the CSR's `u32` offsets
-/// cannot index its `2m` directed edges (which also bounds `n`). Then [`MpcError::SpaceExceeded`] if a machine's
-/// share of the input does not fit in `S`, and [`MpcError::MachineFailed`]
-/// from an armed fault plan.
+/// cannot index its `2m` directed edges (which also bounds `n`). Then
+/// [`MpcError::SpaceExceeded`] if a machine's share of the input does not
+/// fit in `S`, and [`MpcError::MachineFailed`] from an armed fault plan.
 pub fn ingest(family: StreamFamily, cluster: &mut Cluster) -> Result<CsrAdjacency, MpcError> {
     family.validate().map_err(|e| {
         let reason = format!("{} input: {e}", family.name());
