@@ -7,11 +7,13 @@
 # perfbench (release, offline) on both sides into their own target
 # directories, then runs <pairs> pairs of untraced runs of <workload>,
 # alternating which side goes first. Each run lasts BENCHMARK.json's
-# run_seconds. Writes BENCH_perfbench_ab.json: for every end-to-end metric
-# in BENCHMARK.json, each side's runs, median and quartiles, and how many
-# pairs each side won (ties count for neither), plus `nproc`. A metric's
-# `gain` is true when this checkout won at least nine tenths of the pairs
-# and the medians differ by more than the base's interquartile range.
+# run_seconds. Writes BENCH_perfbench_ab_<workload>_seed<seed>.json (one
+# file per workload and seed, so each paired set is kept): for every
+# end-to-end metric in BENCHMARK.json, each side's runs, median and
+# quartiles, and how many pairs each side won (ties count for neither),
+# plus `nproc`. A metric's `gain` is true when this checkout won at least
+# nine tenths of the pairs and the medians differ by more than the base's
+# interquartile range.
 #
 # Fails if a run reports an incorrect output, or if `mpc_rounds` or
 # `mpc_words` differ between the two sides: a change that moves the
@@ -39,6 +41,7 @@ head_sha=$(git rev-parse HEAD)
 dirty=false
 git diff --quiet HEAD -- crates perfbench vendor Cargo.toml Cargo.lock || dirty=true
 seconds=$(jq '.run_seconds' BENCHMARK.json)
+out=BENCH_perfbench_ab_${workload}_seed${seed}.json
 work=target/bench-ab
 tree=$work/base-src
 mkdir -p "$work/runs"
@@ -118,19 +121,19 @@ def summary: {runs: ., median: q(0.5), q1: q(0.25), q3: q(0.75)};
                and (if $better == "lower" then $bs.median - $hs.median
                     else $hs.median - $bs.median end) > ($bs.q3 - $bs.q1))
       }}) | from_entries)
-}' >BENCH_perfbench_ab.json
-echo "wrote BENCH_perfbench_ab.json" >&2
+}' >"$out"
+echo "wrote $out" >&2
 
 jq -e '.correct.base == .pairs and .correct.head == .pairs' \
-    BENCH_perfbench_ab.json >/dev/null || {
+    "$out" >/dev/null || {
     echo "a run reported an incorrect output" >&2
     exit 1
 }
 for m in mpc_rounds mpc_words; do
     jq -e --arg m "$m" '.metrics[$m] | (.base.runs | sort) == (.head.runs | sort)' \
-        BENCH_perfbench_ab.json >/dev/null || {
+        "$out" >/dev/null || {
         echo "$m differs between the sides: $(jq -c --arg m "$m" \
-            '.metrics[$m] | {base: .base.runs, head: .head.runs}' BENCH_perfbench_ab.json)" >&2
+            '.metrics[$m] | {base: .base.runs, head: .head.runs}' "$out")" >&2
         exit 1
     }
 done

@@ -10,8 +10,8 @@
 //! interprocedural passes ([`charge_flow`], [`races`], [`stability_flow`])
 //! read all of them through a workspace call graph ([`callgraph`]).
 //! [`analyze_workspace`] runs every lint, applies `csmpc-allow`
-//! suppressions ([`suppress`]) and reports unused ones; [`baseline`] gates
-//! CI on *new* findings only.
+//! suppressions ([`suppress`]) and reports unused ones. Every finding
+//! that survives suppression fails the gate.
 //!
 //! The lints, each tied to a definition of the source paper
 //! (*Component Stability in Low-Space Massively Parallel Computation*,
@@ -79,7 +79,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod charge_flow;
 pub mod lex;
@@ -223,8 +222,8 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Finding severity. Both levels fail a baseline-gated build when new;
-/// the distinction feeds SARIF `level` and lets downstream tooling rank.
+/// Finding severity. Both levels fail the gate; the distinction feeds
+/// SARIF `level` and lets downstream tooling rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Should be fixed or explicitly suppressed, but does not by itself
@@ -1012,6 +1011,172 @@ fn idle() {}
         assert_eq!(unused[0].line, 9);
     }
 
+    /// A JSON value of the subset [`Report::to_json`] and
+    /// [`Report::to_sarif`] write: objects, arrays, strings and unsigned
+    /// integers.
+    #[derive(Debug, PartialEq)]
+    enum Json {
+        Num(u64),
+        Str(String),
+        Arr(Vec<Json>),
+        Obj(Vec<(String, Json)>),
+    }
+
+    impl Json {
+        fn get(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        fn as_str(&self) -> Option<&str> {
+            match self {
+                Json::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+    }
+
+    /// Parses one JSON document strictly: trailing content, unescaped
+    /// control characters and unknown escapes are errors.
+    fn parse_json(text: &str) -> Result<Json, String> {
+        let mut p = JsonParser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos == p.bytes.len() {
+            Ok(v)
+        } else {
+            Err(p.err("trailing content"))
+        }
+    }
+
+    struct JsonParser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl JsonParser<'_> {
+        fn err(&self, what: &str) -> String {
+            format!("{what} at byte {}", self.pos)
+        }
+
+        fn skip_ws(&mut self) {
+            while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
+                self.pos += 1;
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn eat(&mut self, c: u8) -> Result<(), String> {
+            if self.peek() == Some(c) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.err(&format!("expected `{}`", c as char)))
+            }
+        }
+
+        fn value(&mut self) -> Result<Json, String> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'{') => self
+                    .seq(b'{', b'}', |p| {
+                        p.skip_ws();
+                        let key = p.string()?;
+                        p.skip_ws();
+                        p.eat(b':')?;
+                        Ok((key, p.value()?))
+                    })
+                    .map(Json::Obj),
+                Some(b'[') => self.seq(b'[', b']', Self::value).map(Json::Arr),
+                Some(b'"') => self.string().map(Json::Str),
+                Some(c) if c.is_ascii_digit() => {
+                    let mut n = 0u64;
+                    while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+                        n = n * 10 + u64::from(d - b'0');
+                        self.pos += 1;
+                    }
+                    Ok(Json::Num(n))
+                }
+                _ => Err(self.err("expected a JSON value")),
+            }
+        }
+
+        /// `open [item (, item)*] close`.
+        fn seq<T>(
+            &mut self,
+            open: u8,
+            close: u8,
+            mut item: impl FnMut(&mut Self) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            self.eat(open)?;
+            let mut out = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(close) {
+                self.pos += 1;
+                return Ok(out);
+            }
+            loop {
+                out.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    _ => return Err(self.err(&format!("expected `,` or `{}`", close as char))),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            self.eat(b'"')?;
+            // Bytes are copied through: a multi-byte UTF-8 sequence never
+            // contains `"`, `\` or a control byte.
+            let mut out = Vec::new();
+            loop {
+                let c = self.peek().ok_or_else(|| self.err("unterminated string"))?;
+                self.pos += 1;
+                match c {
+                    b'"' => return String::from_utf8(out).map_err(|_| self.err("invalid utf-8")),
+                    b'\\' => {
+                        let decoded = match self.peek() {
+                            Some(b'"') => '"',
+                            Some(b'\\') => '\\',
+                            Some(b'n') => '\n',
+                            Some(b't') => '\t',
+                            Some(b'r') => '\r',
+                            Some(b'u') => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos + 1..self.pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .and_then(char::from_u32)
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                                self.pos += 4;
+                                hex
+                            }
+                            _ => return Err(self.err("bad escape")),
+                        };
+                        self.pos += 1;
+                        out.extend_from_slice(decoded.encode_utf8(&mut [0; 4]).as_bytes());
+                    }
+                    c if c < 0x20 => return Err(self.err("unescaped control character")),
+                    c => out.push(c),
+                }
+            }
+        }
+    }
+
     #[test]
     fn sarif_output_is_parseable_and_complete() {
         let src = "use std::time::Instant;\n";
@@ -1019,20 +1184,28 @@ fn idle() {}
         let report = analyze_sources(&sources);
         assert!(!report.is_clean());
         let sarif = report.to_sarif();
-        let doc = baseline::parse_json(&sarif).expect("SARIF must be valid JSON");
+        let doc = parse_json(&sarif).expect("SARIF must be valid JSON");
         let runs = doc.get("runs").expect("runs");
-        let baseline::Json::Arr(runs) = runs else {
+        let Json::Arr(runs) = runs else {
             panic!("runs not an array")
         };
         let results = runs[0].get("results").expect("results");
-        let baseline::Json::Arr(results) = results else {
+        let Json::Arr(results) = results else {
             panic!("results not an array")
         };
         assert_eq!(results.len(), report.diagnostics.len());
         assert_eq!(
-            results[0].get("ruleId").and_then(baseline::Json::as_str),
+            results[0].get("ruleId").and_then(Json::as_str),
             Some("nondeterminism")
         );
+        let Json::Arr(locations) = results[0].get("locations").expect("locations") else {
+            panic!("locations not an array")
+        };
+        let region = locations[0]
+            .get("physicalLocation")
+            .and_then(|l| l.get("region"))
+            .expect("region");
+        assert_eq!(region.get("startLine"), Some(&Json::Num(1)));
     }
 
     #[test]
@@ -1048,17 +1221,22 @@ fn idle() {}
             }],
             files_scanned: 1,
         };
-        let doc = baseline::parse_json(&report.to_json()).expect("valid JSON");
+        let doc = parse_json(&report.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("violations"), Some(&Json::Num(1)));
         let diags = doc.get("diagnostics").expect("diagnostics");
-        let baseline::Json::Arr(diags) = diags else {
+        let Json::Arr(diags) = diags else {
             panic!("not an array")
         };
         assert_eq!(
-            diags[0].get("severity").and_then(baseline::Json::as_str),
+            diags[0].get("severity").and_then(Json::as_str),
             Some("error")
         );
+        assert_eq!(
+            diags[0].get("message").and_then(Json::as_str),
+            Some("m \"quoted\"")
+        );
         let witness = diags[0].get("witness").expect("witness");
-        let baseline::Json::Arr(w) = witness else {
+        let Json::Arr(w) = witness else {
             panic!("witness not an array")
         };
         assert_eq!(w.len(), 2);

@@ -2,29 +2,24 @@
 //! interprocedural passes) over the workspace.
 //!
 //! ```text
-//! conformance [--format text|json|sarif] [--baseline FILE]
-//!             [--write-baseline FILE] [--sarif-out FILE] [ROOT]
+//! conformance [--format text|json|sarif] [--sarif-out FILE] [ROOT]
 //! ```
 //!
 //! * `ROOT` — workspace root (defaults to the nearest ancestor of the
 //!   current directory containing a `crates/` subdirectory).
 //! * `--format` — primary-output format on stdout (`text` default);
 //!   `--json` is shorthand for `--format json`.
-//! * `--baseline FILE` — only findings *not* listed in the baseline fail
-//!   the run; baselined findings are counted but not fatal.
-//! * `--write-baseline FILE` — write a baseline accepting every current
-//!   finding, then exit successfully.
 //! * `--sarif-out FILE` — additionally write a SARIF 2.1.0 log (for CI
 //!   artifact upload), independent of `--format`.
 //!
-//! Exit status distinguishes findings from breakage: `0` clean (or all
-//! findings baselined), `1` new findings, `2` usage/I/O/baseline-parse
-//! errors.
+//! Every finding fails the run; a reviewed exception is a
+//! `csmpc-allow(<lint>): <reason>` annotation at the finding. Exit status
+//! separates findings from breakage: `0` clean, `1` any finding, `2`
+//! usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use csmpc_conformance::baseline::Baseline;
 use csmpc_conformance::{analyze_workspace, Report};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -36,16 +31,13 @@ enum Format {
 
 struct Options {
     format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     sarif_out: Option<PathBuf>,
     root: Option<PathBuf>,
 }
 
 fn usage() {
     println!(
-        "usage: conformance [--format text|json|sarif] [--baseline FILE]\n\
-         \x20                  [--write-baseline FILE] [--sarif-out FILE] [ROOT]\n\
+        "usage: conformance [--format text|json|sarif] [--sarif-out FILE] [ROOT]\n\
          \n\
          Static model-conformance analysis over one parse of each file:\n\
          token lints (nondeterminism, unaccounted-primitive,\n\
@@ -57,16 +49,13 @@ fn usage() {
          `// csmpc-allow(<lint>): <reason>` on the same or the preceding\n\
          line; it is the only suppression syntax.\n\
          \n\
-         Exit codes: 0 clean / all findings baselined, 1 new findings,\n\
-         2 internal or usage error."
+         Exit codes: 0 clean, 1 any finding, 2 usage or I/O error."
     );
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         format: Format::Text,
-        baseline: None,
-        write_baseline: None,
         sarif_out: None,
         root: None,
     };
@@ -83,14 +72,6 @@ fn parse_args() -> Result<Option<Options>, String> {
                     "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 };
-            }
-            "--baseline" => {
-                let v = args.next().ok_or("--baseline needs a file path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => {
-                let v = args.next().ok_or("--write-baseline needs a file path")?;
-                opts.write_baseline = Some(PathBuf::from(v));
             }
             "--sarif-out" => {
                 let v = args.next().ok_or("--sarif-out needs a file path")?;
@@ -115,23 +96,19 @@ fn find_root(start: PathBuf) -> Option<PathBuf> {
     }
 }
 
-fn emit(report: &Report, opts: &Options, new: &[&csmpc_conformance::Diagnostic], baselined: usize) {
-    match opts.format {
+fn emit(report: &Report, format: Format) {
+    match format {
         Format::Json => println!("{}", report.to_json()),
         Format::Sarif => println!("{}", report.to_sarif()),
         Format::Text => {
-            for d in new {
+            for d in &report.diagnostics {
                 println!("{d}");
             }
-            let mut summary = format!(
+            println!(
                 "conformance: {} finding(s) across {} file(s) scanned",
                 report.diagnostics.len(),
                 report.files_scanned
             );
-            if opts.baseline.is_some() {
-                summary.push_str(&format!(" ({} baselined, {} new)", baselined, new.len()));
-            }
-            println!("{summary}");
         }
     }
 }
@@ -148,7 +125,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let root = match opts.root.clone() {
+    let root = match opts.root {
         Some(r) => r,
         None => {
             let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
@@ -168,47 +145,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &opts.write_baseline {
-        let text = Baseline::render(&report);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("conformance: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "conformance: wrote baseline {} accepting {} finding(s)",
-            path.display(),
-            report.diagnostics.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let base = match &opts.baseline {
-        None => Baseline::empty(),
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("conformance: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("conformance: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-    let (new, baselined) = base.split(&report.diagnostics);
     if let Some(path) = &opts.sarif_out {
         if let Err(e) = std::fs::write(path, report.to_sarif()) {
             eprintln!("conformance: cannot write SARIF {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
-    emit(&report, &opts, &new, baselined.len());
-    if new.is_empty() {
+    emit(&report, opts.format);
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -5,12 +5,16 @@
 //! once inserted and handed out behind an [`Arc`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// A cache slot: inserted empty by the miss that claims its key, filled
+/// once by that caller's `build`.
+type Slot<V> = Arc<OnceLock<Arc<V>>>;
 
 /// A bounded, thread-safe LRU of shared values keyed by exact content.
 pub struct Lru<K, V> {
     /// Most recently used first.
-    entries: Mutex<Vec<(K, Arc<V>)>>,
+    entries: Mutex<Vec<(K, Slot<V>)>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -38,34 +42,44 @@ impl<K: PartialEq, V> Lru<K, V> {
         }
     }
 
-    /// Returns the value cached under `key`, moving it to the front; on a
-    /// miss, runs `build` (without holding the lock), inserts the result
-    /// at the front and evicts the least recently used entries beyond
-    /// capacity. When threads race to build one key, the first insert
-    /// wins and every caller gets its value.
+    /// Returns the value cached under `key`, moving it to the front. A
+    /// miss claims the key: it inserts an empty slot at the front (evicting
+    /// the least recently used entries beyond capacity), then runs `build`
+    /// without holding the lock. Callers that race for a claimed key wait
+    /// for that one build and share its value, so each key is built once
+    /// while it stays cached. If `build` panics, the slot stays empty and
+    /// the next caller of the key builds it.
+    ///
+    /// `build` must not request `key` from this cache: the nested call
+    /// would wait for its own caller's build and deadlock.
     ///
     /// # Panics
     ///
-    /// Panics if the cache mutex was poisoned.
+    /// Panics if the cache mutex was poisoned, and re-raises a panic of
+    /// `build`.
     pub fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
-        {
+        let slot = {
             let mut entries = self.entries.lock().expect("lru poisoned");
             if let Some(pos) = entries.iter().position(|(k, _)| *k == key) {
                 entries[..=pos].rotate_right(1);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entries[0].1);
+                if let Some(value) = entries[0].1.get() {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Arc::clone(value);
+                }
+            } else {
+                entries.insert(0, (key, Arc::default()));
+                entries.truncate(self.capacity);
             }
-        }
-        let value = Arc::new(build());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("lru poisoned");
-        // A racing thread may have inserted the same key; keep one copy.
-        if let Some((_, winner)) = entries.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(winner);
-        }
-        entries.insert(0, (key, Arc::clone(&value)));
-        entries.truncate(self.capacity);
-        value
+            Arc::clone(&entries[0].1)
+        };
+        let mut built = false;
+        let value = slot.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(value)
     }
 
     /// `(hits, misses)` so far; a miss is one call to `build`.
@@ -129,20 +143,39 @@ mod tests {
     }
 
     #[test]
-    fn a_racing_insert_keeps_one_copy() {
-        // The build runs outside the lock, so a nested call inserts the
-        // same key first: the outer build loses and returns the winner.
+    fn racing_callers_wait_for_one_build() {
         let lru = Lru::with_capacity(4);
-        let mut winner = None;
-        let got = lru.get_or_insert_with(7, || {
-            winner = Some(lru.get_or_insert_with(7, || 1));
-            2
+        let barrier = std::sync::Barrier::new(2);
+        let builds = AtomicU64::new(0);
+        let values: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        lru.get_or_insert_with(7, || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(100));
+                            70
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(*got, 1);
-        assert!(Arc::ptr_eq(&got, &winner.unwrap()));
-        assert_eq!(lru.len(), 1);
-        assert_eq!(lru.stats(), (0, 2), "both builds ran");
-        assert!(Arc::ptr_eq(&got, &lru.get_or_insert_with(7, || 3)));
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "one build per key");
+        assert!(Arc::ptr_eq(&values[0], &values[1]));
+        assert_eq!(lru.stats(), (1, 1));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_key_buildable() {
+        let lru = Lru::with_capacity(4);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lru.get_or_insert_with(3, || panic!("build failed"))
+        }));
+        assert!(failed.is_err());
+        assert_eq!(*get(&lru, 3), 30);
+        assert_eq!(lru.stats(), (0, 1), "only the finished build is a miss");
     }
 
     #[test]
@@ -162,8 +195,7 @@ mod tests {
         });
         assert_eq!(lru.len(), 1);
         assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
-        let (hits, misses) = lru.stats();
-        assert_eq!(hits + misses, 8);
+        assert_eq!(lru.stats(), (7, 1));
     }
 
     #[test]
