@@ -71,6 +71,12 @@ echo "==> parallel equivalence suite (forced worker threads)"
 # code path is exercised for the bit-identity assertions.
 RAYON_NUM_THREADS=4 cargo test -q --test parallel_equivalence
 
+echo "==> worker-pool suite (forced worker threads)"
+# The pool's own tests (index order over every chunk plan, panic
+# propagation, nested sweeps, pool reuse), on real worker threads even on
+# single-core runners.
+RAYON_NUM_THREADS=4 cargo test -q -p csmpc-parallel
+
 echo "==> routing-equivalence suite (counting-sort fabric vs sort oracle)"
 # Property proof that the engine's counting-sort scatter groups messages
 # element-for-element identically to the retired sort-based router, over

@@ -11,8 +11,8 @@
 //! `BENCH_mpc.json` at the repository root.
 //!
 //! Worker accounting is per column: the sequential column always runs on
-//! one worker, and the parallel column is labeled `par` only when rayon
-//! actually has more than one worker thread — with a single worker the
+//! one worker, and the parallel column is labeled `par` only when the
+//! worker pool actually has more than one thread — with a single worker the
 //! column is labeled `inline`, because calling a degraded inline pass
 //! "parallel" would launder a 1.0x speedup into a parallel claim.
 //!
@@ -626,11 +626,11 @@ fn run_sweep_child(n: usize) -> ! {
         labels[0],
         labels[1],
         "parallel labels diverged from sequential at RAYON_NUM_THREADS={}",
-        rayon::current_num_threads()
+        csmpc_parallel::current_num_threads()
     );
     println!(
         "sweep-child: threads={} seq_ms={:.4} par_ms={:.4} bit_identical=true",
-        rayon::current_num_threads(),
+        csmpc_parallel::current_num_threads(),
         times[0],
         times[1]
     );
@@ -736,11 +736,11 @@ fn main() {
     let reps = if smoke { 2 } else { 9 };
     // Per-column worker accounting: the sequential column is inline by
     // definition, and the parallel column's *effective* worker count is
-    // the smaller of rayon's thread pool and the machine's cores — forcing
-    // RAYON_NUM_THREADS=2 on a single-core runner time-slices one core and
-    // must not be booked as parallelism. The column only earns the "par"
+    // the smaller of the worker pool's threads and the machine's cores —
+    // forcing RAYON_NUM_THREADS=2 on a single-core runner time-slices one
+    // core and must not be booked as parallelism. The column only earns the "par"
     // label (and the speedup gates only arm) with >1 effective workers.
-    let threads = rayon::current_num_threads();
+    let threads = csmpc_parallel::current_num_threads();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let seq_workers = 1usize;
     let par_workers = threads.min(cores);

@@ -141,7 +141,7 @@ impl CsrAdjacency {
         let n = csr.n();
         // Per-row ascending sort, parallel over contiguous row blocks:
         // `split_at_mut` at row boundaries keeps the blocks disjoint.
-        let blocks = (4 * rayon::current_num_threads()).min(n);
+        let blocks = (4 * csmpc_parallel::current_num_threads()).min(n);
         let mut parts: Vec<(usize, usize, &mut [u32])> = Vec::with_capacity(blocks);
         let mut rest: &mut [u32] = &mut csr.targets;
         let mut consumed = 0usize;

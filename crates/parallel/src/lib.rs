@@ -17,10 +17,40 @@
 //! (crate `csmpc-conformance`) holds the simulator crates to the contract
 //! by rejecting raw `par_iter` chains that do not end in an order-fixing
 //! `collect`; the helpers here are the approved entry points.
+//!
+//! Parallel sweeps run on a persistent worker pool private to this crate,
+//! started on the first parallel sweep that needs it. A sweep of `n` items
+//! is cut into about `4 × workers` contiguous chunks; free threads (the
+//! caller among them) claim chunks dynamically, and chunk `c` writes each
+//! result straight into the output slot its index owns, so the output does
+//! not depend on which thread ran which chunk.
 
 #![warn(missing_docs)]
 
-use rayon::prelude::*;
+mod pool;
+
+/// Number of worker threads a parallel sweep may use.
+///
+/// Resolved once per process, on first use: `RAYON_NUM_THREADS`, then
+/// `CSMPC_WORKERS` (the first that parses to at least 1 wins), then
+/// [`std::thread::available_parallelism`], else 1. With one worker every
+/// sweep runs inline on the calling thread.
+#[must_use]
+pub fn current_num_threads() -> usize {
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        for var in ["RAYON_NUM_THREADS", "CSMPC_WORKERS"] {
+            if let Ok(raw) = std::env::var(var) {
+                if let Ok(n) = raw.trim().parse::<usize>() {
+                    if n >= 1 {
+                        return n;
+                    }
+                }
+            }
+        }
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
+}
 
 /// How a simulator executes its internally parallelizable sweeps.
 ///
@@ -31,18 +61,17 @@ use rayon::prelude::*;
 pub enum ParallelismMode {
     /// Plain index-order loops on the calling thread.
     Sequential,
-    /// Chunked fork/join sweeps via the (deterministic, order-preserving)
-    /// vendored `rayon` subset.
+    /// Chunked, order-preserving sweeps on the worker pool.
     Parallel,
 }
 
 impl ParallelismMode {
     /// [`ParallelismMode::Parallel`] when more than one worker thread is
-    /// available (`RAYON_NUM_THREADS` / `CSMPC_WORKERS` /
-    /// `available_parallelism`), else [`ParallelismMode::Sequential`].
+    /// available ([`current_num_threads`]), else
+    /// [`ParallelismMode::Sequential`].
     #[must_use]
     pub fn auto() -> Self {
-        if rayon::current_num_threads() > 1 {
+        if current_num_threads() > 1 {
             ParallelismMode::Parallel
         } else {
             ParallelismMode::Sequential
@@ -67,6 +96,55 @@ impl Default for ParallelismMode {
 /// avoids paying thread overhead on trivial sweeps.
 const INLINE_CUTOFF: usize = 4;
 
+/// Splits `len > 0` items into contiguous chunks: `(chunk_size,
+/// chunk_count)`. Aims for `4 × workers` chunks — a small
+/// over-decomposition so the dynamic claimer load-balances uneven chunk
+/// costs — but never chunks of less than one item.
+fn chunk_plan(len: usize) -> (usize, usize) {
+    let chunk = len.div_ceil((4 * current_num_threads()).min(len));
+    (chunk, len.div_ceil(chunk))
+}
+
+/// A raw pointer the `Sync` chunk closures may capture; every chunk
+/// touches a disjoint index range through it.
+struct SendPtr<T>(*mut T);
+
+impl<T> SendPtr<T> {
+    /// The pointer to slot `i`. A method, so closures capture the whole
+    /// `Sync` wrapper rather than its bare `*mut T` field.
+    fn at(&self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
+    }
+}
+
+// SAFETY: `T: Send` because other threads write or borrow `T` values
+// through the pointer; the pointer itself is only shared, and the callers
+// below hand each index to exactly one chunk.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+/// Replaces the contents of `out` with `f(0), …, f(n - 1)` for `n > 0`,
+/// computed on the worker pool.
+fn map_into<R, F>(n: usize, out: &mut Vec<R>, f: &F)
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    out.clear();
+    out.reserve(n);
+    let (chunk, chunks) = chunk_plan(n);
+    let base = SendPtr(out.as_mut_ptr());
+    pool::run(chunks, &|c| {
+        for i in c * chunk..n.min((c + 1) * chunk) {
+            // SAFETY: `i < n` lies in the reserved capacity, and chunk `c`
+            // alone owns slot `i`, so each slot is written exactly once.
+            unsafe { base.at(i).write(f(i)) };
+        }
+    });
+    // SAFETY: `pool::run` returned, so every chunk finished and all `n`
+    // slots are written (a chunk panic is re-thrown before this line).
+    unsafe { out.set_len(n) };
+}
+
 /// Maps `f(i, &mut items[i])` over the slice: `f` may mutate its item in
 /// place and returns a value collected in index order. In parallel mode the
 /// sweep is chunked across worker threads, so `f` must be pure with respect
@@ -77,19 +155,9 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    if mode.is_parallel() && items.len() >= INLINE_CUTOFF {
-        items
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect()
-    } else {
-        items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect()
-    }
+    let mut out = Vec::new();
+    par_map_mut_into(mode, items, &mut out, f);
+    out
 }
 
 /// Maps `f(i)` over `0..n`, returning results in index order. The workhorse
@@ -99,11 +167,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if mode.is_parallel() && n >= INLINE_CUTOFF {
-        (0..n).into_par_iter().map(&f).collect()
-    } else {
-        (0..n).map(f).collect()
-    }
+    let mut out = Vec::new();
+    par_map_range_into(mode, n, &mut out, f);
+    out
 }
 
 /// Like [`par_map_range`] but writes the results into `out`, reusing its
@@ -111,16 +177,17 @@ where
 /// the sweep allocation-free in sequential mode, which is what the
 /// steady-state `alloc-count` gate measures; in parallel mode the pool
 /// dispatch itself costs O(1) small control allocations per sweep.
+///
+/// Either mode calls `f` exactly once per index.
 pub fn par_map_range_into<R, F>(mode: ParallelismMode, n: usize, out: &mut Vec<R>, f: F)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     if mode.is_parallel() && n >= INLINE_CUTOFF {
-        (0..n).into_par_iter().map(&f).collect_into_vec(out);
+        map_into(n, out, &f);
     } else {
         out.clear();
-        out.reserve(n);
         out.extend((0..n).map(f));
     }
 }
@@ -133,18 +200,13 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    if mode.is_parallel() && items.len() >= INLINE_CUTOFF {
-        items
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect_into_vec(out);
-    } else {
-        let n = items.len();
-        out.clear();
-        out.reserve(n);
-        out.extend(items.iter_mut().enumerate().map(|(i, item)| f(i, item)));
-    }
+    let base = SendPtr(items.as_mut_ptr());
+    par_map_range_into(mode, items.len(), out, |i| {
+        // SAFETY: `i < items.len()`, `items` stays mutably borrowed for
+        // this call, and `par_map_range_into` calls this closure once per
+        // index, so this is the only reference to `items[i]`.
+        f(i, unsafe { &mut *base.at(i) })
+    });
 }
 
 /// Updates every item in place with `f(i, &mut items[i])` and returns
@@ -202,7 +264,7 @@ where
     F: Fn(usize, &mut [T]) -> bool + Sync,
 {
     if mode.is_parallel() && items.len() >= INLINE_CUTOFF {
-        let width = items.len().div_ceil(4 * rayon::current_num_threads());
+        let width = items.len().div_ceil(4 * current_num_threads());
         let mut blocks: Vec<&mut [T]> = items.chunks_mut(width).collect();
         let flags = par_map_mut(mode, &mut blocks, |b, block| f(b * width, block));
         flags.contains(&true)
@@ -354,7 +416,7 @@ mod tests {
         let blocks = 1 + par.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(
             blocks,
-            1001usize.div_ceil(1001usize.div_ceil(4 * rayon::current_num_threads()))
+            1001usize.div_ceil(1001usize.div_ceil(4 * current_num_threads()))
         );
     }
 
@@ -365,9 +427,103 @@ mod tests {
     }
 
     #[test]
+    fn results_stay_in_index_order_for_every_plan() {
+        // 0..=2100 covers the empty sweep, the inline cutoff, one-item
+        // chunks (n < 4 × workers) and many-item chunks with a short tail.
+        let mut out = Vec::new();
+        for n in 0..=2100usize {
+            par_map_range_into(ParallelismMode::Parallel, n, &mut out, |i| i * 3 + 1);
+            assert_eq!(out.len(), n);
+            assert!(
+                out.iter().enumerate().all(|(i, &x)| x == i * 3 + 1),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn panic_propagates_and_pool_survives() {
+        let caught = std::panic::catch_unwind(|| {
+            par_map_range(ParallelismMode::Parallel, 1000, |i| {
+                assert!(i != 517, "boom");
+                i
+            })
+        });
+        assert!(caught.is_err(), "a panic in a chunk must reach the caller");
+        // The pool must still serve sweeps after a panicked job.
+        let v = par_map_range(ParallelismMode::Parallel, 1000, |i| i);
+        assert_eq!(v.iter().sum::<usize>(), 499_500);
+    }
+
+    #[test]
+    fn nested_parallel_calls_do_not_deadlock() {
+        let out = par_map_range(ParallelismMode::Parallel, 64, |i| {
+            par_map_range(ParallelismMode::Parallel, 32, |j| i * j)
+                .iter()
+                .sum::<usize>()
+        });
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(*v, i * (31 * 32 / 2));
+        }
+    }
+
+    #[test]
+    fn repeated_calls_reuse_the_pool() {
+        // A long run of small sweeps must not accumulate resources or
+        // wedge the daemon workers.
+        for round in 0..200usize {
+            let v = par_map_range(ParallelismMode::Parallel, 257, |i| i + round);
+            assert_eq!((v[0], v[256]), (round, 256 + round));
+        }
+    }
+
+    /// Set in the child processes of
+    /// [`worker_count_prefers_rayon_num_threads_then_csmpc_workers`].
+    const CHILD_GUARD: &str = "CSMPC_PARALLEL_PRINT_WORKERS";
+
+    /// Child half of the worker-count test: prints the resolved count.
+    /// Does nothing unless [`CHILD_GUARD`] is set.
+    #[test]
+    fn print_worker_count_in_child() {
+        if std::env::var_os(CHILD_GUARD).is_some() {
+            println!("workers={}", current_num_threads());
+        }
+    }
+
+    #[test]
+    fn worker_count_prefers_rayon_num_threads_then_csmpc_workers() {
+        // The count is fixed once per process, so each setting runs in a
+        // fresh copy of this test binary filtered to the child test.
+        for (rayon_threads, csmpc_workers, expected) in [("3", "5", "3"), ("0", "2", "2")] {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "--exact",
+                    "tests::print_worker_count_in_child",
+                    "--nocapture",
+                ])
+                .env(CHILD_GUARD, "1")
+                .env("RAYON_NUM_THREADS", rayon_threads)
+                .env("CSMPC_WORKERS", csmpc_workers)
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "child failed:\n{stdout}");
+            let printed: Vec<&str> = stdout
+                .lines()
+                .filter_map(|l| l.strip_prefix("workers="))
+                .collect();
+            assert_eq!(
+                printed,
+                [expected],
+                "RAYON_NUM_THREADS={rayon_threads} CSMPC_WORKERS={csmpc_workers}:\n{stdout}"
+            );
+        }
+    }
+
+    #[test]
     fn auto_matches_worker_count() {
         let mode = ParallelismMode::auto();
-        assert_eq!(mode.is_parallel(), rayon::current_num_threads() > 1);
+        assert_eq!(mode.is_parallel(), current_num_threads() > 1);
         assert_eq!(ParallelismMode::default(), mode);
     }
 }

@@ -1,5 +1,5 @@
-//! Lazily-started persistent worker pool shared by every parallel
-//! combinator in this crate.
+//! Lazily-started persistent worker pool shared by every parallel sweep
+//! helper in this crate.
 //!
 //! The previous runtime spawned fresh scoped threads for every `map` call;
 //! at million-item scale the spawn/join cost dominated the sweep itself.
@@ -89,7 +89,7 @@ fn pool() -> Option<&'static Pool> {
         // threads touch a job: `workers - 1` here plus the caller.
         for i in 0..workers - 1 {
             std::thread::Builder::new()
-                .name(format!("csmpc-rayon-{i}"))
+                .name(format!("csmpc-pool-{i}"))
                 .spawn(move || worker_loop(pool))
                 .expect("spawn pool worker");
         }

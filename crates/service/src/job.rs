@@ -176,6 +176,12 @@ impl Workload {
 
 /// A seeded fault recipe, instantiated per attempt against the job's
 /// actual machine count. Equal specs always instantiate equal plans.
+///
+/// Only the crash and straggler events act on a service job. Every
+/// service workload moves its words through the accounted primitives,
+/// and only the exact engine's merge step reads the corruption rate, so
+/// [`FaultSpec::corrupt_per_mille`] changes no job's output, `Stats` or
+/// errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     /// Crash events to scatter.
@@ -184,7 +190,9 @@ pub struct FaultSpec {
     pub stragglers: usize,
     /// Round horizon the events are scattered over.
     pub horizon: usize,
-    /// Per-mille checksum corruption on delivered envelopes.
+    /// Per-mille checksum corruption on delivered envelopes. Carried into
+    /// the plan and the journal, but inert for every service workload
+    /// (see [`FaultSpec`]).
     pub corrupt_per_mille: u16,
     /// Plan seed (independent of the job's algorithm seed).
     pub seed: u64,

@@ -1,8 +1,9 @@
 //! Fault isolation between co-scheduled jobs: injected failures produce
 //! only per-job retry/quarantine/Degraded outcomes — a healthy job's
 //! output *and its `Stats` charges* are bit-identical whether it runs
-//! alone or sandwiched between crashing, straggling, corrupted, and
-//! deadline-poisoned neighbors.
+//! alone or sandwiched between crashing, straggling, and
+//! deadline-poisoned neighbors. A fault plan's corruption rate acts on
+//! no service job at all.
 
 use csmpc_graph::rng::Seed;
 use csmpc_mpc::ParallelismMode;
@@ -136,4 +137,84 @@ fn tenant_burst_cannot_starve_another_tenant() {
         .all(|o| o.state == JobState::Completed));
     assert_eq!(report.outcomes[5].digest, solo_a.outcomes[0].digest);
     assert_eq!(report.outcomes[5].stats, solo_a.outcomes[0].stats);
+}
+
+/// 72 jobs: 4 graphs × 3 workloads × shed or not × 0–2 crashes, each
+/// with one straggler, every fault plan at corruption rate `per_mille`.
+fn corruption_probe_batch(per_mille: u16) -> Vec<JobSpec> {
+    let graphs = [
+        GraphSpec::Cycle { n: 16 },
+        GraphSpec::Path { n: 20 },
+        GraphSpec::TwoCycles { n: 16 },
+        GraphSpec::RandomTree { n: 24, seed: 7 },
+    ];
+    let workloads = [
+        Workload::LubyMis,
+        Workload::CcLabels,
+        Workload::BallColoring { radius: 2 },
+    ];
+    let mut batch = Vec::new();
+    for (g, graph) in graphs.into_iter().enumerate() {
+        for (w, workload) in workloads.into_iter().enumerate() {
+            for shed in [false, true] {
+                for crashes in 0..3 {
+                    let seed = (((g * 3 + w) * 2 + usize::from(shed)) * 3 + crashes) as u64;
+                    let mut spec = JobSpec::basic("probe", workload, graph, Seed(seed));
+                    spec.priority = if shed {
+                        Priority::Low
+                    } else {
+                        Priority::Normal
+                    };
+                    spec.faults = Some(FaultSpec {
+                        crashes,
+                        stragglers: 1,
+                        horizon: 6,
+                        corrupt_per_mille: per_mille,
+                        seed: 9000 + seed,
+                    });
+                    spec.recovery_retries = 3;
+                    batch.push(spec);
+                }
+            }
+        }
+    }
+    batch
+}
+
+#[test]
+fn corruption_rate_has_no_effect_on_service_jobs() {
+    // Service workloads move words only through the accounted
+    // primitives; the exact engine's merge step is the one reader of the
+    // corruption rate, and no service job reaches it. So a rate of 0 and
+    // a rate of 1000 must give the same report, field for field.
+    let run = |per_mille| {
+        JobService::new(ServiceConfig {
+            workers: 2,
+            capacity_words: 1 << 22,
+            shed_fraction: 0.0,
+            mode: ParallelismMode::Sequential,
+        })
+        .run_batch(corruption_probe_batch(per_mille))
+    };
+    let (clean, corrupt) = (run(0), run(1000));
+    assert_eq!(clean.outcomes.len(), 72);
+    assert_eq!(clean.fingerprint(), corrupt.fingerprint());
+    assert_eq!(clean.counters, corrupt.counters);
+    for (a, b) in clean.outcomes.iter().zip(&corrupt.outcomes) {
+        assert_eq!(a.stats, b.stats, "job {:?}", a.id);
+        assert_eq!(a.errors, b.errors, "job {:?}", a.id);
+        assert!(b.stats.as_ref().is_none_or(|s| s.corrupted_detected == 0));
+    }
+    // The probe is not vacuous: faults struck and shedding happened.
+    let hit = corrupt
+        .outcomes
+        .iter()
+        .filter(|o| {
+            o.attempts > 1
+                || !o.errors.is_empty()
+                || o.stats.as_ref().is_some_and(|s| s.recovery_rounds > 0)
+        })
+        .count();
+    assert!(hit >= 36, "faults struck only {hit} of 72 jobs");
+    assert_eq!(corrupt.counters.shed, 36);
 }
