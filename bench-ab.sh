@@ -59,7 +59,12 @@ build() { # <source root> <target dir>
 }
 echo "building base ($base_sha) and head ($head_sha, dirty=$dirty)" >&2
 build "$tree" "$PWD/$work/base-target"
+# An offline build may rewrite perfbench/Cargo.lock (dropping stale
+# entries); put the committed file back so the checkout stays clean.
+cp perfbench/Cargo.lock "$work/perfbench-Cargo.lock"
+trap 'cp "$work/perfbench-Cargo.lock" perfbench/Cargo.lock; rm -rf "$tree"' EXIT
 build . "$PWD/$work/head-target"
+cp "$work/perfbench-Cargo.lock" perfbench/Cargo.lock
 declare -A bin=(
     [base]=$PWD/$work/base-target/release/csmpc-perfbench
     [head]=$PWD/$work/head-target/release/csmpc-perfbench

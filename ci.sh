@@ -112,7 +112,14 @@ echo "==> perfbench self-tests (metric lists match BENCHMARK.json)"
 # perfbench is its own workspace, so the workspace test run above never
 # builds it; its unit tests pin the reported metric names to the
 # BENCHMARK.json declaration.
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# An offline build may rewrite perfbench/Cargo.lock (dropping stale
+# entries), so the committed file is copied aside and put back.
+mkdir -p target
+cp perfbench/Cargo.lock target/perfbench-Cargo.lock
+perfbench_status=0
+cargo test -q --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+cp target/perfbench-Cargo.lock perfbench/Cargo.lock
+test "$perfbench_status" -eq 0
 
 echo "==> job-service soak smoke + determinism + crash-recovery gates"
 # Pushes a 1200-job mixed batch (faults, poison jobs, shedding) through

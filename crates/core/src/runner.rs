@@ -7,7 +7,7 @@ use csmpc_graph::rng::Seed;
 use csmpc_graph::Graph;
 use csmpc_mpc::Stats;
 use csmpc_mpc::{
-    run_supervised, Cluster, FaultPlan, MpcConfig, MpcError, ParallelismMode, RecoveryEvent,
+    run_supervised, Cluster, ClusterEvent, FaultPlan, MpcConfig, MpcError, ParallelismMode,
     RecoveryPolicy, SupervisedOutcome, SupervisedRun, SupervisorConfig,
 };
 use csmpc_parallel::par_map_range;
@@ -82,8 +82,9 @@ pub struct FaultEvaluation<L> {
     /// The ordinary evaluation outcome (labels, stats, validity). The
     /// stats include every recovery charge — recovery is never free.
     pub evaluation: Evaluation<L>,
-    /// One entry per recovered crash, in recovery order.
-    pub recoveries: Vec<RecoveryEvent>,
+    /// The cluster's event log: recovered crashes (and charged backoffs),
+    /// in order.
+    pub events: Vec<ClusterEvent>,
 }
 
 /// Runs a vertex algorithm under an armed fault plan and validates the
@@ -118,7 +119,7 @@ where
             stats: cluster.stats().clone(),
             validity,
         },
-        recoveries: cluster.recovery_log().to_vec(),
+        events: cluster.events().to_vec(),
     })
 }
 
@@ -132,7 +133,7 @@ pub struct SupervisedEvaluation<L> {
     /// Problem name.
     pub problem: String,
     /// The full supervised run: outcome (complete or partial), ledger,
-    /// recovery log, supervision log, quarantined machines.
+    /// event log, quarantined machines.
     pub run: SupervisedRun<L>,
     /// Validation outcome — `Some` only when the run completed; a
     /// degraded partial output is certified per-component by the
@@ -396,7 +397,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.evaluation.labels, baseline.labels);
-        assert_eq!(out.recoveries.len(), 1);
+        assert!(matches!(out.events[..], [ClusterEvent::Recovery(_)]));
         assert!(out.evaluation.stats.rounds > baseline.stats.rounds);
         assert!(out.evaluation.stats.total_words > baseline.stats.total_words);
     }
@@ -439,7 +440,7 @@ mod tests {
             SupervisedOutcome::Complete(labels) => assert_eq!(labels, &baseline.labels),
             other => panic!("expected a complete outcome, got {other:?}"),
         }
-        assert_eq!(out.run.recoveries.len(), 1);
+        assert!(matches!(out.run.events[..], [ClusterEvent::Recovery(_)]));
         assert!(out.run.stats.recovery_rounds > 0);
     }
 

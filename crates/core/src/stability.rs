@@ -20,8 +20,8 @@ use csmpc_algorithms::api::MpcVertexAlgorithm;
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_graph::{generators, ops, Graph};
 use csmpc_mpc::{
-    run_supervised, Cluster, ComponentId, ComponentVerdict, FaultPlan, MpcConfig, MpcError,
-    RecoveryPolicy, SupervisedOutcome, SupervisorConfig,
+    run_supervised, Cluster, ClusterEvent, ComponentId, ComponentVerdict, FaultPlan, MpcConfig,
+    MpcError, RecoveryPolicy, SupervisedOutcome, SupervisorConfig,
 };
 use csmpc_parallel::{par_map_range, ParallelismMode};
 use std::collections::BTreeSet;
@@ -242,69 +242,92 @@ pub fn verify_crash_immunity<A: MpcVertexAlgorithm + Sync>(
     trials: usize,
     master_seed: Seed,
 ) -> Result<CrashImmunityReport, MpcError> {
-    /// One trial's outcome: `None` when the probe was inapplicable (no
-    /// foreign machine, or the run beat the crash round), otherwise the
-    /// recovery flag and an optional divergence witness.
-    type CrashProbe = Result<Option<(bool, Option<CrashWitness>)>, MpcError>;
-    let nc = component.n();
-    let delta = component.max_degree();
-    // Per-trial probes are seed-independent; run them as a parallel sweep
-    // and fold the outcomes in trial order.
-    let per_trial: Vec<CrashProbe> = par_map_range(ParallelismMode::default(), trials, |trial| {
-        let trial_seed = master_seed.derive(0xc7a5).derive(trial as u64);
-        let sib = sibling(nc.max(3), delta.max(2), 10_000, trial_seed.derive(10));
-        let g = ops::disjoint_union(&[component, &sib]);
-        let shared = trial_seed.derive(99);
-
-        // Fault-free baseline: learn the output and the machine tags.
-        let mut baseline = immunity_cluster(&g, shared);
-        let la = alg.run(&g, &mut baseline)?;
-        let target: BTreeSet<ComponentId> = g.component_labels()[..nc]
-            .iter()
-            .map(|&c| c as ComponentId)
-            .collect();
-        let foreign: Vec<usize> = (0..baseline.num_machines())
-            .filter(|&m| {
-                let tags = baseline.machine_components(m);
-                !tags.is_empty() && !tags.iter().any(|c| target.contains(c))
-            })
-            .collect();
-        let Some(&victim) = foreign.first() else {
-            return Ok(None); // every machine touches the component
-        };
-
-        // Same seed, same distribution — crash the foreign machine early
-        // enough to strike mid-run, and recover from checkpoints.
-        let mut rng = SplitMix64::new(trial_seed.derive(7));
-        let crash_round = 1 + rng.index(3);
-        let plan = FaultPlan::quiet(shared).crash(victim, crash_round);
-        let mut faulted = immunity_cluster(&g, shared);
-        faulted.arm_faults(plan, RecoveryPolicy::restart(4));
-        let lb = alg.run(&g, &mut faulted)?;
-        if faulted.recovery_log().is_empty() {
-            return Ok(None); // the run finished before the crash round
-        }
-        let witness = (0..nc).find(|&v| la[v] != lb[v]).map(|idx| CrashWitness {
-            trial,
-            machine: victim,
-            node_in_component: idx,
-        });
-        Ok(Some((true, witness)))
-    });
-    let mut witnesses = Vec::new();
-    let mut crashes_recovered = 0usize;
-    for outcome in per_trial {
-        if let Some((recovered, witness)) = outcome? {
-            crashes_recovered += usize::from(recovered);
-            witnesses.extend(witness);
-        }
-    }
+    let seed = master_seed.derive(0xc7a5);
+    let (crashes_recovered, witnesses) =
+        foreign_crash_trials(alg, component, trials, seed, |g, mut faulted, plan, la| {
+            faulted.arm_faults(plan, RecoveryPolicy::restart(4));
+            let lb = alg.run(g, &mut faulted)?;
+            if !faulted
+                .events()
+                .iter()
+                .any(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+            {
+                return Ok(None); // the run finished before the crash round
+            }
+            Ok(Some((0..component.n()).find(|&v| la[v] != lb[v])))
+        })?;
     Ok(CrashImmunityReport {
         algorithm: alg.name().to_string(),
         trials,
         crashes_recovered,
         witnesses,
     })
+}
+
+/// The foreign-crash trials [`verify_crash_immunity`] and
+/// [`verify_degraded_immunity`] share, run as a parallel sweep (trials
+/// are seed-independent) and folded in trial order. Trial `t` embeds
+/// `component` next to a sibling drawn from `seed.derive(t)`, learns the
+/// output and the machine tags from a fault-free baseline, then hands
+/// `faulted` the graph, a fresh cluster built like the baseline's, a plan
+/// crashing the first machine whose tags miss the component (in round
+/// 1–3, to strike mid-run) and the baseline labels. `faulted` returns
+/// `None` when the crash never struck, otherwise the first component node
+/// whose output fails its check, if any. Returns how many trials had a
+/// foreign machine and a crash that struck, and their witnesses.
+fn foreign_crash_trials<A, F>(
+    alg: &A,
+    component: &Graph,
+    trials: usize,
+    seed: Seed,
+    faulted: F,
+) -> Result<(usize, Vec<CrashWitness>), MpcError>
+where
+    A: MpcVertexAlgorithm + Sync,
+    F: Fn(&Graph, Cluster, FaultPlan, &[A::Label]) -> Result<Option<Option<usize>>, MpcError>
+        + Sync,
+{
+    type Probe = Result<Option<Option<CrashWitness>>, MpcError>;
+    let nc = component.n();
+    let delta = component.max_degree();
+    let per_trial: Vec<Probe> = par_map_range(ParallelismMode::default(), trials, |trial| {
+        let trial_seed = seed.derive(trial as u64);
+        let sib = sibling(nc.max(3), delta.max(2), 10_000, trial_seed.derive(10));
+        let g = ops::disjoint_union(&[component, &sib]);
+        let shared = trial_seed.derive(99);
+        let mut baseline = immunity_cluster(&g, shared);
+        let la = alg.run(&g, &mut baseline)?;
+        let target: BTreeSet<ComponentId> = g.component_labels()[..nc]
+            .iter()
+            .map(|&c| c as ComponentId)
+            .collect();
+        let victim = (0..baseline.num_machines()).find(|&m| {
+            let tags = baseline.machine_components(m);
+            !tags.is_empty() && !tags.iter().any(|c| target.contains(c))
+        });
+        let Some(victim) = victim else {
+            return Ok(None); // every machine touches the component
+        };
+        let mut rng = SplitMix64::new(trial_seed.derive(7));
+        let plan = FaultPlan::quiet(shared).crash(victim, 1 + rng.index(3));
+        let node = faulted(&g, immunity_cluster(&g, shared), plan, &la)?;
+        Ok(node.map(|node| {
+            node.map(|idx| CrashWitness {
+                trial,
+                machine: victim,
+                node_in_component: idx,
+            })
+        }))
+    });
+    let mut witnesses = Vec::new();
+    let mut struck = 0usize;
+    for outcome in per_trial {
+        if let Some(witness) = outcome? {
+            struck += 1;
+            witnesses.extend(witness);
+        }
+    }
+    Ok((struck, witnesses))
 }
 
 /// Result of a degraded-run immunity verification: the crash-immunity
@@ -361,43 +384,13 @@ pub fn verify_degraded_immunity<A: MpcVertexAlgorithm + Sync>(
 where
     A::Label: Send + Sync,
 {
-    /// One trial: `None` when inapplicable (no foreign machine, or the
-    /// run beat the crash round), otherwise an optional witness.
-    type DegradedProbe = Result<Option<Option<CrashWitness>>, MpcError>;
-    let nc = component.n();
-    let delta = component.max_degree();
-    let per_trial: Vec<DegradedProbe> =
-        par_map_range(ParallelismMode::default(), trials, |trial| {
-            let trial_seed = master_seed.derive(0xdeca).derive(trial as u64);
-            let sib = sibling(nc.max(3), delta.max(2), 10_000, trial_seed.derive(10));
-            let g = ops::disjoint_union(&[component, &sib]);
-            let shared = trial_seed.derive(99);
-
-            // Fault-free baseline: learn the output and the machine tags.
-            let mut baseline = immunity_cluster(&g, shared);
-            let la = alg.run(&g, &mut baseline)?;
-            let target: BTreeSet<ComponentId> = g.component_labels()[..nc]
-                .iter()
-                .map(|&c| c as ComponentId)
-                .collect();
-            let foreign: Vec<usize> = (0..baseline.num_machines())
-                .filter(|&m| {
-                    let tags = baseline.machine_components(m);
-                    !tags.is_empty() && !tags.iter().any(|c| target.contains(c))
-                })
-                .collect();
-            let Some(&victim) = foreign.first() else {
-                return Ok(None); // every machine touches the component
-            };
-
-            // Zero retries: the first crash exhausts the budget, forcing the
-            // degraded path instead of a checkpoint recovery.
-            let mut rng = SplitMix64::new(trial_seed.derive(7));
-            let crash_round = 1 + rng.index(3);
-            let plan = FaultPlan::quiet(shared).crash(victim, crash_round);
-            let template = immunity_cluster(&g, shared);
+    let seed = master_seed.derive(0xdeca);
+    let (degraded_runs, witnesses) =
+        foreign_crash_trials(alg, component, trials, seed, |g, template, plan, la| {
+            // Zero retries: the first crash exhausts the budget, forcing
+            // the degraded path instead of a checkpoint recovery.
             let run = run_supervised(
-                &g,
+                g,
                 &template,
                 &plan,
                 RecoveryPolicy::restart(0),
@@ -407,30 +400,16 @@ where
             let SupervisedOutcome::Degraded(partial) = &run.outcome else {
                 return Ok(None); // the run finished before the crash round
             };
-            // The observed component was never touched: its verdict must be
-            // Healthy and its salvaged labels bit-identical to the baseline.
-            let witness = (0..nc)
-                .find(|&v| {
-                    let c =
-                        ComponentId::try_from(g.component_labels()[v]).unwrap_or(ComponentId::MAX);
-                    partial.verdicts.get(&c) != Some(&ComponentVerdict::Healthy)
-                        || partial.labels[v].as_ref() != Some(&la[v])
-                })
-                .map(|idx| CrashWitness {
-                    trial,
-                    machine: victim,
-                    node_in_component: idx,
-                });
-            Ok(Some(witness))
-        });
-    let mut witnesses = Vec::new();
-    let mut degraded_runs = 0usize;
-    for outcome in per_trial {
-        if let Some(witness) = outcome? {
-            degraded_runs += 1;
-            witnesses.extend(witness);
-        }
-    }
+            // The observed component was never touched: its verdict must
+            // be Healthy and its salvaged labels bit-identical to the
+            // baseline.
+            let comp_of = g.component_labels();
+            Ok(Some((0..component.n()).find(|&v| {
+                let c = ComponentId::try_from(comp_of[v]).unwrap_or(ComponentId::MAX);
+                partial.verdicts.get(&c) != Some(&ComponentVerdict::Healthy)
+                    || partial.labels[v].as_ref() != Some(&la[v])
+            })))
+        })?;
     Ok(DegradedImmunityReport {
         algorithm: alg.name().to_string(),
         trials,

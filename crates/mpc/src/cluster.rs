@@ -12,8 +12,12 @@
 //!   simulates MPC faithfully: the model's observable resources (rounds,
 //!   per-machine words) are enforced, local computation is free — as in the
 //!   paper, which explicitly allows unbounded local computation.
+//!
+//! Beside the ledger a cluster keeps its model-event log
+//! ([`Cluster::events`]), its provenance log, and the host's wall-clock
+//! [`PhaseTimes`] ([`Cluster::phase_times`]), which no ledger sees.
 
-use crate::config::MpcConfig;
+use crate::config::{MpcConfig, CHECKPOINT_INTERVAL};
 use crate::faults::{
     Checkpoint, FaultKind, FaultPlan, FaultState, Partition, RecoveryEvent, RecoveryPolicy,
     Transport,
@@ -21,7 +25,7 @@ use crate::faults::{
 use crate::phase::{PhaseTimer, PhaseTimes};
 use crate::provenance::{ComponentId, ProvenanceLog, TagTable};
 use crate::route::RouteArena;
-use crate::supervise::{SupervisionEvent, SupervisorConfig};
+use crate::supervise::{ClusterEvent, SupervisorConfig};
 use csmpc_graph::fnv::fnv1a_words;
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_parallel::par_map_mut_into;
@@ -29,8 +33,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// Resource ledger for one MPC execution.
-#[derive(Debug, Clone, Default)]
+/// Resource ledger for one MPC execution: the model's observables only.
+/// Host wall-clock time sits beside it, in [`Cluster::phase_times`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Synchronous communication rounds elapsed.
     pub rounds: usize,
@@ -58,31 +63,13 @@ pub struct Stats {
     /// handed to a machine, so this counter is exactly the number of
     /// corruption faults that struck.
     pub corrupted_detected: u64,
-    /// Wall-clock attribution of engine work by phase (route, intake,
-    /// step, merge, checkpoint). **Observability only**: excluded from
-    /// `Stats` equality, so bit-identity comparisons between executions
-    /// (sequential vs parallel, replay determinism) never see host timing
-    /// noise.
-    pub phase: PhaseTimes,
 }
-
-/// Equality covers every *model observable* ([`Stats::MODEL_FIELDS`])
-/// and deliberately ignores [`Stats::phase`]: two executions that moved
-/// the same words in the same rounds are equal no matter how long the
-/// host took to simulate them.
-impl PartialEq for Stats {
-    fn eq(&self, other: &Self) -> bool {
-        self.model_words() == other.model_words()
-    }
-}
-
-impl Eq for Stats {}
 
 impl Stats {
-    /// The model observables, in canonical order: every field except
-    /// [`Stats::phase`]. Equality, `Display`, the service journal codec
-    /// and the service report fingerprint all walk this one list, so
-    /// their field sets cannot drift apart.
+    /// The model observables — every field — in canonical order.
+    /// `Display`, the service journal codec and the service report
+    /// fingerprint all walk this one list, so their field sets cannot
+    /// drift apart.
     pub const MODEL_FIELDS: [&'static str; 8] = [
         "rounds",
         "max_round_words",
@@ -110,7 +97,7 @@ impl Stats {
     }
 
     /// The ledger whose model observables are `words` (in
-    /// [`Stats::MODEL_FIELDS`] order), with zero phase timings.
+    /// [`Stats::MODEL_FIELDS`] order).
     #[must_use]
     pub fn from_model_words(w: [u64; 8]) -> Self {
         Stats {
@@ -122,7 +109,6 @@ impl Stats {
             recovery_words: w[5],
             speculative_rounds: w[6] as usize,
             corrupted_detected: w[7],
-            phase: PhaseTimes::default(),
         }
     }
 
@@ -148,7 +134,6 @@ impl Stats {
         self.corrupted_detected = self
             .corrupted_detected
             .saturating_add(other.corrupted_detected);
-        self.phase.absorb(&other.phase);
     }
 
     /// Charges journal-replay work onto a bare ledger — the service-layer
@@ -433,19 +418,17 @@ pub struct Cluster {
     num_machines: usize,
     shared_seed: Seed,
     stats: Stats,
+    phase: PhaseTimes,
+    events: Vec<ClusterEvent>,
     provenance: ProvenanceLog,
     /// Components whose words each machine currently holds, for the exact
     /// engine's message-level provenance propagation.
     machine_components: TagTable,
     /// Armed fault plan and recovery policy for the accounted layer, if any.
     faults: Option<FaultState>,
-    /// Completed crash recoveries, in order.
-    recovery_log: Vec<RecoveryEvent>,
     /// Armed supervision policy (straggler speculation + quarantine), if
     /// any. See [`Cluster::supervise`].
     supervisor: Option<SupervisorConfig>,
-    /// Supervision actions taken so far, in order.
-    supervision_log: Vec<SupervisionEvent>,
     /// Per-machine count of fault events survived (crashes, speculated
     /// straggles) — the quarantine trigger.
     failure_counts: Vec<usize>,
@@ -478,12 +461,12 @@ impl Cluster {
             num_machines,
             shared_seed,
             stats: Stats::default(),
+            phase: PhaseTimes::default(),
+            events: Vec::new(),
             provenance: ProvenanceLog::new(),
             machine_components: TagTable::new(num_machines),
             faults: None,
-            recovery_log: Vec::new(),
             supervisor: None,
-            supervision_log: Vec::new(),
             failure_counts: vec![0; num_machines],
             quarantined: BTreeSet::new(),
             faulted: BTreeSet::new(),
@@ -535,30 +518,36 @@ impl Cluster {
         &self.stats
     }
 
-    /// Resets the ledger (e.g. between repetitions).
+    /// Host wall-clock time spent in each engine phase so far.
+    /// Observability only: it sits beside the [`Stats`] ledger, not in it.
+    #[must_use]
+    pub fn phase_times(&self) -> &PhaseTimes {
+        &self.phase
+    }
+
+    /// Resets the ledger and the phase timings (e.g. between repetitions).
     ///
-    /// Note this clears *only* the [`Stats`] ledger: provenance flows,
-    /// machine component tags, and the recovery log survive. Repeated
-    /// independent runs on one cluster should use
-    /// [`Cluster::reset_for_repetition`] instead, or stale tags from trial
-    /// `t` leak into trial `t + 1`.
+    /// Note this clears *only* those two: provenance flows, machine
+    /// component tags, and the event log survive. Repeated independent
+    /// runs on one cluster should use [`Cluster::reset_for_repetition`]
+    /// instead, or stale tags from trial `t` leak into trial `t + 1`.
     pub fn reset_stats(&mut self) {
         self.stats = Stats::default();
+        self.phase = PhaseTimes::default();
     }
 
     /// Resets everything one repetition of an experiment observes: the
-    /// [`Stats`] ledger, the provenance log, the per-machine component
-    /// tags, the recovery log, the supervision log and its
+    /// [`Stats`] ledger and phase timings, the provenance log, the
+    /// per-machine component tags, the event log and the supervisor's
     /// failure/quarantine/taint bookkeeping, and any armed fault plan's
     /// fired/retry/partition cursors. After this, the cluster behaves as
     /// freshly built for the next trial (the supervision *policy* itself
     /// stays armed, like the fault plan does).
     pub fn reset_for_repetition(&mut self) {
-        self.stats = Stats::default();
+        self.reset_stats();
         self.provenance.clear();
         self.machine_components.clear();
-        self.recovery_log.clear();
-        self.supervision_log.clear();
+        self.events.clear();
         self.failure_counts.fill(0);
         self.quarantined.clear();
         self.faulted.clear();
@@ -646,10 +635,11 @@ impl Cluster {
         self.supervisor.as_ref()
     }
 
-    /// Supervision actions taken so far, in order.
+    /// Crash recoveries and supervision actions so far, in the order they
+    /// happened. A checkpoint restore never rolls this log back.
     #[must_use]
-    pub fn supervision_log(&self) -> &[SupervisionEvent] {
-        &self.supervision_log
+    pub fn events(&self) -> &[ClusterEvent] {
+        &self.events
     }
 
     /// Machines decommissioned by the supervisor, ascending.
@@ -667,13 +657,8 @@ impl Cluster {
         &self.faulted
     }
 
-    /// Crash recoveries completed so far, in order.
-    #[must_use]
-    pub fn recovery_log(&self) -> &[RecoveryEvent] {
-        &self.recovery_log
-    }
-
-    /// The component-provenance log of this execution.
+    /// The component-provenance log of this execution. It is kept apart
+    /// from [`Cluster::events`] because a checkpoint restore rolls it back.
     #[must_use]
     pub fn provenance(&self) -> &ProvenanceLog {
         &self.provenance
@@ -727,10 +712,10 @@ impl Cluster {
     }
 
     /// Absorbs a wall-clock phase attribution recorded by an accounted
-    /// primitive. Observability only — [`Stats::phase`] is excluded from
-    /// `Stats` equality and never feeds a model observable.
+    /// primitive into [`Cluster::phase_times`]. Observability only — it
+    /// never feeds a model observable.
     pub fn record_phase(&mut self, delta: &PhaseTimes) {
-        self.stats.phase.absorb(delta);
+        self.phase.absorb(delta);
     }
 
     /// Runs `f`, one accounted primitive's host-side sweep, and books its
@@ -738,7 +723,7 @@ impl Cluster {
     pub(crate) fn time_step<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let timer = PhaseTimer::start();
         let out = f();
-        add_elapsed(&mut self.stats.phase.step_ns, timer);
+        add_elapsed(&mut self.phase.step_ns, timer);
         out
     }
 
@@ -910,7 +895,7 @@ impl Cluster {
         self.quarantined.insert(machine);
         self.faulted.insert(machine);
         let components: Vec<ComponentId> = self.machine_components(machine).to_vec();
-        self.supervision_log.push(SupervisionEvent::Quarantine {
+        self.events.push(ClusterEvent::Quarantine {
             machine,
             round: self.stats.rounds,
             components,
@@ -942,7 +927,7 @@ impl Cluster {
         self.charge_recovery(0, reshipped);
         self.stats.speculative_rounds = self.stats.speculative_rounds.saturating_add(speculated);
         self.failure_counts[machine] += 1;
-        self.supervision_log.push(SupervisionEvent::Speculation {
+        self.events.push(ClusterEvent::Speculation {
             machine,
             round,
             stall_avoided: speculated,
@@ -961,7 +946,7 @@ impl Cluster {
             return;
         }
         self.charge_recovery(stall, 0);
-        self.supervision_log.push(SupervisionEvent::Backoff {
+        self.events.push(ClusterEvent::Backoff {
             machine,
             round: self.stats.rounds,
             retry,
@@ -974,19 +959,19 @@ impl Cluster {
     /// the crashed machine's state is re-shipped, all charged to the
     /// ledger. Recovery is never free — at least one round and one word.
     fn recover_accounted_crash(&mut self, machine: usize) {
-        let interval = self.cfg.checkpoint_interval.max(1);
         let crash_round = self.stats.rounds;
-        let checkpoint_round = (crash_round.saturating_sub(1) / interval) * interval;
+        let checkpoint_round =
+            (crash_round.saturating_sub(1) / CHECKPOINT_INTERVAL) * CHECKPOINT_INTERVAL;
         let replayed = (crash_round - checkpoint_round).max(1);
         let reshipped = self.stats.max_storage_words.max(1);
         self.charge_recovery(replayed, reshipped);
-        self.recovery_log.push(RecoveryEvent {
+        self.events.push(ClusterEvent::Recovery(RecoveryEvent {
             machine,
             crash_round,
             checkpoint_round,
             replayed_rounds: replayed,
             reshipped_words: reshipped,
-        });
+        }));
     }
 
     /// Charges `rounds` recovery rounds and `words` re-shipped recovery
@@ -1104,8 +1089,8 @@ impl Cluster {
     /// with pending retransmissions delivered (and charged again) and every
     /// sent message exposed to the plan's seeded drop, corruption and
     /// duplication coins. Under a restart policy a checkpoint is captured
-    /// every [`MpcConfig::checkpoint_interval`] rounds; fault events fire
-    /// once per execution, recovery replays included.
+    /// every [`CHECKPOINT_INTERVAL`] rounds; fault events fire once per
+    /// execution, recovery replays included.
     ///
     /// Everything is deterministic in (`machines`, `initial`, the plan, the
     /// policy) — result, [`Stats`] ledger and provenance log alike — in
@@ -1140,7 +1125,6 @@ impl Cluster {
         }
         let mut state = EngineState::new(m, initial, plan.seed());
         let mut fs = FaultState::new(plan.clone(), policy);
-        let interval = self.cfg.checkpoint_interval.max(1);
         let mut checkpoint: Option<Checkpoint> = None;
         // Completed execution rounds. Distinct from the ledger's round
         // counter: a recovery rolls `exec` back to the checkpoint while the
@@ -1151,11 +1135,11 @@ impl Cluster {
             // recovery replay keeps growing even as `exec` rolls back — so
             // a crash-looping execution cannot outrun its deadline.
             self.check_job_deadline()?;
-            if policy != RecoveryPolicy::FailFast && exec.is_multiple_of(interval) {
+            if policy != RecoveryPolicy::FailFast && exec.is_multiple_of(CHECKPOINT_INTERVAL) {
                 let timer = PhaseTimer::start();
                 let cp = self.capture_checkpoint(exec, &state, machines, checkpoint.as_ref());
                 checkpoint = Some(cp);
-                add_elapsed(&mut self.stats.phase.checkpoint_ns, timer);
+                add_elapsed(&mut self.phase.checkpoint_ns, timer);
             }
             let cp = checkpoint.as_ref();
             if let Some(resume) = self.strike_faults(&mut state, &mut fs, machines, exec, cp)? {
@@ -1239,16 +1223,18 @@ impl Cluster {
         state.transport = cp.transport.clone();
         let reshipped = cp.words().max(1);
         self.charge_recovery(1, reshipped);
-        add_elapsed(&mut self.stats.phase.checkpoint_ns, timer);
+        add_elapsed(&mut self.phase.checkpoint_ns, timer);
         let replayed = exec - cp.round;
+        // Stamped with the execution round the crash struck, which this
+        // restore rolls back — not the ledger round.
         for &machine in crashed {
-            self.recovery_log.push(RecoveryEvent {
+            self.events.push(ClusterEvent::Recovery(RecoveryEvent {
                 machine,
                 crash_round: exec + 1,
                 checkpoint_round: cp.round,
                 replayed_rounds: replayed,
                 reshipped_words: reshipped,
-            });
+            }));
         }
         self.stats.recovery_rounds = self.stats.recovery_rounds.saturating_add(replayed);
     }
@@ -1271,7 +1257,7 @@ impl Cluster {
         }
         self.charge_words(0, retransmit_words);
         state.fabric.scatter(&mut state.incoming);
-        add_elapsed(&mut self.stats.phase.route_ns, timer);
+        add_elapsed(&mut self.phase.route_ns, timer);
     }
 
     /// Intake phase (sequential, machine-index order): enforces the
@@ -1312,7 +1298,7 @@ impl Cluster {
                 });
             }
         }
-        add_elapsed(&mut self.stats.phase.intake_ns, timer);
+        add_elapsed(&mut self.phase.intake_ns, timer);
         Ok(())
     }
 
@@ -1345,7 +1331,7 @@ impl Cluster {
                 Some((outs, shard.storage_words()))
             },
         );
-        add_elapsed(&mut self.stats.phase.step_ns, timer);
+        add_elapsed(&mut self.phase.step_ns, timer);
         let timer = PhaseTimer::start();
         for id in (0..self.num_machines).filter(|&id| stalled(id)) {
             let (lo, hi) = state.fabric.ranges[id];
@@ -1356,7 +1342,7 @@ impl Cluster {
                 });
             }
         }
-        add_elapsed(&mut self.stats.phase.route_ns, timer);
+        add_elapsed(&mut self.phase.route_ns, timer);
     }
 
     /// Merge phase (sequential, fixed machine-index order): send caps,
@@ -1467,7 +1453,7 @@ impl Cluster {
         self.propagate_tags(&mut state.incoming_tags, round);
         self.stats.rounds = self.stats.rounds.saturating_add(1);
         self.charge_words(round_delta.max_round_words, round_delta.total_words);
-        add_elapsed(&mut self.stats.phase.merge_ns, timer);
+        add_elapsed(&mut self.phase.merge_ns, timer);
         Ok(any_sent)
     }
 
@@ -2135,7 +2121,7 @@ mod tests {
         assert!(!cluster.provenance().has_cross_component_flow());
         assert!(cluster.machine_components(0).is_empty());
         assert!(cluster.machine_components(1).is_empty());
-        assert!(cluster.recovery_log().is_empty());
+        assert!(recoveries(&cluster).is_empty());
     }
 
     #[test]
@@ -2147,13 +2133,13 @@ mod tests {
             RecoveryPolicy::restart(2),
         );
         cluster.advance_rounds(2).unwrap();
-        assert_eq!(cluster.recovery_log().len(), 1);
+        assert_eq!(recoveries(&cluster).len(), 1);
 
         cluster.reset_for_repetition();
-        assert!(cluster.recovery_log().is_empty());
+        assert!(recoveries(&cluster).is_empty());
         // The plan re-fires on the next repetition, identically.
         cluster.advance_rounds(2).unwrap();
-        assert_eq!(cluster.recovery_log().len(), 1);
+        assert_eq!(recoveries(&cluster).len(), 1);
     }
 
     #[test]
@@ -2175,7 +2161,7 @@ mod tests {
             RecoveryPolicy::restart(2),
         );
         cluster.advance_rounds(5).unwrap();
-        let ev = cluster.recovery_log()[0];
+        let ev = recoveries(&cluster)[0];
         assert_eq!(ev.machine, 4);
         assert!(ev.replayed_rounds >= 1, "at least one replayed round");
         assert!(ev.reshipped_words >= 1, "at least one re-shipped word");
@@ -2200,7 +2186,7 @@ mod tests {
         );
         let err = cluster.advance_rounds(10).unwrap_err();
         assert!(matches!(err, MpcError::MachineFailed { .. }));
-        assert_eq!(cluster.recovery_log().len(), 2, "two recoveries, then fail");
+        assert_eq!(recoveries(&cluster).len(), 2, "two recoveries, then fail");
     }
 
     /// SumToZero with real snapshot/restore, for engine recovery tests.
@@ -2247,6 +2233,16 @@ mod tests {
         })
     }
 
+    fn recoveries(cluster: &Cluster) -> Vec<RecoveryEvent> {
+        let events = cluster.events().iter();
+        events
+            .filter_map(|ev| match ev {
+                ClusterEvent::Recovery(r) => Some(*r),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn engine_fault_run(
         plan: &FaultPlan,
         policy: RecoveryPolicy,
@@ -2259,7 +2255,7 @@ mod tests {
         Ok((
             machines[0].acc,
             cluster.stats().clone(),
-            cluster.recovery_log().len(),
+            recoveries(&cluster).len(),
         ))
     }
 

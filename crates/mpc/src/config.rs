@@ -4,7 +4,13 @@
 //! local space for a constant `φ ∈ (0, 1)`. All messages sent and received
 //! by a machine in one round, as well as its stored state, must fit in `S`.
 
-/// Parameters of a low-space MPC deployment.
+/// Rounds between recovery checkpoints: under a restart
+/// [`crate::RecoveryPolicy`] a crash replays at most this many rounds (all
+/// charged to the ledger), on both execution layers.
+pub const CHECKPOINT_INTERVAL: usize = 4;
+
+/// Parameters of a low-space MPC deployment. Local space is
+/// `S = max(⌈n^φ⌉, min_space)`: the `Θ(·)` constant is 1.
 ///
 /// # Examples
 ///
@@ -22,19 +28,10 @@ pub struct MpcConfig {
     /// test inputs (the model is asymptotic; a 20-node graph with `φ = 0.5`
     /// would otherwise give 5-word machines).
     pub min_space: usize,
-    /// Multiplier on `n^φ` (the `Θ(·)` constant).
-    pub space_factor: f64,
-    /// Exact-engine rounds between recovery checkpoints: under
-    /// [`crate::RecoveryPolicy::RestartFromCheckpoint`] the cluster
-    /// snapshots state every this many rounds, so a crash replays at most
-    /// this many rounds (all charged to the ledger).
-    pub checkpoint_interval: usize,
-    /// Default retry budget for restart-from-checkpoint recovery.
-    pub max_recovery_retries: usize,
     /// How the simulators execute internally parallelizable sweeps (machine
     /// steps within an exact-engine round, per-vertex sweeps in the
     /// accounted primitives). Both modes are bit-identical in every
-    /// observable — outputs, [`crate::Stats`], provenance, recovery log —
+    /// observable — outputs, [`crate::Stats`], provenance, event log —
     /// for the same seed; the mode only affects wall-clock time.
     pub parallelism: csmpc_parallel::ParallelismMode,
 }
@@ -51,9 +48,6 @@ impl MpcConfig {
         MpcConfig {
             phi,
             min_space: 32,
-            space_factor: 1.0,
-            checkpoint_interval: 4,
-            max_recovery_retries: 8,
             parallelism: csmpc_parallel::ParallelismMode::default(),
         }
     }
@@ -61,7 +55,7 @@ impl MpcConfig {
     /// Local space `S` (in words) for an `n`-node input.
     #[must_use]
     pub fn local_space(&self, n: usize) -> usize {
-        let s = ((n as f64).powf(self.phi) * self.space_factor).ceil() as usize;
+        let s = (n as f64).powf(self.phi).ceil() as usize;
         s.max(self.min_space)
     }
 
@@ -176,12 +170,5 @@ mod tests {
             assert!(d >= last, "depth must not decrease as leaves grow");
             last = d;
         }
-    }
-
-    #[test]
-    fn default_recovery_knobs_are_sane() {
-        let c = MpcConfig::default();
-        assert!(c.checkpoint_interval >= 1);
-        assert!(c.max_recovery_retries >= 1);
     }
 }

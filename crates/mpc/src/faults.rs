@@ -383,15 +383,16 @@ impl RecoveryPolicy {
     }
 }
 
-/// One completed crash recovery, as recorded in
-/// [`crate::Cluster::recovery_log`].
+/// One completed crash recovery, logged as
+/// [`crate::ClusterEvent::Recovery`] in [`crate::Cluster::events`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryEvent {
     /// The machine that crashed.
     pub machine: usize,
-    /// Ledger round at which the crash struck.
+    /// Round at which the crash struck: the ledger round on the accounted
+    /// layer, the 1-indexed execution round on the exact engine.
     pub crash_round: usize,
-    /// Execution round of the checkpoint restored from.
+    /// Round of the checkpoint restored from, on `crash_round`'s clock.
     pub checkpoint_round: usize,
     /// Rounds deterministically re-executed (charged to the ledger).
     pub replayed_rounds: usize,

@@ -7,9 +7,9 @@
 //! send/receive volume capped at `S`.
 //!
 //! * [`config`] — the `φ`, `S`, machine-count arithmetic;
-//! * [`cluster`] — the resource ledger, the exact word-moving engine with
-//!   bandwidth/space enforcement, and the accounting API used by
-//!   higher-level primitives;
+//! * [`cluster`] — the resource ledger, the model-event log, the exact
+//!   word-moving engine with bandwidth/space enforcement, and the
+//!   accounting API used by higher-level primitives;
 //! * [`route`] — the counting-sort message fabric: per-round grouping of
 //!   in-flight messages by destination machine, stable per destination
 //!   and allocation-free at steady state;
@@ -74,6 +74,6 @@ pub use provenance::{ComponentId, CrossComponentFlow, ProvenanceLog};
 pub use route::RouteArena;
 pub use scale::ScaleWorkspace;
 pub use supervise::{
-    run_supervised, salvage_graph, ComponentVerdict, PartialOutput, SupervisedOutcome,
-    SupervisedRun, SupervisionEvent, SupervisorConfig,
+    run_supervised, salvage_graph, ClusterEvent, ComponentVerdict, PartialOutput,
+    SupervisedOutcome, SupervisedRun, SupervisorConfig,
 };

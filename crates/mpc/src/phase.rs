@@ -14,12 +14,12 @@
 //! `Cluster::time_step` that each primitive calls after charging its
 //! rounds.
 //!
-//! Timings are **observability only**: they are carried in
-//! [`crate::Stats`] but deliberately excluded from its `PartialEq`, never
-//! feed any algorithmic decision, and never touch the model's observables
-//! (labels, charges, round counts). That is why the wall-clock reads below
-//! carry conformance suppressions — replayability (Definition 9) concerns
-//! the simulated execution, not how long the host took to run it.
+//! Timings are **observability only**: a cluster keeps them beside its
+//! [`crate::Stats`] ledger ([`crate::Cluster::phase_times`]); they never
+//! feed any algorithmic decision or touch the model's observables (labels,
+//! charges, round counts). That is why the wall-clock reads below carry
+//! conformance suppressions — replayability (Definition 9) concerns the
+//! simulated execution, not how long the host took to run it.
 //!
 //! With the `alloc-count` feature process-wide allocation and live-byte
 //! counters are also available (the `counting_alloc` module); the
@@ -35,9 +35,9 @@ use std::time::Instant;
 
 /// Cumulative wall-clock attribution of engine work, in nanoseconds.
 ///
-/// Absorbed alongside [`crate::Stats`] ledgers; excluded from `Stats`
-/// equality so bit-identity comparisons (seq vs par, replay determinism)
-/// are unaffected by host timing noise.
+/// Kept by the cluster beside its [`crate::Stats`] ledger, so
+/// bit-identity comparisons of ledgers (seq vs par, replay determinism)
+/// never see host timing noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Sorting pending messages into per-machine delivery ranges,
@@ -99,7 +99,7 @@ impl fmt::Display for PhaseTimes {
 /// A started phase stopwatch; read it with [`PhaseTimer::elapsed_ns`].
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseTimer {
-    // csmpc-allow(nondeterminism): wall-clock phase timer, excluded from Stats equality
+    // csmpc-allow(nondeterminism): wall-clock phase timer, kept outside the Stats ledger
     started: Instant,
 }
 
@@ -108,7 +108,7 @@ impl PhaseTimer {
     #[must_use]
     pub fn start() -> Self {
         PhaseTimer {
-            // csmpc-allow(nondeterminism): wall-clock phase timer, excluded from Stats equality
+            // csmpc-allow(nondeterminism): wall-clock phase timer, kept outside the Stats ledger
             started: Instant::now(),
         }
     }

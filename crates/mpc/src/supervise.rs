@@ -79,10 +79,19 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// One supervision action, as recorded in
-/// [`crate::Cluster::supervision_log`].
+/// One entry of the cluster's model-event log ([`crate::Cluster::events`]):
+/// a crash recovery or a supervision action.
+///
+/// Each event's round stamp (`crash_round` for a recovery, `round`
+/// otherwise) is a ledger round ([`crate::Stats::rounds`]) on the
+/// accounted layer, so stamps never decrease in log order there. On the
+/// exact engine, recoveries and speculations are stamped with the
+/// 1-indexed *execution* round the fault struck, which a checkpoint
+/// restore rolls back, and quarantines and backoffs with ledger rounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SupervisionEvent {
+pub enum ClusterEvent {
+    /// A crash recovered from a checkpoint.
+    Recovery(RecoveryEvent),
     /// A straggler stalled past the deadline; a spare re-executed it
     /// speculatively.
     Speculation {
@@ -100,7 +109,7 @@ pub enum SupervisionEvent {
     Quarantine {
         /// The decommissioned machine.
         machine: usize,
-        /// Round of the quarantine.
+        /// Ledger round after the charged migration.
         round: usize,
         /// Components whose words the machine held — tainted from here on.
         components: Vec<ComponentId>,
@@ -109,7 +118,7 @@ pub enum SupervisionEvent {
     Backoff {
         /// The machine whose crash triggered the retry.
         machine: usize,
-        /// Round the backoff ended.
+        /// Ledger round the backoff ended.
         round: usize,
         /// Retry number (1-indexed) the backoff preceded.
         retry: usize,
@@ -118,10 +127,11 @@ pub enum SupervisionEvent {
     },
 }
 
-impl fmt::Display for SupervisionEvent {
+impl fmt::Display for ClusterEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SupervisionEvent::Speculation {
+            ClusterEvent::Recovery(ev) => ev.fmt(f),
+            ClusterEvent::Speculation {
                 machine,
                 round,
                 stall_avoided,
@@ -131,7 +141,7 @@ impl fmt::Display for SupervisionEvent {
                 "machine {machine} speculated at round {round}: avoided {stall_avoided} \
                  stall round(s), re-shipped {reshipped_words} word(s)"
             ),
-            SupervisionEvent::Quarantine {
+            ClusterEvent::Quarantine {
                 machine,
                 round,
                 components,
@@ -140,7 +150,7 @@ impl fmt::Display for SupervisionEvent {
                 "machine {machine} quarantined at round {round} ({} tainted component(s))",
                 components.len()
             ),
-            SupervisionEvent::Backoff {
+            ClusterEvent::Backoff {
                 machine,
                 round,
                 retry,
@@ -202,10 +212,9 @@ pub struct SupervisedRun<L> {
     /// The primary ledger, including all recovery, speculation,
     /// quarantine, backoff, and salvage charges.
     pub stats: Stats,
-    /// Crash recoveries completed before the outcome.
-    pub recoveries: Vec<RecoveryEvent>,
-    /// Supervision actions taken.
-    pub supervision: Vec<SupervisionEvent>,
+    /// Crash recoveries and supervision actions, in the order they
+    /// happened.
+    pub events: Vec<ClusterEvent>,
     /// Machines quarantined, ascending.
     pub quarantined: Vec<usize>,
 }
@@ -379,8 +388,7 @@ where
     let report = |cluster: &Cluster, outcome: SupervisedOutcome<L>| SupervisedRun {
         outcome,
         stats: cluster.stats().clone(),
-        recoveries: cluster.recovery_log().to_vec(),
-        supervision: cluster.supervision_log().to_vec(),
+        events: cluster.events().to_vec(),
         quarantined: cluster.quarantined_machines().iter().copied().collect(),
     };
     match primary {
@@ -477,7 +485,7 @@ mod tests {
 
     #[test]
     fn supervision_event_displays_name_everything() {
-        let spec = SupervisionEvent::Speculation {
+        let spec = ClusterEvent::Speculation {
             machine: 3,
             round: 7,
             stall_avoided: 2,
@@ -486,7 +494,7 @@ mod tests {
         let s = spec.to_string();
         assert!(s.contains("machine 3"), "{s}");
         assert!(s.contains("11 word(s)"), "{s}");
-        let q = SupervisionEvent::Quarantine {
+        let q = ClusterEvent::Quarantine {
             machine: 5,
             round: 9,
             components: vec![0, 2],
@@ -494,7 +502,7 @@ mod tests {
         let s = q.to_string();
         assert!(s.contains("machine 5"), "{s}");
         assert!(s.contains("2 tainted component(s)"), "{s}");
-        let b = SupervisionEvent::Backoff {
+        let b = ClusterEvent::Backoff {
             machine: 1,
             round: 12,
             retry: 2,

@@ -23,8 +23,8 @@
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_graph::{generators, CsrAdjacency, Graph, GraphBuilder, NodeName, StreamFamily};
 use csmpc_mpc::{
-    graph_words, scale, Cluster, DistributedGraph, FaultPlan, MpcConfig, MpcError, ParallelismMode,
-    RecoveryPolicy, ScaleWorkspace,
+    graph_words, scale, Cluster, ClusterEvent, DistributedGraph, FaultPlan, MpcConfig, MpcError,
+    ParallelismMode, RecoveryPolicy, ScaleWorkspace,
 };
 use std::collections::BTreeMap;
 
@@ -221,9 +221,9 @@ fn cc_labels_matches_the_name_map_oracle() {
                 "case {case} ({mode:?}): three-buffer Stats ledger"
             );
             assert_eq!(
-                got_cl.recovery_log(),
-                rank_cl.recovery_log(),
-                "case {case} ({mode:?}): three-buffer recovery log"
+                got_cl.events(),
+                rank_cl.events(),
+                "case {case} ({mode:?}): three-buffer event log"
             );
             assert_eq!(
                 got_cl.stats().model_words(),
@@ -231,11 +231,15 @@ fn cc_labels_matches_the_name_map_oracle() {
                 "case {case} ({mode:?}): Stats ledger"
             );
             assert_eq!(
-                got_cl.recovery_log(),
-                want_cl.recovery_log(),
-                "case {case} ({mode:?}): recovery log"
+                got_cl.events(),
+                want_cl.events(),
+                "case {case} ({mode:?}): event log"
             );
-            recoveries += got_cl.recovery_log().len();
+            recoveries += got_cl
+                .events()
+                .iter()
+                .filter(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+                .count();
         }
     }
     assert!(
@@ -305,12 +309,12 @@ fn scale_cc_labels_matches_the_three_buffer_sweep() {
                     want_cl.stats().model_words(),
                     "{what}: Stats ledger"
                 );
-                assert_eq!(
-                    got_cl.recovery_log(),
-                    want_cl.recovery_log(),
-                    "{what}: recovery log"
-                );
-                recoveries += got_cl.recovery_log().len();
+                assert_eq!(got_cl.events(), want_cl.events(), "{what}: event log");
+                recoveries += got_cl
+                    .events()
+                    .iter()
+                    .filter(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+                    .count();
             }
         }
     }

@@ -4,7 +4,7 @@
 //! Three properties are enforced, per algorithm, across ≥20 seeded plans:
 //!
 //! 1. **Replay determinism** — the same seed and the same plan produce the
-//!    identical output, `Stats` ledger, provenance log, and recovery log,
+//!    identical output, `Stats` ledger, provenance log, and event log,
 //!    run after run. Faults are part of the replayable execution, not
 //!    outside it.
 //! 2. **Recovery is never free** — whenever a crash is recovered, the
@@ -22,8 +22,8 @@ use csmpc_core::stability::verify_crash_immunity;
 use csmpc_graph::rng::Seed;
 use csmpc_graph::{generators, ops, Graph};
 use csmpc_mpc::{
-    exact_aggregate_sum, exact_aggregate_sum_with_faults, Cluster, ComponentId, DistributedGraph,
-    FaultPlan, MpcConfig, MpcError, RecoveryPolicy,
+    exact_aggregate_sum, exact_aggregate_sum_with_faults, Cluster, ClusterEvent, ComponentId,
+    DistributedGraph, FaultPlan, MpcConfig, MpcError, RecoveryPolicy,
 };
 use std::collections::BTreeSet;
 
@@ -128,9 +128,9 @@ fn chaos_sweep_replays_deterministically_and_charges_recovery() {
                 algo.name
             );
             assert_eq!(
-                ca.recovery_log(),
-                cb.recovery_log(),
-                "{} plan {p}: recovery logs diverged on replay",
+                ca.events(),
+                cb.events(),
+                "{} plan {p}: event logs diverged on replay",
                 algo.name
             );
 
@@ -143,7 +143,11 @@ fn chaos_sweep_replays_deterministically_and_charges_recovery() {
             );
 
             // (2) Recovery is never free.
-            if !ca.recovery_log().is_empty() {
+            if ca
+                .events()
+                .iter()
+                .any(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+            {
                 crashes_fired += 1;
                 assert!(
                     ca.stats().rounds > base_stats.rounds,
@@ -197,7 +201,11 @@ fn foreign_component_crashes_never_change_outputs() {
             let round = 1 + (p as usize) % 3;
             let plan = FaultPlan::quiet(shared.derive(p)).crash(victim, round);
             let (labels, cluster) = faulted_run(algo, &g, shared, &plan);
-            if !cluster.recovery_log().is_empty() {
+            if cluster
+                .events()
+                .iter()
+                .any(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+            {
                 crashes_fired += 1;
             }
             assert_eq!(
@@ -246,7 +254,7 @@ fn engine_chaos_sweep_sums_survive_transport_and_crash_faults() {
         let run = |policy| {
             let mut cl = mk_cluster();
             let out = exact_aggregate_sum_with_faults(&mut cl, &values, &plan, policy);
-            (out, cl.stats().clone(), cl.recovery_log().to_vec())
+            (out, cl.stats().clone(), cl.events().to_vec())
         };
         let (out_a, stats_a, rec_a) = run(RecoveryPolicy::restart(8));
         let (out_b, stats_b, rec_b) = run(RecoveryPolicy::restart(8));
@@ -255,8 +263,11 @@ fn engine_chaos_sweep_sums_survive_transport_and_crash_faults() {
         assert_eq!(sum_a, expected, "plan {p}: wrong sum under faults");
         assert_eq!(sum_b, expected);
         assert_eq!(stats_a, stats_b, "plan {p}: engine replay diverged");
-        assert_eq!(rec_a, rec_b, "plan {p}: recovery logs diverged");
-        if !rec_a.is_empty() {
+        assert_eq!(rec_a, rec_b, "plan {p}: event logs diverged");
+        if rec_a
+            .iter()
+            .any(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+        {
             recoveries_seen += 1;
             assert!(
                 stats_a.rounds > quiet_stats.rounds
@@ -296,7 +307,7 @@ fn engine_chaos_sweep_survives_adversarial_transport() {
                 &plan,
                 RecoveryPolicy::restart(8),
             );
-            (out, cl.stats().clone(), cl.recovery_log().to_vec())
+            (out, cl.stats().clone(), cl.events().to_vec())
         };
         let (out_a, stats_a, rec_a) = run();
         let (out_b, stats_b, rec_b) = run();
@@ -308,7 +319,7 @@ fn engine_chaos_sweep_survives_adversarial_transport() {
         );
         assert_eq!(sum_b, expected);
         assert_eq!(stats_a, stats_b, "plan {p}: adversarial replay diverged");
-        assert_eq!(rec_a, rec_b, "plan {p}: recovery logs diverged");
+        assert_eq!(rec_a, rec_b, "plan {p}: event logs diverged");
         if stats_a.corrupted_detected > 0 {
             corruption_seen += 1;
         }

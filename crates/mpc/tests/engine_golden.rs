@@ -4,8 +4,9 @@
 //!
 //! Every case runs a fixed fault plan under one recovery policy, with or
 //! without a supervisor, in both parallelism modes. Its digest covers all
-//! eight `Stats` model fields, the recovery and supervision logs, the
-//! quarantined and faulted machine sets, the provenance flows, and the
+//! eight `Stats` model fields, the event log (as its recoveries and its
+//! supervision actions, two filtered lists), the quarantined and faulted
+//! machine sets, the provenance flows, and the
 //! result (sum or error variant). The digests are pinned constants, so any
 //! refactor of the fault machinery must reproduce every ledger bit for
 //! bit. The digest itself is an envelope checksum, and a few envelope
@@ -13,8 +14,8 @@
 
 use csmpc_graph::rng::Seed;
 use csmpc_mpc::{
-    exact_aggregate_sum_with_faults, Cluster, Envelope, FaultPlan, Message, MpcConfig,
-    ParallelismMode, RecoveryPolicy, SupervisorConfig,
+    exact_aggregate_sum_with_faults, Cluster, ClusterEvent, Envelope, FaultPlan, Message,
+    MpcConfig, ParallelismMode, RecoveryPolicy, SupervisorConfig,
 };
 
 /// A deep, narrow aggregation tree: `S = 4` words per machine and 256
@@ -114,6 +115,13 @@ fn digest(case: usize, record: &str) -> u64 {
 /// Everything a case pins, as one canonical string.
 fn record(cluster: &Cluster, result: &str) -> String {
     let s = cluster.stats();
+    let (mut recoveries, mut supervision) = (Vec::new(), Vec::new());
+    for ev in cluster.events() {
+        match ev {
+            ClusterEvent::Recovery(r) => recoveries.push(r),
+            other => supervision.push(other),
+        }
+    }
     format!(
         "stats=[{} {} {} {} {} {} {} {}] result={result} recovery={:?} supervision={:?} \
          quarantined={:?} faulted={:?} flows={:?}",
@@ -125,8 +133,8 @@ fn record(cluster: &Cluster, result: &str) -> String {
         s.recovery_words,
         s.speculative_rounds,
         s.corrupted_detected,
-        cluster.recovery_log(),
-        cluster.supervision_log(),
+        recoveries,
+        supervision,
         cluster.quarantined_machines(),
         cluster.faulted_machines(),
         cluster.provenance().flows(),

@@ -27,9 +27,9 @@ fn cluster(n: usize, words: usize) -> Cluster {
 
 /// Runs `f` and checks that it grew the step phase and nothing else.
 fn books_step_only(what: &str, cl: &mut Cluster, f: impl FnOnce(&mut Cluster)) {
-    let before = cl.stats().phase;
+    let before = *cl.phase_times();
     f(cl);
-    let after = cl.stats().phase;
+    let after = *cl.phase_times();
     assert!(
         after.step_ns > before.step_ns,
         "{what} booked no step time: {before} -> {after}"
@@ -59,7 +59,7 @@ fn scale_ingest_books_route_and_kernels_book_step() {
     {
         let mut cl = cluster(family.n(), 2 * family.n() + 2 * family.m());
         let csr = scale::ingest(family, &mut cl).unwrap();
-        let booked = cl.stats().phase;
+        let booked = *cl.phase_times();
         assert!(booked.route_ns > 0, "ingest booked no route time");
         assert_eq!(
             PhaseTimes {
@@ -84,7 +84,7 @@ fn distributed_sweeps_book_step() {
     let mut cl = cluster(g.n(), graph_words(&g));
     let dg = DistributedGraph::distribute(&g, &mut cl).unwrap();
     assert!(
-        cl.stats().phase.route_ns > 0,
+        cl.phase_times().route_ns > 0,
         "distribute booked no route time"
     );
     books_step_only("cc_labels", &mut cl, |cl| {

@@ -33,9 +33,6 @@ fn delta(raw: (u64, u64, u64, u64)) -> Stats {
         recovery_words: stretch(raw.0.rotate_left(7)),
         speculative_rounds: stretch(raw.1.rotate_left(3)) as usize,
         corrupted_detected: stretch(raw.2.rotate_left(5)),
-        // Phase timings are observability-only and excluded from Stats
-        // equality, so the algebra tests leave them zero.
-        ..Stats::default()
     }
 }
 
@@ -139,7 +136,6 @@ proptest! {
             recovery_words: u64::MAX,
             speculative_rounds: usize::MAX,
             corrupted_detected: u64::MAX,
-            ..Stats::default()
         };
         let mut out = maxed.clone();
         out.absorb(&delta(a));

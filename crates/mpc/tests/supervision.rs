@@ -5,10 +5,11 @@
 //! (`advance_rounds`) and the exact engine
 //! (`exact_aggregate_sum_with_faults`).
 
+use csmpc_graph::fnv::Fnv1a;
 use csmpc_graph::rng::Seed;
 use csmpc_mpc::{
-    exact_aggregate_sum, exact_aggregate_sum_with_faults, Cluster, Envelope, FaultPlan, Message,
-    MpcConfig, RecoveryPolicy, SupervisionEvent, SupervisorConfig,
+    exact_aggregate_sum, exact_aggregate_sum_with_faults, Cluster, ClusterEvent, Envelope,
+    FaultPlan, Message, MpcConfig, RecoveryEvent, RecoveryPolicy, SupervisorConfig,
 };
 
 // ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ fn engine_speculation_clamps_straggler_stall() {
         let (sum, _) =
             exact_aggregate_sum_with_faults(&mut cl, &values, &plan, RecoveryPolicy::restart(8))
                 .unwrap();
-        (sum, cl.stats().clone(), cl.supervision_log().to_vec())
+        (sum, cl.stats().clone(), cl.events().to_vec())
     };
     let (plain_sum, plain_stats, plain_log) = run(false);
     let (sup_sum, sup_stats, sup_log) = run(true);
@@ -194,7 +195,7 @@ fn engine_speculation_clamps_straggler_stall() {
     assert!(sup_stats.recovery_words > 0, "re-shipped state was free");
     assert!(matches!(
         sup_log.as_slice(),
-        [SupervisionEvent::Speculation {
+        [ClusterEvent::Speculation {
             machine: 0,
             stall_avoided: 10,
             ..
@@ -233,15 +234,18 @@ fn engine_quarantine_spends_no_retries_and_keeps_the_sum() {
         vec![0]
     );
     assert!(cl.faulted_machines().contains(&0));
+    // The spares still resume from the restored checkpoint, so the crash
+    // is logged as a recovery after its quarantine. The second crash on
+    // the quarantined machine was moot: no further event or failure.
     assert!(matches!(
-        cl.supervision_log(),
-        [SupervisionEvent::Quarantine { machine: 0, .. }]
+        cl.events(),
+        [
+            ClusterEvent::Quarantine { machine: 0, .. },
+            ClusterEvent::Recovery(RecoveryEvent { machine: 0, .. })
+        ]
     ));
     // Quarantine migration is charged as recovery overhead.
     assert!(cl.stats().recovery_words > 0);
-    // The second crash on the quarantined machine was moot: one
-    // quarantine, no further supervision or failure.
-    assert_eq!(cl.supervision_log().len(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +264,7 @@ fn accounted_straggler_speculation_clamps_the_barrier() {
     plain.arm_faults(plan.clone(), RecoveryPolicy::restart(4));
     plain.advance_rounds(3).unwrap();
     assert_eq!(plain.stats().rounds, 3 + 10, "unsupervised stall wrong");
-    assert!(plain.supervision_log().is_empty());
+    assert!(plain.events().is_empty());
 
     let mut sup = accounted_cluster();
     sup.arm_faults(plan, RecoveryPolicy::restart(4));
@@ -273,8 +277,8 @@ fn accounted_straggler_speculation_clamps_the_barrier() {
     assert_eq!(sup.stats().speculative_rounds, 8);
     assert!(sup.stats().recovery_words > 0, "re-shipped state was free");
     assert!(matches!(
-        sup.supervision_log(),
-        [SupervisionEvent::Speculation {
+        sup.events(),
+        [ClusterEvent::Speculation {
             machine: 0,
             stall_avoided: 8,
             ..
@@ -302,10 +306,10 @@ fn accounted_backoff_idles_exponentially_and_is_charged() {
     assert!(backed.stats().rounds >= flat.stats().rounds + 6);
     assert!(backed.stats().recovery_rounds >= flat.stats().recovery_rounds + 6);
     let backoffs: Vec<(usize, usize)> = backed
-        .supervision_log()
+        .events()
         .iter()
         .filter_map(|ev| match ev {
-            SupervisionEvent::Backoff {
+            ClusterEvent::Backoff {
                 retry,
                 stall_rounds,
                 ..
@@ -332,7 +336,11 @@ fn accounted_quarantine_stops_consuming_retries() {
         failure_threshold: 1,
     });
     cl.advance_rounds(5).unwrap();
-    assert_eq!(cl.recovery_log().len(), 1, "only the first crash retries");
+    let recoveries = cl
+        .events()
+        .iter()
+        .filter(|ev| matches!(ev, ClusterEvent::Recovery(_)));
+    assert_eq!(recoveries.count(), 1, "only the first crash retries");
     assert_eq!(
         cl.quarantined_machines()
             .iter()
@@ -341,9 +349,9 @@ fn accounted_quarantine_stops_consuming_retries() {
         vec![0]
     );
     let quarantines = cl
-        .supervision_log()
+        .events()
         .iter()
-        .filter(|ev| matches!(ev, SupervisionEvent::Quarantine { .. }))
+        .filter(|ev| matches!(ev, ClusterEvent::Quarantine { .. }))
         .count();
     assert_eq!(quarantines, 1);
     assert!(cl.stats().recovery_words > 0, "migration was free");
@@ -360,6 +368,66 @@ fn accounted_partition_charges_its_stall_exactly_once() {
     // Re-advancing must not re-charge the window.
     cl.advance_rounds(2).unwrap();
     assert_eq!(cl.stats().rounds, 5 + 3 + 2);
+}
+
+/// The round stamp of an event: `crash_round` for a recovery, `round`
+/// otherwise.
+fn stamp(ev: &ClusterEvent) -> usize {
+    match ev {
+        ClusterEvent::Recovery(r) => r.crash_round,
+        ClusterEvent::Speculation { round, .. }
+        | ClusterEvent::Quarantine { round, .. }
+        | ClusterEvent::Backoff { round, .. } => *round,
+    }
+}
+
+#[test]
+fn accounted_event_log_is_ledger_ordered_and_splits_into_both_sequences() {
+    // Seeded random plans (crashes and stragglers crowded onto 4 machines,
+    // so quarantines fire) under a supervisor and a backoff policy. The
+    // accounted layer stamps every event with the ledger round, so the
+    // stamps never decrease in log order. Split by kind, the log gives
+    // the recovery sequence and the supervision sequence that the layer
+    // kept as two separate logs before they were folded into one; the
+    // digest of both, with each run's result, was taken from those two
+    // logs and is pinned.
+    let mut kinds = [0usize; 4];
+    let mut digest = Fnv1a::new();
+    for p in 0..200u64 {
+        let mut cl = accounted_cluster();
+        cl.arm_faults(
+            FaultPlan::random(Seed(0x0E7E).derive(p), 4, 12, 3, 4),
+            RecoveryPolicy::restart_with_backoff(3, 1),
+        );
+        cl.supervise(SupervisorConfig {
+            deadline_rounds: 1,
+            failure_threshold: 1,
+        });
+        let result = cl.advance_rounds(16);
+        let events = cl.events();
+        assert!(
+            events.windows(2).all(|w| stamp(&w[0]) <= stamp(&w[1])),
+            "plan {p}: stamps decrease in {events:?}"
+        );
+        let (mut recoveries, mut supervision) = (Vec::new(), Vec::new());
+        for ev in events {
+            kinds[match ev {
+                ClusterEvent::Recovery(r) => {
+                    recoveries.push(r);
+                    0
+                }
+                ClusterEvent::Speculation { .. } => 1,
+                ClusterEvent::Quarantine { .. } => 2,
+                ClusterEvent::Backoff { .. } => 3,
+            }] += 1;
+            if !matches!(ev, ClusterEvent::Recovery(_)) {
+                supervision.push(ev);
+            }
+        }
+        digest.bytes(format!("{result:?} {recoveries:?} {supervision:?}").as_bytes());
+    }
+    assert_eq!(kinds, [356, 489, 206, 356], "event counts by kind");
+    assert_eq!(digest.finish(), 0x8860_f5b0_9b5e_9a4c, "split event logs");
 }
 
 // ---------------------------------------------------------------------------
@@ -383,22 +451,23 @@ fn reset_for_repetition_rearms_faults_and_clears_supervision_state() {
         cl.advance_rounds(5).unwrap();
         (
             cl.stats().clone(),
-            cl.recovery_log().to_vec(),
-            cl.supervision_log().to_vec(),
+            cl.events().to_vec(),
             cl.quarantined_machines().clone(),
             cl.faulted_machines().clone(),
         )
     };
     let first = run(&mut cl);
     assert!(
-        !first.2.is_empty(),
+        first
+            .1
+            .iter()
+            .any(|ev| !matches!(ev, ClusterEvent::Recovery(_))),
         "plan fired no supervision events; the regression test is vacuous"
     );
 
     cl.reset_for_repetition();
     assert_eq!(cl.stats(), &csmpc_mpc::Stats::default());
-    assert!(cl.recovery_log().is_empty(), "recovery log leaked");
-    assert!(cl.supervision_log().is_empty(), "supervision log leaked");
+    assert!(cl.events().is_empty(), "event log leaked");
     assert!(cl.quarantined_machines().is_empty(), "quarantine leaked");
     assert!(cl.faulted_machines().is_empty(), "fault record leaked");
 
@@ -414,7 +483,7 @@ fn reset_for_repetition_leaks_no_per_execution_field() {
     // The full-audit companion to the two targeted regressions around
     // it: dirty *every* per-execution field the PR 7/8 era added —
     // ledger (including recovery and phase columns), provenance flows,
-    // per-machine component tags, recovery log, supervision log and its
+    // per-machine component tags, event log and the supervisor's
     // failure/quarantine/taint bookkeeping, deadline marker — then
     // check the reset cluster is observationally identical to a freshly
     // built one on every public accessor. A field added to `Cluster`
@@ -432,14 +501,21 @@ fn reset_for_repetition_leaks_no_per_execution_field() {
         cl.advance_rounds(4).unwrap();
         cl.charge_recovery(2, 128);
         cl.provenance_mut().record_global_mix("audit", 0, [0, 1]);
-        cl.record_phase(&csmpc_mpc::PhaseTimes::default());
+        cl.record_phase(&csmpc_mpc::PhaseTimes {
+            step_ns: 1,
+            ..csmpc_mpc::PhaseTimes::default()
+        });
     };
     let mut cl = accounted_cluster();
     dirty(&mut cl);
     assert!(
         cl.stats().recovery_rounds > 0
             && cl.provenance().has_cross_component_flow()
-            && !cl.supervision_log().is_empty()
+            && cl
+                .events()
+                .iter()
+                .any(|ev| !matches!(ev, ClusterEvent::Recovery(_)))
+            && !cl.phase_times().is_zero()
             && !cl.faulted_machines().is_empty(),
         "the dirtying run left fields clean; the audit is vacuous"
     );
@@ -459,15 +535,11 @@ fn reset_for_repetition_leaks_no_per_execution_field() {
             "machine {m} component tags leaked"
         );
     }
+    assert_eq!(cl.events(), fresh.events(), "event log leaked");
     assert_eq!(
-        cl.recovery_log(),
-        fresh.recovery_log(),
-        "recovery log leaked"
-    );
-    assert_eq!(
-        cl.supervision_log(),
-        fresh.supervision_log(),
-        "supervision log leaked"
+        cl.phase_times(),
+        fresh.phase_times(),
+        "phase timings leaked"
     );
     assert_eq!(
         cl.quarantined_machines(),

@@ -55,7 +55,7 @@ pub fn current_num_threads() -> usize {
 /// How a simulator executes its internally parallelizable sweeps.
 ///
 /// Both modes produce bit-identical results (outputs, `Stats` ledger,
-/// provenance log, recovery log) for the same seed; the mode only affects
+/// provenance log, event log) for the same seed; the mode only affects
 /// wall-clock time. Defaults to [`ParallelismMode::auto`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelismMode {

@@ -193,20 +193,6 @@ impl EdgeProblem for ApproxMaximumMatching {
     }
 }
 
-/// Lifts an edge labeling of `g` to a vertex labeling of its line graph —
-/// the direction the paper's framework uses.
-#[must_use]
-pub fn edge_labels_to_line_graph<L: Clone>(labels: &[L]) -> Vec<L> {
-    labels.to_vec() // line-graph node order = g.edges() order
-}
-
-/// The vertex problem "MIS on the line graph", whose valid outputs are
-/// exactly the maximal matchings of the original graph.
-#[must_use]
-pub fn line_graph_of(g: &Graph) -> (Graph, Vec<(usize, usize)>) {
-    line_graph(g)
-}
-
 /// Cross-validation helper: a labeling is a maximal matching of `g` iff it
 /// is an MIS of `L(g)` — the equivalence the paper's reduction rests on.
 #[must_use]

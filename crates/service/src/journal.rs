@@ -193,9 +193,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<Stats, String> {
     for (w, name) in words.iter_mut().zip(Stats::MODEL_FIELDS) {
         *w = r.u64(name).map_err(|e| format!("stats: {e}"))?;
     }
-    // Phase timings are wall-clock observability, excluded from Stats
-    // equality and the report fingerprint; a recovered ledger starts them
-    // at zero.
     Ok(Stats::from_model_words(words))
 }
 
@@ -410,8 +407,7 @@ pub enum JournalRecord {
         degraded: bool,
         /// [`crate::job::labels_digest`] of the output.
         digest: u64,
-        /// The final attempt's ledger (model observables; phase timings
-        /// are not persisted).
+        /// The final attempt's ledger.
         stats: Stats,
     },
 }

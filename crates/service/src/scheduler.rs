@@ -18,8 +18,9 @@
 //!   queued job is backing off, so backoff shapes *ordering* but never
 //!   results, and an idle queue can never wedge.
 //! * Wall-clock time is recorded per job for observability
-//!   ([`JobOutcome::wall_ms`]) but — like [`csmpc_mpc::Stats`] phase
-//!   timings — is excluded from [`ServiceReport::fingerprint`].
+//!   ([`JobOutcome::wall_ms`]) but — like a cluster's phase timings,
+//!   which sit outside [`csmpc_mpc::Stats`] — is excluded from
+//!   [`ServiceReport::fingerprint`].
 //!
 //! ## One state machine
 //!
@@ -122,7 +123,7 @@ pub struct JobOutcome {
     pub errors: Vec<String>,
     /// Wall-clock milliseconds from first dispatch to terminal state.
     /// **Observability only** — excluded from the determinism
-    /// fingerprint, like [`Stats`] phase timings.
+    /// fingerprint, like a cluster's phase timings.
     pub wall_ms: f64,
 }
 

@@ -9,7 +9,7 @@
 //! ```
 
 use component_stability::algorithms::mpc_edge::BallGreedyColoringMpc;
-use component_stability::mpc::{graph_words, DistributedGraph, MpcError};
+use component_stability::mpc::{graph_words, ClusterEvent, DistributedGraph, MpcError};
 use component_stability::prelude::*;
 
 /// The swept algorithms, erased to a common label type.
@@ -90,7 +90,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (la, ca) = exec()?;
             let (lb, cb) = exec()?;
             replay_ok &= la == lb && ca.stats() == cb.stats() && la == baseline;
-            if !ca.recovery_log().is_empty() {
+            if ca
+                .events()
+                .iter()
+                .any(|ev| matches!(ev, ClusterEvent::Recovery(_)))
+            {
                 crashes += 1;
                 extra_rounds += ca.stats().rounds - base.rounds;
                 extra_words += ca.stats().total_words - base.total_words;

@@ -89,8 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    for ev in &run.recoveries {
-        println!("  recovery event: {ev}");
+    for ev in &run.events {
+        println!("  event: {ev}");
     }
     Ok(())
 }

@@ -238,7 +238,7 @@ fn corruption_is_always_detected_never_silently_applied() {
         let (sum, _) =
             exact_aggregate_sum_with_faults(&mut cl, &values, &plan, RecoveryPolicy::restart(8))
                 .expect("corrupted run failed");
-        (sum, cl.stats().clone(), cl.recovery_log().len())
+        (sum, cl.stats().clone(), cl.events().to_vec())
     };
     let (seq_sum, seq_stats, seq_recs) = run(ParallelismMode::Sequential);
     let (par_sum, par_stats, par_recs) = run(ParallelismMode::Parallel);

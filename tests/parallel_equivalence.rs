@@ -2,7 +2,7 @@
 //!
 //! The deterministic parallel execution engine promises that
 //! [`ParallelismMode`] changes *only* wall-clock time: outputs, the
-//! `Stats` ledger, the provenance log, and the recovery history are all
+//! `Stats` ledger, the provenance log, and the event log are all
 //! bit-identical between modes for the same seed — including under an
 //! armed fault plan with message drops, duplications, and recovered
 //! crashes. This suite pins that contract across every parallelized layer:
@@ -21,8 +21,8 @@ use csmpc_graph::rng::Seed;
 use csmpc_graph::{generators, ops, Graph};
 use csmpc_local::{run_ball_algorithm_with_mode, run_local_with_mode, LocalParams};
 use csmpc_mpc::{
-    exact_aggregate_sum_with_faults, Cluster, DistributedGraph, FaultPlan, MpcConfig, MpcError,
-    ParallelismMode, RecoveryPolicy, Stats,
+    exact_aggregate_sum_with_faults, Cluster, ClusterEvent, DistributedGraph, FaultPlan, MpcConfig,
+    MpcError, ParallelismMode, RecoveryPolicy, Stats,
 };
 use csmpc_problems::mis::LargeIndependentSet;
 
@@ -53,7 +53,7 @@ struct Observed {
     labels: Vec<u64>,
     stats: Stats,
     provenance: csmpc_mpc::ProvenanceLog,
-    recoveries: Vec<csmpc_mpc::RecoveryEvent>,
+    events: Vec<ClusterEvent>,
 }
 
 fn observe(
@@ -72,7 +72,7 @@ fn observe(
         labels,
         stats: cluster.stats().clone(),
         provenance: cluster.provenance().clone(),
-        recoveries: cluster.recovery_log().to_vec(),
+        events: cluster.events().to_vec(),
     }
 }
 
@@ -132,7 +132,11 @@ fn faulted_chaos_plans_are_mode_independent() {
         let seq = observe(run, &g, shared, ParallelismMode::Sequential, Some(&plan));
         let par = observe(run, &g, shared, ParallelismMode::Parallel, Some(&plan));
         assert_eq!(seq, par, "plan {p}: faulted run diverged between modes");
-        recoveries_seen += usize::from(!seq.recoveries.is_empty());
+        recoveries_seen += usize::from(
+            seq.events
+                .iter()
+                .any(|ev| matches!(ev, ClusterEvent::Recovery(_))),
+        );
     }
     assert!(recoveries_seen > 0, "no plan recovered a crash; vacuous");
 }
@@ -145,7 +149,7 @@ fn exact_engine_transport_faults_are_mode_independent() {
     // both modes.
     let values: Vec<u64> = (1..=100).collect();
     let expected: u64 = values.iter().sum();
-    let mut per_mode: Vec<(u64, Stats, usize)> = Vec::new();
+    let mut per_mode: Vec<(u64, Stats, Vec<ClusterEvent>)> = Vec::new();
     for mode in MODES {
         let cfg = MpcConfig {
             parallelism: mode,
@@ -158,7 +162,7 @@ fn exact_engine_transport_faults_are_mode_independent() {
             exact_aggregate_sum_with_faults(&mut cl, &values, &plan, RecoveryPolicy::restart(8))
                 .expect("faulted sum failed");
         assert_eq!(sum, expected);
-        per_mode.push((rounds as u64, cl.stats().clone(), cl.recovery_log().len()));
+        per_mode.push((rounds as u64, cl.stats().clone(), cl.events().to_vec()));
     }
     assert_eq!(
         per_mode[0], per_mode[1],
@@ -174,7 +178,7 @@ fn adversarial_transport_faults_are_mode_independent() {
     // and partition stalls must replay identically in both modes.
     let values: Vec<u64> = (1..=100).collect();
     let expected: u64 = values.iter().sum();
-    let mut per_mode: Vec<(u64, Stats, usize)> = Vec::new();
+    let mut per_mode: Vec<(u64, Stats, Vec<ClusterEvent>)> = Vec::new();
     for mode in MODES {
         let cfg = MpcConfig {
             parallelism: mode,
@@ -190,7 +194,7 @@ fn adversarial_transport_faults_are_mode_independent() {
             exact_aggregate_sum_with_faults(&mut cl, &values, &plan, RecoveryPolicy::restart(8))
                 .expect("adversarial sum failed");
         assert_eq!(sum, expected, "transport faults changed the output");
-        per_mode.push((rounds as u64, cl.stats().clone(), cl.recovery_log().len()));
+        per_mode.push((rounds as u64, cl.stats().clone(), cl.events().to_vec()));
     }
     assert_eq!(
         per_mode[0], per_mode[1],
@@ -206,7 +210,7 @@ fn adversarial_transport_faults_are_mode_independent() {
 fn supervised_recovery_is_mode_independent() {
     // Supervision (speculative re-execution of stragglers, exponential
     // backoff before retries, quarantine after repeated failures) drives
-    // the recovery and supervision logs; both must be bit-identical
+    // the event log, which must be bit-identical
     // across modes, as must the overlay counters in Stats.
     let g = two_component_graph();
     let shared = Seed(0xC0DE);
@@ -232,8 +236,7 @@ fn supervised_recovery_is_mode_independent() {
         per_mode.push((
             labels,
             cluster.stats().clone(),
-            cluster.recovery_log().to_vec(),
-            cluster.supervision_log().to_vec(),
+            cluster.events().to_vec(),
             cluster.quarantined_machines().clone(),
         ));
     }
@@ -241,12 +244,17 @@ fn supervised_recovery_is_mode_independent() {
         per_mode[0], per_mode[1],
         "supervised run diverged between modes"
     );
-    let (_, stats, _, supervision, quarantined) = &per_mode[0];
+    let (_, stats, events, quarantined) = &per_mode[0];
     assert!(
         stats.speculative_rounds > 0,
         "no speculation fired; vacuous"
     );
-    assert!(!supervision.is_empty(), "supervision log empty; vacuous");
+    assert!(
+        events
+            .iter()
+            .any(|ev| !matches!(ev, ClusterEvent::Recovery(_))),
+        "no supervision event logged; vacuous"
+    );
     assert!(!quarantined.is_empty(), "no quarantine fired; vacuous");
 }
 
