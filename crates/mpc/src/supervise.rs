@@ -130,7 +130,7 @@ pub enum ClusterEvent {
 impl fmt::Display for ClusterEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterEvent::Recovery(ev) => ev.fmt(f),
+            ClusterEvent::Recovery(ev) => write!(f, "{ev}"),
             ClusterEvent::Speculation {
                 machine,
                 round,
@@ -511,5 +511,13 @@ mod tests {
         let s = b.to_string();
         assert!(s.contains("retry"), "{s}");
         assert!(s.contains("4 round(s)"), "{s}");
+        let r = RecoveryEvent {
+            machine: 4,
+            crash_round: 9,
+            checkpoint_round: 8,
+            replayed_rounds: 1,
+            reshipped_words: 17,
+        };
+        assert_eq!(ClusterEvent::Recovery(r).to_string(), r.to_string());
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! Every case runs a fixed fault plan under one recovery policy, with or
 //! without a supervisor, in both parallelism modes. Its digest covers all
-//! eight `Stats` model fields, the event log (as its recoveries and its
-//! supervision actions, two filtered lists), the quarantined and faulted
-//! machine sets, the provenance flows, and the
-//! result (sum or error variant). The digests are pinned constants, so any
+//! eight `Stats` model fields, the event log (as two lists: its
+//! recoveries and its supervision actions), the quarantined and faulted
+//! machine sets, the provenance flows, and the result (sum or error
+//! variant). The digests are pinned constants, so any
 //! refactor of the fault machinery must reproduce every ledger bit for
 //! bit. The digest itself is an envelope checksum, and a few envelope
 //! checksums are pinned directly, so the transport checksum is pinned too.

@@ -412,16 +412,14 @@ fn accounted_event_log_is_ledger_ordered_and_splits_into_both_sequences() {
         let (mut recoveries, mut supervision) = (Vec::new(), Vec::new());
         for ev in events {
             kinds[match ev {
-                ClusterEvent::Recovery(r) => {
-                    recoveries.push(r);
-                    0
-                }
+                ClusterEvent::Recovery(_) => 0,
                 ClusterEvent::Speculation { .. } => 1,
                 ClusterEvent::Quarantine { .. } => 2,
                 ClusterEvent::Backoff { .. } => 3,
             }] += 1;
-            if !matches!(ev, ClusterEvent::Recovery(_)) {
-                supervision.push(ev);
+            match ev {
+                ClusterEvent::Recovery(r) => recoveries.push(r),
+                other => supervision.push(other),
             }
         }
         digest.bytes(format!("{result:?} {recoveries:?} {supervision:?}").as_bytes());
