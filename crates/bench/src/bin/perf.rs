@@ -158,7 +158,7 @@ fn luby_mis(n: usize) -> PreparedRunner {
     Box::new(move |mode| {
         let mut cl = cluster_in_mode(&g, 0, Seed(0xC0DE), mode);
         black_box(StableOneShotIs.run(&g, &mut cl).expect("luby-mis run"));
-        *cl.phase_times()
+        cl.phase_times()
     })
 }
 
@@ -169,7 +169,7 @@ fn cc_labels(n: usize) -> PreparedRunner {
         let mut cl = cluster_in_mode(&g, 0, Seed(0xC0DE), mode);
         let dg = DistributedGraph::distribute(&g, &mut cl).expect("distribute");
         black_box(dg.cc_labels(&mut cl).expect("cc-labels run"));
-        *cl.phase_times()
+        cl.phase_times()
     })
 }
 
@@ -184,7 +184,7 @@ fn ball_coloring(n: usize) -> PreparedRunner {
                 .run(&g, &mut cl)
                 .expect("ball-coloring run"),
         );
-        *cl.phase_times()
+        cl.phase_times()
     })
 }
 
@@ -198,7 +198,7 @@ fn chaos_replay(n: usize) -> PreparedRunner {
         let plan = FaultPlan::random(Seed(0xFA57).derive(1), cl.num_machines(), 3, 1, 1);
         cl.arm_faults(plan, RecoveryPolicy::restart(8));
         black_box(StableOneShotIs.run(&g, &mut cl).expect("chaos-replay run"));
-        *cl.phase_times()
+        cl.phase_times()
     })
 }
 
@@ -234,7 +234,7 @@ fn scale_pass(
     let mut ws = ScaleWorkspace::new();
     let csr = scale::ingest(family, &mut cl).expect("scale ingest");
     f(&mut cl, &csr, &mut ws);
-    *cl.phase_times()
+    cl.phase_times()
 }
 
 fn scale_cc_labels(n: usize) -> PreparedRunner {

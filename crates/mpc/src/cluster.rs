@@ -521,8 +521,8 @@ impl Cluster {
     /// Host wall-clock time spent in each engine phase so far.
     /// Observability only: it sits beside the [`Stats`] ledger, not in it.
     #[must_use]
-    pub fn phase_times(&self) -> &PhaseTimes {
-        &self.phase
+    pub fn phase_times(&self) -> PhaseTimes {
+        self.phase
     }
 
     /// Resets the ledger and the phase timings (e.g. between repetitions).

@@ -27,9 +27,9 @@ fn cluster(n: usize, words: usize) -> Cluster {
 
 /// Runs `f` and checks that it grew the step phase and nothing else.
 fn books_step_only(what: &str, cl: &mut Cluster, f: impl FnOnce(&mut Cluster)) {
-    let before = *cl.phase_times();
+    let before = cl.phase_times();
     f(cl);
-    let after = *cl.phase_times();
+    let after = cl.phase_times();
     assert!(
         after.step_ns > before.step_ns,
         "{what} booked no step time: {before} -> {after}"
@@ -59,7 +59,7 @@ fn scale_ingest_books_route_and_kernels_book_step() {
     {
         let mut cl = cluster(family.n(), 2 * family.n() + 2 * family.m());
         let csr = scale::ingest(family, &mut cl).unwrap();
-        let booked = *cl.phase_times();
+        let booked = cl.phase_times();
         assert!(booked.route_ns > 0, "ingest booked no route time");
         assert_eq!(
             PhaseTimes {
